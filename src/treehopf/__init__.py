@@ -16,6 +16,7 @@ from .hopf import (
     antipode_recursive,
     ck_coproduct_oracle,
     coproduct,
+    coproduct_closed,
     coproduct_inductive,
     simplicial_d,
     simplicial_s,
@@ -40,6 +41,7 @@ from .planar import (
     planar_antipode,
     planar_bullet,
     planar_coproduct,
+    planar_coproduct_closed,
     planar_decompose,
     planar_lambda,
     verify_planar,

@@ -334,7 +334,13 @@ class QSpec:
             if word.strip() == "sym":
                 entries.append(Coeff.variable(i + 1, j + 1))
             else:
-                entries.append(Coeff.rational(Fraction(word.strip())))
+                try:
+                    value = Fraction(word.strip())
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"--q entry q{i + 1}{j + 1} = {word.strip()!r} has a zero denominator"
+                    ) from None
+                entries.append(Coeff.rational(value))
         return cls(n, tuple(entries))
 
     def is_rational(self) -> bool:

@@ -1,23 +1,36 @@
 """The deformed coproduct family on forests, its antipodes, and checks.
 
-The comultiplication sends a forest t to the sum over all vertex subsets
-s of q(s,t)·(induced forest of s) ⊗ (induced forest of the complement),
-where q(s,t) is a monomial in the 2n parameters determined by colour
-counts along root paths (see ``subset_exponents``).  An equivalent
-recursive description goes through the root-adjoining constructor and
-the weighted product maps sigma_1/sigma_2; both are implemented and the
-test-suite pins them against each other.
+The production comultiplication ``coproduct`` is the structural
+recursion through the root-adjoining constructor λ: a tree is
+λ(x_1, …, x_n) for its colour slots x_j, and
+
+    Δλ(x) = Σ σ_1(x′) ⊗ λ(x″) + λ(x′) ⊗ σ_2(x″),
+
+where x′ ⊗ x″ runs over the slotwise coproduct terms and σ_i multiplies
+the slots with weight Π_j q_{ij}^{|x_j|}; Δ is extended multiplicatively
+over forests.  Its cost follows the size of the output.
+
+The closed formula is kept as an oracle, ``coproduct_closed``: the sum
+over all vertex subsets s of q(s,t)·(induced forest of s) ⊗ (induced
+forest of the complement), where q(s,t) is a monomial in the 2n
+parameters determined by colour counts along root paths (see
+``subset_exponents``).  It costs 2^|V| per forest; the test-suite pins
+the production route against it, and against the admissible-cut
+oracle ``ck_coproduct_oracle`` at the Connes–Kreimer point.
 
 Everything here is a pure function of immutable values; the module-level
 dictionaries are memo tables keyed by canonical forests (and parameter
-specifications), filled deterministically.
+specifications), filled deterministically.  The oracles keep their own
+tables and never read the production Δ memo.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product as _iproduct
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -173,8 +186,8 @@ def _split_table(forest: Forest):
 # coproducts
 # ---------------------------------------------------------------------------
 
+# production Δ per (parameters, basis forest); the oracles never touch it
 _DELTA_CACHE: dict[tuple[QSpec, Forest], TensorElement] = {}
-_DELTA_IND_CACHE: dict[tuple[QSpec, ColouredTree], TensorElement] = {}
 
 
 def _acc(store: dict, key, coeff: Coeff):
@@ -186,25 +199,116 @@ def _acc(store: dict, key, coeff: Coeff):
         store[key] = total
 
 
+def _root_square(slot_deltas: Sequence[dict], qspec: QSpec, lam, unit) -> dict:
+    """Δ(λ(x_1..x_n)) = Σ σ_1(x')⊗λ(x'') + λ(x')⊗σ_2(x''), as a term dict.
+
+    ``slot_deltas[j-1]`` maps the (x'_j, x''_j) pairs of Δ(x_j) to their
+    coefficients.  σ_i multiplies the slot legs in slot order with weight
+    Π_j q_{ij}^{|leg_j|}; ``lam`` is the root constructor on a tuple of
+    legs and ``unit`` the empty product.  Shared by the forest and the
+    planar-word bases.
+    """
+    out: dict = {}
+    for side in (1, 2):
+        # fold the σ_side weight into each slot term and drop the terms it kills
+        weighted = []
+        for j, terms in enumerate(slot_deltas, start=1):
+            q = qspec.q(side, j)
+            slot = []
+            for (l, r), c in terms.items():
+                w = c * q ** (l if side == 1 else r).size
+                if not w.is_zero():
+                    slot.append((l, r, w))
+            weighted.append(slot)
+        for combo in _iproduct(*weighted):
+            coeff = ONE
+            lefts, rights = [], []
+            for l, r, w in combo:
+                coeff = coeff * w
+                lefts.append(l)
+                rights.append(r)
+            if side == 1:
+                key = (reduce(mul, lefts, unit), lam(rights))
+            else:
+                key = (lam(lefts), reduce(mul, rights, unit))
+            _acc(out, key, coeff)
+    return out
+
+
 def _delta_forest(forest: Forest, ctx: HopfContext) -> TensorElement:
     cached = _DELTA_CACHE.get((ctx.qspec, forest))
     if cached is None:
-        out: dict[tuple[Forest, Forest], Coeff] = {}
-        for _, part, comp, exps in _split_table(forest):
-            c = evaluate_exponents(ctx.qspec, exps)
-            if not c.is_zero():
-                _acc(out, (part, comp), c)
-        cached = _DELTA_CACHE[(ctx.qspec, forest)] = TensorElement(ctx.n, out)
+        cached = _DELTA_CACHE[(ctx.qspec, forest)] = _delta_forest_inductive(forest, ctx)
     return cached
 
 
-def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
-    """Closed-formula comultiplication: sum over all vertex subsets."""
-    _check_n(a, ctx)
-    out = TensorElement.zero(ctx.n)
-    for forest, coeff in a.data.items():
-        out = out + _delta_forest(forest, ctx).scale(coeff)
+def _combine_slot_deltas(
+    slot_deltas: Sequence[TensorElement], ctx: HopfContext
+) -> TensorElement:
+    n = ctx.n
+    lam = lambda legs: Forest.single(add_root(legs, n))
+    square = _root_square([d.data for d in slot_deltas], ctx.qspec, lam, EMPTY_FOREST)
+    return TensorElement(n, square)
+
+
+def _delta_tree_inductive(tree: ColouredTree, ctx: HopfContext) -> TensorElement:
+    slots = [_delta_forest(f, ctx) for f in decompose(tree, ctx.n)]
+    return _combine_slot_deltas(slots, ctx)
+
+
+def _delta_forest_inductive(forest: Forest, ctx: HopfContext) -> TensorElement:
+    """Δ of a basis forest: the root-constructor square on each tree, then
+    the product over the trees (Δ is an algebra map)."""
+    if forest.is_single_tree():
+        return _delta_tree_inductive(next(forest.trees()), ctx)
+    out = TensorElement.unit(ctx.n)
+    for tree in forest.trees():
+        out = out * _delta_forest(Forest.single(tree), ctx)
     return out
+
+
+def _extend_linearly(a, basis_fn, cls):
+    """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``."""
+    out: dict = {}
+    for key, coeff in a.data.items():
+        for k, c in basis_fn(key).data.items():
+            _acc(out, k, c * coeff)
+    return cls(a.n, out)
+
+
+def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
+    """Comultiplication by structural recursion through the root constructor.
+
+    Each tree is split by ``decompose`` into its colour slots and Δ is
+    rebuilt from the slot coproducts by the defining square
+    Δλ(x) = Σ σ_1(x')⊗λ(x'') + λ(x')⊗σ_2(x''); forests multiply.  The
+    cost follows the size of the output, not the 2^|V| vertex subsets
+    that ``coproduct_closed`` sums over.
+    """
+    _check_n(a, ctx)
+    return _extend_linearly(a, lambda f: _delta_forest(f, ctx), TensorElement)
+
+
+# ``coproduct`` is the recursive route; the name is kept for existing callers
+coproduct_inductive = coproduct
+
+
+def coproduct_closed(a: Element, ctx: HopfContext) -> TensorElement:
+    """Oracle: the closed formula, a sum over all 2^|V| vertex subsets.
+
+    Each subset s contributes q(s,t)·(induced forest of s) ⊗ (induced
+    forest of the complement).  Exponential in the vertex count; kept as
+    the reference the tests compare ``coproduct`` against, and it shares
+    no Δ memo with it.
+    """
+    _check_n(a, ctx)
+    out: dict[tuple[Forest, Forest], Coeff] = {}
+    for forest, coeff in a.data.items():
+        for _, part, comp, exps in _split_table(forest):
+            c = evaluate_exponents(ctx.qspec, exps)
+            if not c.is_zero():
+                _acc(out, (part, comp), c * coeff)
+    return TensorElement(ctx.n, out)
 
 
 def coproduct_of_slots(
@@ -224,63 +328,6 @@ def coproduct_of_slots(
     if delta is None:
         delta = lambda e: coproduct(e, ctx)
     return _combine_slot_deltas([delta(s) for s in slots], ctx)
-
-
-def _combine_slot_deltas(
-    slot_deltas: Sequence[TensorElement], ctx: HopfContext
-) -> TensorElement:
-    n = ctx.n
-    out: dict[tuple[Forest, Forest], Coeff] = {}
-    for combo in _iproduct(*(d.data.items() for d in slot_deltas)):
-        coeff = ONE
-        for _, c in combo:
-            coeff = coeff * c
-        if coeff.is_zero():
-            continue
-        lefts = tuple(k[0] for k, _ in combo)
-        rights = tuple(k[1] for k, _ in combo)
-        w1 = coeff
-        prod = EMPTY_FOREST
-        for j, f in enumerate(lefts, start=1):
-            w1 = w1 * ctx.qspec.q(1, j) ** f.size
-            prod = prod * f
-        if not w1.is_zero():
-            _acc(out, (prod, Forest.single(add_root(rights, n))), w1)
-        w2 = coeff
-        prod = EMPTY_FOREST
-        for j, f in enumerate(rights, start=1):
-            w2 = w2 * ctx.qspec.q(2, j) ** f.size
-            prod = prod * f
-        if not w2.is_zero():
-            _acc(out, (Forest.single(add_root(lefts, n)), prod), w2)
-    return TensorElement(n, out)
-
-
-def _delta_tree_inductive(tree: ColouredTree, ctx: HopfContext) -> TensorElement:
-    cached = _DELTA_IND_CACHE.get((ctx.qspec, tree))
-    if cached is None:
-        slots = [
-            _delta_forest_inductive(f, ctx) for f in decompose(tree, ctx.n)
-        ]
-        cached = _combine_slot_deltas(slots, ctx)
-        _DELTA_IND_CACHE[(ctx.qspec, tree)] = cached
-    return cached
-
-
-def _delta_forest_inductive(forest: Forest, ctx: HopfContext) -> TensorElement:
-    out = TensorElement.unit(ctx.n)
-    for tree in forest.trees():
-        out = out * _delta_tree_inductive(tree, ctx)
-    return out
-
-
-def coproduct_inductive(a: Element, ctx: HopfContext) -> TensorElement:
-    """Comultiplication by structural recursion through the root constructor."""
-    _check_n(a, ctx)
-    out = TensorElement.zero(ctx.n)
-    for forest, coeff in a.data.items():
-        out = out + _delta_forest_inductive(forest, ctx).scale(coeff)
-    return out
 
 
 def _check_n(a: Element, ctx: HopfContext):
@@ -357,10 +404,7 @@ def antipode_recursive(
         cache[cache_key(forest)] = out
         return out
 
-    result = Element.zero(n)
-    for forest, coeff in a.data.items():
-        result = result + s_basis(forest).scale(coeff)
-    return result
+    return _extend_linearly(a, s_basis, Element)
 
 
 def antipode_partitions(a: Element, ctx: HopfContext) -> Element:
@@ -405,10 +449,7 @@ def antipode_partitions(a: Element, ctx: HopfContext) -> Element:
         _ANTIPODE_PART_CACHE[(ctx.qspec, forest)] = out
         return out
 
-    result = Element.zero(n)
-    for forest, coeff in a.data.items():
-        result = result + s_basis(forest).scale(coeff)
-    return result
+    return _extend_linearly(a, s_basis, Element)
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +713,7 @@ def verify_bialgebra(
                 failure = f"ε∘σ_{side} ≠ ε^⊗n on {tuple(map(str, combo))}"
                 break
             # coproduct condition
-            lhs = TensorElement.zero(n)
-            for forest, coeff in s_elem.data.items():
-                lhs = lhs + delta(forest).scale(coeff)
+            lhs = _extend_linearly(s_elem, delta, TensorElement)
             rhs: dict[tuple[Forest, Forest], Coeff] = {}
             for cross in _iproduct(*(delta(f).data.items() for f in combo)):
                 coeff = ONE
@@ -707,7 +746,7 @@ def verify_bialgebra(
         rhs = coproduct_of_slots(
             [Element.basis(f, n) for f in combo],
             ctx,
-            delta=lambda e: _apply_linear(e, delta, n),
+            delta=lambda e: _extend_linearly(e, delta, TensorElement),
         )
         if lhs != rhs:
             failure = f"Δ∘λ square fails on {tuple(map(str, combo))}"
@@ -739,10 +778,3 @@ def verify_bialgebra(
     report.checks.append(CheckOutcome("antipode convolution", len(cases), failure))
 
     return report
-
-
-def _apply_linear(e: Element, delta, n: int) -> TensorElement:
-    out = TensorElement.zero(n)
-    for forest, coeff in e.data.items():
-        out = out + delta(forest).scale(coeff)
-    return out

@@ -7,24 +7,39 @@ automorphism collapsing.  Products live in the tensor algebra: a basis
 element is a *word* (ordered sequence) of planar trees, multiplied by
 concatenation, which is associative and genuinely noncommutative.
 
-The coproduct is the same vertex-subset sum as in the symmetric case
-and reuses the same path/colour exponent rule; what is new is that each
-subset must be read back as a *word*: the roots of the induced
-components are listed in the order of first visit in the host's
-depth-first traversal (colours in increasing order at each vertex,
-same-colour children in their stored order), and the same traversal
-induces the sibling orders inside each component.
+The production coproduct ``planar_coproduct`` is the symmetric
+root-constructor square read on words.  Each word of
+``planar_decompose(tree)`` is one slot; σ_i concatenates the slot legs
+in slot order with weight Π_j q_{ij}^{|w_j|}, ``planar_lambda`` adjoins
+the root, and Δ is multiplicative over the trees of a word, in order.
+
+The vertex-subset sum is kept as the oracle ``planar_coproduct_closed``.
+It reuses the symmetric path/colour exponent rule; each subset is read
+back as a *word*: the roots of the induced components are listed in the
+order of first visit in the host's depth-first traversal (colours in
+increasing order at each vertex, same-colour children in their stored
+order), and the same traversal induces the sibling orders inside each
+component.  It costs 2^|V| per word and shares no memo with the
+production route.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
 import random
 from typing import Callable, Iterable, Sequence
 
 from .algebra import Coeff, Combination, ONE, QSpec, evaluate_exponents, _format_terms
-from .hopf import CheckOutcome, HopfContext, VerificationReport, _acc
+from .hopf import (
+    CheckOutcome,
+    HopfContext,
+    VerificationReport,
+    _acc,
+    _extend_linearly,
+    _root_square,
+)
 from .trees import (
     BudgetError,
     ColouredTree,
@@ -206,7 +221,7 @@ class PlanarElement(Combination):
         return cls(n, {word: ONE})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Coeff)):
+        if isinstance(other, (int, Fraction, Coeff)):
             return self.scale(other)
         self._require_compatible(other)
         acc: dict[PlanarWord, Coeff] = {}
@@ -248,7 +263,7 @@ class PlanarTensorElement(Combination):
         return cls(n, {(EMPTY_WORD, EMPTY_WORD): ONE})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Coeff)):
+        if isinstance(other, (int, Fraction, Coeff)):
             return self.scale(other)
         self._require_compatible(other)
         acc: dict[tuple[PlanarWord, PlanarWord], Coeff] = {}
@@ -413,6 +428,7 @@ def _planar_split_table(word: PlanarWord):
 # coproduct / antipode
 # ---------------------------------------------------------------------------
 
+# production Δ per (parameters, basis word); the oracle never touches it
 _PDELTA_CACHE: dict[tuple[QSpec, PlanarWord], PlanarTensorElement] = {}
 _PANTIPODE_CACHE: dict[tuple[QSpec, PlanarWord], PlanarElement] = {}
 
@@ -420,23 +436,58 @@ _PANTIPODE_CACHE: dict[tuple[QSpec, PlanarWord], PlanarElement] = {}
 def _planar_delta_word(word: PlanarWord, ctx: HopfContext) -> PlanarTensorElement:
     cached = _PDELTA_CACHE.get((ctx.qspec, word))
     if cached is None:
-        out: dict[tuple[PlanarWord, PlanarWord], Coeff] = {}
-        for part, comp, exps in _planar_split_table(word):
-            c = evaluate_exponents(ctx.qspec, exps)
-            if not c.is_zero():
-                _acc(out, (part, comp), c)
-        cached = _PDELTA_CACHE[(ctx.qspec, word)] = PlanarTensorElement(ctx.n, out)
+        cached = _PDELTA_CACHE[(ctx.qspec, word)] = _planar_delta_word_inductive(word, ctx)
     return cached
 
 
-def planar_coproduct(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
-    """Vertex-subset comultiplication on the tensor algebra."""
+def _planar_delta_tree_inductive(tree: PlanarTree, ctx: HopfContext) -> PlanarTensorElement:
+    n = ctx.n
+    slots = [_planar_delta_word(w, ctx).data for w in planar_decompose(tree, n)]
+    lam = lambda legs: PlanarWord.single(planar_lambda(legs))
+    return PlanarTensorElement(n, _root_square(slots, ctx.qspec, lam, EMPTY_WORD))
+
+
+def _planar_delta_word_inductive(word: PlanarWord, ctx: HopfContext) -> PlanarTensorElement:
+    """Δ of a basis word: the root-constructor square on each tree, then
+    the product over the trees in word order."""
+    if len(word.trees) == 1:
+        return _planar_delta_tree_inductive(word.trees[0], ctx)
+    out = PlanarTensorElement.unit(ctx.n)
+    for tree in word.trees:
+        out = out * _planar_delta_word(PlanarWord.single(tree), ctx)
+    return out
+
+
+def _check_planar_n(a: PlanarElement, ctx: HopfContext):
     if a.n != ctx.n:
         raise ColourMismatchError(f"element over n={a.n} with context over n={ctx.n}")
-    out = PlanarTensorElement.zero(ctx.n)
+
+
+def planar_coproduct(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
+    """Comultiplication on the tensor algebra, through the root constructor.
+
+    The same square as the symmetric ``coproduct``, with the slots of a
+    planar tree read as words: σ_i concatenates the slot legs in slot
+    order, and Δ is multiplicative over the trees of a word, in order.
+    """
+    _check_planar_n(a, ctx)
+    return _extend_linearly(a, lambda w: _planar_delta_word(w, ctx), PlanarTensorElement)
+
+
+def planar_coproduct_closed(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
+    """Oracle: the vertex-subset sum, each subset read back as words.
+
+    Exponential in the vertex count; kept as the reference the tests
+    compare ``planar_coproduct`` against, and it shares no Δ memo with it.
+    """
+    _check_planar_n(a, ctx)
+    out: dict[tuple[PlanarWord, PlanarWord], Coeff] = {}
     for word, coeff in a.data.items():
-        out = out + _planar_delta_word(word, ctx).scale(coeff)
-    return out
+        for part, comp, exps in _planar_split_table(word):
+            c = evaluate_exponents(ctx.qspec, exps)
+            if not c.is_zero():
+                _acc(out, (part, comp), c * coeff)
+    return PlanarTensorElement(ctx.n, out)
 
 
 def planar_antipode(
@@ -449,8 +500,7 @@ def planar_antipode(
     Beware that the tensor algebra is noncommutative: the k-leg terms
     multiply in leg order.
     """
-    if a.n != ctx.n:
-        raise ColourMismatchError(f"element over n={a.n} with context over n={ctx.n}")
+    _check_planar_n(a, ctx)
     n = ctx.n
     if coproduct_fn is None:
         delta_basis = lambda w: _planar_delta_word(w, ctx)
@@ -494,10 +544,7 @@ def planar_antipode(
         cache[cache_key(word)] = out
         return out
 
-    result = PlanarElement.zero(n)
-    for word, coeff in a.data.items():
-        result = result + s_basis(word).scale(coeff)
-    return result
+    return _extend_linearly(a, s_basis, PlanarElement)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +692,8 @@ def forget_tensor(a: PlanarTensorElement):
 # ---------------------------------------------------------------------------
 
 
-def _scan_planar_tree(sc: Scanner, n: int | None = None) -> PlanarTree:
+def _scan_planar_tree(sc: Scanner, n: int | None = None, depth: int = 1) -> PlanarTree:
+    sc.check_depth(depth)
     sc.skip_ws()
     sc.expect("[")
     children = []
@@ -660,7 +708,7 @@ def _scan_planar_tree(sc: Scanner, n: int | None = None) -> PlanarTree:
                 raise ColourMismatchError(f"colour {colour} exceeds n = {n}")
             sc.skip_ws()
             sc.expect(":")
-            children.append((colour, _scan_planar_tree(sc, n)))
+            children.append((colour, _scan_planar_tree(sc, n, depth + 1)))
             sc.skip_ws()
             if sc.try_take("]"):
                 break

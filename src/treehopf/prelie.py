@@ -270,7 +270,8 @@ def parse_labelled_tree(text: str) -> LabelledTree:
     return tree
 
 
-def _scan_labelled(sc: Scanner) -> LabelledTree:
+def _scan_labelled(sc: Scanner, depth: int = 1) -> LabelledTree:
+    sc.check_depth(depth)
     sc.skip_ws()
     sc.expect("(")
     sc.skip_ws()
@@ -283,7 +284,7 @@ def _scan_labelled(sc: Scanner) -> LabelledTree:
     sc.skip_ws()
     if not sc.try_take("]"):
         while True:
-            kids.append(_scan_labelled(sc))
+            kids.append(_scan_labelled(sc, depth + 1))
             sc.skip_ws()
             if sc.try_take("]"):
                 break

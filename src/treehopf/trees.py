@@ -568,6 +568,13 @@ def p_count_within(colour: int, v: VertexRef, s: Subforest, host: Subforest) -> 
 # ---------------------------------------------------------------------------
 
 
+# Deepest tree nesting the parsers accept.  Printing a tree recurses about
+# five Python frames per level, so under the default recursion limit of
+# 1000 a 200-level chain parses but cannot be printed; the bound leaves
+# room below that for the caller's own frames.
+MAX_NESTING_DEPTH = 100
+
+
 class Scanner:
     """Minimal cursor over a text; shared by the tree/forest/element parsers."""
 
@@ -612,9 +619,14 @@ class Scanner:
         if not self.at_end():
             raise self.error("unexpected trailing input")
 
+    def check_depth(self, depth: int):
+        if depth > MAX_NESTING_DEPTH:
+            raise self.error(f"trees nested deeper than {MAX_NESTING_DEPTH} levels")
+
     # -- symmetric tree / forest productions --
 
-    def tree(self, n: int | None = None) -> ColouredTree:
+    def tree(self, n: int | None = None, depth: int = 1) -> ColouredTree:
+        self.check_depth(depth)
         self.skip_ws()
         self.expect("[")
         children = []
@@ -628,7 +640,7 @@ class Scanner:
                     raise ColourMismatchError(f"colour {colour} exceeds n = {n}")
                 self.skip_ws()
                 self.expect(":")
-                children.append((colour, self.tree(n)))
+                children.append((colour, self.tree(n, depth + 1)))
                 self.skip_ws()
                 if self.try_take("]"):
                     break

@@ -18,7 +18,7 @@ from treehopf.hopf import (
     antipode_recursive,
     ck_coproduct_oracle,
     coproduct,
-    coproduct_inductive,
+    coproduct_closed,
     simplicial_d,
     simplicial_s,
     verify_bialgebra,
@@ -93,7 +93,7 @@ def criterion_closed_equals_inductive():
     for n, deg in AXIOM_RANGES:
         ctx = HopfContext.symbolic(n)
         for e in _forest_elements(n, deg):
-            if coproduct(e, ctx) != coproduct_inductive(e, ctx):
+            if coproduct(e, ctx) != coproduct_closed(e, ctx):
                 return False, f"mismatch on {e} (n={n})"
             cases += 1
     return True, f"{cases} forests, symbolic, exact"

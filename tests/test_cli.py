@@ -129,6 +129,22 @@ def test_bad_qspec_exits_2(capsys):
     assert "--q" in err
 
 
+def test_zero_denominator_in_qspec_exits_2(capsys):
+    code, out, err = run(capsys, "coproduct", "--n", "1", "--q", "1/0,1", "[]")
+    assert code == 2
+    assert err.startswith("error:") and "q11" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "planar"])
+def test_deep_nesting_exits_2(capsys, variant):
+    chain = "[1:" * 1199 + "[]" + "]" * 1199
+    code, out, err = run(capsys, "coproduct", "--n", "1", "--variant", variant, chain)
+    assert code == 2
+    assert err.startswith("error:") and "nested deeper" in err
+    assert out == ""
+
+
 def test_colour_mismatch_exits_5(capsys):
     code, _, err = run(capsys, "coproduct", "--n", "1", "[2:[]]")
     assert code == 5

@@ -1,6 +1,8 @@
 """The coproduct family: closed and inductive forms, antipodes, the
 Connes-Kreimer specialization, simplicial operators, axiom verification."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from treehopf.hopf import (
     antipode_recursive,
     ck_coproduct_oracle,
     coproduct,
-    coproduct_inductive,
+    coproduct_closed,
     coproduct_of_slots,
     q_coeff,
     simplicial_d,
@@ -32,6 +34,7 @@ from treehopf.trees import (
     Forest,
     Subforest,
     VertexRef,
+    canonicalize,
     enumerate_forests_up_to,
     enumerate_trees,
     parse_forest,
@@ -173,7 +176,44 @@ def test_closed_equals_inductive(n, deg):
     ctx = HopfContext.symbolic(n)
     for f in enumerate_forests_up_to(n, deg):
         e = Element(n, {f: 1})
-        assert coproduct(e, ctx) == coproduct_inductive(e, ctx)
+        assert coproduct(e, ctx) == coproduct_closed(e, ctx)
+
+
+@st.composite
+def forests_and_points(draw):
+    """A combination of one or two random forests with at most 8 vertices in
+    all, at n in {1, 2}, with a symbolic or a random rational point."""
+    n = draw(st.sampled_from([1, 2]))
+    budget = 8
+    forests = []
+    for _ in range(draw(st.integers(1, 2))):
+        trees = []
+        while budget and (not trees or draw(st.booleans())):
+            size = draw(st.integers(1, budget))
+            budget -= size
+            parents = [None] + [draw(st.integers(0, v - 1)) for v in range(1, size)]
+            colours = [None] + [draw(st.integers(1, n)) for _ in range(1, size)]
+            trees.append(canonicalize(parents, colours, n))
+        forests.append((Forest(trees), draw(st.integers(-3, 3))))
+    if draw(st.booleans()):
+        ctx = HopfContext.symbolic(n)
+    else:
+        values = draw(
+            st.lists(
+                st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                min_size=2 * n,
+                max_size=2 * n,
+            )
+        )
+        ctx = HopfContext.rational(n, values)
+    return Element(n, forests), ctx
+
+
+@given(forests_and_points())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_coproduct_equals_closed_on_random_forests(case):
+    e, ctx = case
+    assert coproduct(e, ctx) == coproduct_closed(e, ctx)
 
 
 def test_coproduct_of_slots_square():
@@ -203,6 +243,24 @@ def test_ck_specialization_matches_oracle():
     for f in enumerate_forests_up_to(1, 4):
         e = Element(1, {f: 1})
         assert coproduct(e, CK) == ck_coproduct_oracle(e)
+
+
+@pytest.mark.parametrize("m", [16, 24])
+def test_ck_specialization_on_large_chains_and_stars(m):
+    chain = elt("[1:" * (m - 1) + "[]" + "]" * (m - 1))
+    assert coproduct(chain, CK) == ck_coproduct_oracle(chain)
+    # the cut oracle visits all 2^(m-1) edge subsets of a star, so past 16
+    # vertices the star is pinned by its binomial expansion instead
+    leaves = m - 1
+    star = parse_tree("[" + ",".join(["1:[]"] * leaves) + "]")
+    expect = {(Forest.single(star), Forest()): 1}
+    for j in range(leaves + 1):
+        trunk = parse_tree("[" + ",".join(["1:[]"] * (leaves - j)) + "]")
+        expect[(Forest([parse_tree("[]")] * j), Forest.single(trunk))] = comb(leaves, j)
+    delta = coproduct(Element.basis(Forest.single(star), 1), CK)
+    assert delta == TensorElement(1, expect)
+    if m <= 16:
+        assert delta == ck_coproduct_oracle(Element.basis(Forest.single(star), 1))
 
 
 def test_ck_oracle_requires_one_colour():

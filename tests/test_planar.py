@@ -1,5 +1,7 @@
 """The ordered variant: planar trees, words, and their coproduct family."""
 
+from fractions import Fraction
+
 import pytest
 
 import bruteforce
@@ -25,6 +27,7 @@ from treehopf.planar import (
     planar_antipode,
     planar_bullet,
     planar_coproduct,
+    planar_coproduct_closed,
     planar_decompose,
     planar_lambda,
     verify_planar,
@@ -189,6 +192,22 @@ def test_planar_coproduct_multiplicative_in_order():
     u, v = pelt("[1:[]]"), pelt("[]")
     assert planar_coproduct(u * v, SYM1) == planar_coproduct(u, SYM1) * planar_coproduct(v, SYM1)
     assert planar_coproduct(v * u, SYM1) == planar_coproduct(v, SYM1) * planar_coproduct(u, SYM1)
+
+
+@pytest.mark.parametrize("n,deg", [(1, 5), (2, 4)])
+def test_planar_coproduct_equals_closed(n, deg):
+    for ctx in (HopfContext.symbolic(n), HopfContext.rational(n, [2, -3, Fraction(1, 2), 5][: 2 * n])):
+        for word in enumerate_planar_words_up_to(n, deg):
+            e = PlanarElement.basis(word, n)
+            assert planar_coproduct(e, ctx) == planar_coproduct_closed(e, ctx), word
+
+
+def test_planar_elements_scale_by_fractions():
+    e = pelt("[1:[]]*[]")
+    half = Fraction(1, 2)
+    assert e * half == e.scale(half) == half * e
+    d = planar_coproduct(e, SYM1)
+    assert d * half == d.scale(half) == half * d
 
 
 def test_planar_counit_laws():

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from treehopf.planar import parse_planar_tree
+from treehopf.prelie import parse_labelled_tree
 from treehopf.trees import (
     EMPTY_FOREST,
     LEAF,
+    MAX_NESTING_DEPTH,
     ColouredTree,
     ColourMismatchError,
     Forest,
@@ -273,6 +276,21 @@ def test_parse_errors_carry_position():
         parse_forest("[]*")
     with pytest.raises(ParseError):
         parse_tree("[] []")
+
+
+def test_nesting_depth_bound():
+    # a chain at the bound parses and prints back; one level more is refused
+    def chain(depth):
+        return "[1:" * (depth - 1) + "[]" + "]" * (depth - 1)
+
+    def labelled(depth):
+        return "(1)[" * (depth - 1) + "(1)[]" + "]" * (depth - 1)
+
+    for parse, make in ((parse_tree, chain), (parse_planar_tree, chain),
+                        (parse_labelled_tree, labelled)):
+        assert str(parse(make(MAX_NESTING_DEPTH))) == make(MAX_NESTING_DEPTH)
+        with pytest.raises(ParseError):
+            parse(make(MAX_NESTING_DEPTH + 1))
 
 
 def test_parse_colour_bound():
