@@ -15,14 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import product as _iproduct
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .trees import (
+    ColouredTree,
     ColourMismatchError,
     EMPTY_FOREST,
     Forest,
     ParseError,
     Scanner,
+    add_root,
+    decompose,
+    enumerate_forests_up_to,
+    enumerate_trees,
 )
 
 # a monomial maps no symbols (constant) or symbols (i, j) to exponents;
@@ -363,8 +370,27 @@ def evaluate_exponents(qspec: QSpec, exponents: Mapping[tuple[int, int], int]) -
 # ---------------------------------------------------------------------------
 
 
+def _acc(store: dict, key, coeff: Coeff):
+    """Add ``coeff`` to the term ``key`` of a term dict, dropping it at zero."""
+    prev = store.get(key)
+    total = coeff if prev is None else prev + coeff
+    if total.is_zero():
+        store.pop(key, None)
+    else:
+        store[key] = total
+
+
 class Combination:
-    """Shared plumbing for finite linear combinations over a hashable basis."""
+    """Shared plumbing for finite linear combinations over a hashable basis.
+
+    A subclass names its basis-key type ``_key_type`` and the word for one
+    key, ``_noun``; such keys carry ``max_colour`` and ``sort_key``.
+    Subclasses with other keys override ``_check_key`` and
+    ``_term_sort_key``.
+    """
+
+    _key_type: type
+    _noun: str
 
     __slots__ = ("n", "data")
 
@@ -376,22 +402,29 @@ class Combination:
             if coeff.is_zero():
                 continue
             self._check_key(key, n)
-            prev = store.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                store.pop(key, None)
-            else:
-                store[key] = total
+            _acc(store, key, coeff)
         self.n = n
         self.data = store
 
-    # subclasses override these two
     def _check_key(self, key, n):
-        raise NotImplementedError
+        if not isinstance(key, self._key_type):
+            raise TypeError(f"{type(self).__name__} keys must be {self._noun}s, got {key!r}")
+        if key.max_colour > n:
+            raise ColourMismatchError(
+                f"{self._noun} {key} uses colour {key.max_colour} > n = {n}"
+            )
 
     @staticmethod
     def _term_sort_key(key):
-        raise NotImplementedError
+        return key.sort_key()
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    @classmethod
+    def basis(cls, key, n: int):
+        return cls(n, {key: ONE})
 
     # -- vector-space structure ---------------------------------------------
 
@@ -451,72 +484,65 @@ class Combination:
     def __len__(self):
         return len(self.data)
 
+    def __str__(self):
+        return _format_terms(self.terms(), str)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.n}, {self})"
 
 
 class Element(Combination):
-    """An element of the free commutative algebra on trees: a finite
-    Q[q]-linear combination of forests."""
+    """An element of the free algebra on trees: a finite Q[q]-linear
+    combination of basis monomials.
 
-    def _check_key(self, key, n):
-        if not isinstance(key, Forest):
-            raise TypeError(f"Element keys must be forests, got {key!r}")
-        if key.max_colour > n:
-            raise ColourMismatchError(f"forest {key} uses colour {key.max_colour} > n = {n}")
+    Here the monomials are forests and the algebra is commutative; the
+    subclass ``PlanarElement`` takes planar words, multiplied in order.
+    """
 
-    @staticmethod
-    def _term_sort_key(key: Forest):
-        return key.sort_key()
+    _key_type = Forest
+    _noun = "forest"
+    _unit_key = EMPTY_FOREST
 
     @classmethod
-    def zero(cls, n: int) -> "Element":
-        return cls(n)
-
-    @classmethod
-    def unit(cls, n: int) -> "Element":
-        return cls(n, {EMPTY_FOREST: ONE})
-
-    @classmethod
-    def basis(cls, forest: Forest, n: int) -> "Element":
-        return cls(n, {forest: ONE})
+    def unit(cls, n: int):
+        return cls(n, {cls._unit_key: ONE})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Coeff)):
             return self.scale(other)
         self._require_compatible(other)
-        acc: dict[Forest, Coeff] = {}
+        acc: dict = {}
         for fa, ca in self.data.items():
             for fb, cb in other.data.items():
-                key = fa * fb
-                prod = ca * cb
-                prev = acc.get(key)
-                acc[key] = prod if prev is None else prev + prod
-        return Element(self.n, acc)
+                _acc(acc, fa * fb, ca * cb)
+        return type(self)(self.n, acc)
 
     def counit(self) -> Coeff:
-        return self.coefficient(EMPTY_FOREST)
+        return self.coefficient(self._unit_key)
 
-    def graded_part(self, degree: int) -> "Element":
-        return Element(self.n, {f: c for f, c in self.data.items() if f.size == degree})
+    def graded_part(self, degree: int):
+        return type(self)(self.n, {f: c for f, c in self.data.items() if f.size == degree})
 
     def max_degree(self) -> int:
         return max((f.size for f in self.data), default=0)
 
-    def __str__(self):
-        return _format_terms(self.terms(), lambda f: str(f))
-
 
 class TensorElement(Combination):
-    """A finite combination of forest pairs (two-fold tensors)."""
+    """A finite combination of monomial pairs (two-fold tensors) over the
+    basis of ``_element``: forest pairs here, word pairs in
+    ``PlanarTensorElement``."""
+
+    _element = Element
 
     def _check_key(self, key, n):
-        if (
-            not isinstance(key, tuple)
-            or len(key) != 2
-            or not all(isinstance(f, Forest) for f in key)
+        monomial = self._element._key_type
+        if not (
+            isinstance(key, tuple)
+            and len(key) == 2
+            and isinstance(key[0], monomial)
+            and isinstance(key[1], monomial)
         ):
-            raise TypeError("TensorElement keys must be (Forest, Forest) pairs")
+            raise TypeError(f"{type(self).__name__} keys must be {self._element._noun} pairs")
         if max(key[0].max_colour, key[1].max_colour) > n:
             raise ColourMismatchError(f"tensor {key} uses a colour > n = {n}")
 
@@ -525,15 +551,12 @@ class TensorElement(Combination):
         return (key[0].sort_key(), key[1].sort_key())
 
     @classmethod
-    def zero(cls, n: int) -> "TensorElement":
-        return cls(n)
+    def unit(cls, n: int):
+        empty = cls._element._unit_key
+        return cls(n, {(empty, empty): ONE})
 
     @classmethod
-    def unit(cls, n: int) -> "TensorElement":
-        return cls(n, {(EMPTY_FOREST, EMPTY_FOREST): ONE})
-
-    @classmethod
-    def of(cls, left: Element, right: Element) -> "TensorElement":
+    def of(cls, left: Element, right: Element):
         if left.n != right.n:
             raise ValueError("tensor factors must share n")
         return cls(
@@ -549,27 +572,24 @@ class TensorElement(Combination):
         if isinstance(other, (int, Fraction, Coeff)):
             return self.scale(other)
         self._require_compatible(other)
-        acc: dict[tuple[Forest, Forest], Coeff] = {}
+        acc: dict = {}
         for (la, ra), ca in self.data.items():
             for (lb, rb), cb in other.data.items():
-                key = (la * lb, ra * rb)
-                prod = ca * cb
-                prev = acc.get(key)
-                acc[key] = prod if prev is None else prev + prod
-        return TensorElement(self.n, acc)
+                _acc(acc, (la * lb, ra * rb), ca * cb)
+        return type(self)(self.n, acc)
 
-    def swap(self) -> "TensorElement":
-        return TensorElement(self.n, (((r, l), c) for (l, r), c in self.data.items()))
+    def swap(self):
+        return type(self)(self.n, (((r, l), c) for (l, r), c in self.data.items()))
 
     def left_counit(self) -> Element:
         """Apply the counit to the left leg."""
-        return Element(
+        return self._element(
             self.n,
             ((r, c) for (l, r), c in self.data.items() if l.is_empty()),
         )
 
     def right_counit(self) -> Element:
-        return Element(
+        return self._element(
             self.n,
             ((l, c) for (l, r), c in self.data.items() if r.is_empty()),
         )
@@ -618,23 +638,62 @@ def sigma(side: int, qspec: QSpec, slots: Sequence[Element]) -> Element:
             raise ValueError("slot elements must live over the same n")
     out: dict[Forest, Coeff] = {}
     items = [list(s.data.items()) for s in slots]
-    from itertools import product as iproduct
-
-    for combo in iproduct(*items):
+    for combo in _iproduct(*items):
         coeff = ONE
         forest = EMPTY_FOREST
         for j, (f, c) in enumerate(combo, start=1):
             coeff = coeff * c * qspec.q(side, j) ** f.size
             forest = forest * f
-        if coeff.is_zero():
-            continue
-        prev = out.get(forest)
-        total = coeff if prev is None else prev + coeff
-        if total.is_zero():
-            out.pop(forest, None)
-        else:
-            out[forest] = total
+        if not coeff.is_zero():
+            _acc(out, forest, coeff)
     return Element(n, out)
+
+
+# ---------------------------------------------------------------------------
+# basis variants
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """One basis of the free algebra on n-coloured trees, as the shared
+    engine in ``hopf`` and ``prelie`` reads it.
+
+    Two instances: ``_FORESTS`` (commutative forests, below) and
+    ``_WORDS`` (ordered planar words, in ``planar``).  Δ, S, the dual
+    product and the verifier are written once over this record.
+    """
+
+    commutative: bool  # whether monomials commute
+    unit: object  # the empty monomial
+    single: Callable  # tree -> one-tree monomial
+    trees: Callable  # monomial -> its trees, in product order
+    edges: Callable  # tree -> its (colour, child) pairs, in listing order
+    tree: Callable  # (colour, child) pairs -> tree
+    monomial: Callable  # trees -> monomial
+    lam: Callable  # (slot monomials, n) -> tree: the root constructor
+    decompose: Callable  # (tree, n) -> slot monomials: the inverse of lam
+    enumerate_trees: Callable  # (n, m) -> all trees with m vertices
+    enumerate_up_to: Callable  # (n, d) -> all monomials with <= d vertices
+    element: type  # combinations of monomials
+    tensor: type  # combinations of monomial pairs
+
+
+_FORESTS = _Basis(
+    commutative=True,
+    unit=EMPTY_FOREST,
+    single=Forest.single,
+    trees=Forest.trees,
+    edges=attrgetter("children"),
+    tree=ColouredTree,
+    monomial=Forest,
+    lam=add_root,
+    decompose=decompose,
+    enumerate_trees=enumerate_trees,
+    enumerate_up_to=enumerate_forests_up_to,
+    element=Element,
+    tensor=TensorElement,
+)
 
 
 def parse_element(text: str, n: int) -> Element:

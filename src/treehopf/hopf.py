@@ -1,4 +1,4 @@
-"""The deformed coproduct family on forests, its antipodes, and checks.
+"""The deformed coproduct family, its antipodes, and checks.
 
 The production comultiplication ``coproduct`` is the structural
 recursion through the root-adjoining constructor λ: a tree is
@@ -18,8 +18,12 @@ parameters determined by colour counts along root paths (see
 the production route against it, and against the admissible-cut
 oracle ``ck_coproduct_oracle`` at the Connes–Kreimer point.
 
+The engine (``_delta``, ``_antipode``, ``_coproduct_closed``,
+``_verify``) is written once over a basis record ``algebra._Basis``: the
+public functions here run it on forests, those in ``planar`` on words.
+
 Everything here is a pure function of immutable values; the module-level
-dictionaries are memo tables keyed by canonical forests (and parameter
+dictionaries are memo tables keyed by basis monomials (and parameter
 specifications), filled deterministically.  The oracles keep their own
 tables and never read the production Δ memo.
 """
@@ -40,6 +44,8 @@ from .algebra import (
     QSpec,
     TensorElement,
     ZERO,
+    _FORESTS,
+    _acc,
     evaluate_exponents,
     sigma,
 )
@@ -49,10 +55,9 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     Subforest,
+    _induced_monomial,
     add_root,
     decompose,
-    enumerate_forests,
-    enumerate_forests_up_to,
     indexed,
     induced_structure,
 )
@@ -89,30 +94,37 @@ class HopfContext:
 # q-coefficients
 # ---------------------------------------------------------------------------
 
-# induced (parent, colour) maps per (forest, host-mask); the same host mask
+# The tables below are keyed by basis monomials of either variant; a forest
+# and a word never compare equal, so the two variants share them safely.
+
+# induced (parent, colour) maps per (monomial, host-mask); the same host mask
 # is revisited constantly by the partition antipode
-_STRUCT_CACHE: dict[tuple[Forest, int], tuple[dict, dict]] = {}
+_STRUCT_CACHE: dict[tuple[object, int], tuple[dict, dict]] = {}
 
-# induced forest per (forest, mask)
-_INDUCED_CACHE: dict[tuple[Forest, int], Forest] = {}
+# induced monomial per (monomial, mask)
+_INDUCED_CACHE: dict[tuple[object, int], object] = {}
 
-# per forest: tuple over all masks of (mask, part, complement, exponents)
-_SPLIT_CACHE: dict[Forest, tuple] = {}
+# per monomial: tuple over all masks of (part, complement, exponents)
+_SPLIT_CACHE: dict[object, tuple] = {}
 
 
-def _structure(forest: Forest, mask: int):
-    out = _STRUCT_CACHE.get((forest, mask))
+def _index(basis, mono):
+    return indexed(mono, basis.trees, basis.edges)
+
+
+def _structure(basis, mono, mask: int):
+    out = _STRUCT_CACHE.get((mono, mask))
     if out is None:
-        out = induced_structure(indexed(forest), mask)
-        _STRUCT_CACHE[(forest, mask)] = out
+        out = induced_structure(_index(basis, mono), mask)
+        _STRUCT_CACHE[(mono, mask)] = out
     return out
 
 
-def _induced(forest: Forest, mask: int) -> Forest:
-    out = _INDUCED_CACHE.get((forest, mask))
+def _induced(basis, mono, mask: int):
+    out = _INDUCED_CACHE.get((mono, mask))
     if out is None:
-        out = Subforest(forest, mask).induced()
-        _INDUCED_CACHE[(forest, mask)] = out
+        out = _induced_monomial(_index(basis, mono), mask, basis.tree, basis.monomial)
+        _INDUCED_CACHE[(mono, mask)] = out
     return out
 
 
@@ -127,12 +139,16 @@ def subset_exponents(
     vertices contribute the same counts relative to the complement, on
     row 2.
     """
-    idx = indexed(forest)
+    return _exponents(_FORESTS, forest, mask, host_mask)
+
+
+def _exponents(basis, mono, mask: int, host_mask: int | None = None):
+    """``subset_exponents`` on a monomial of either basis."""
     if host_mask is None:
-        host_mask = (1 << idx.nverts) - 1
+        host_mask = (1 << _index(basis, mono).nverts) - 1
     if mask & ~host_mask:
         raise ValueError("subset must lie inside the host")
-    parent_of, colour_of = _structure(forest, host_mask)
+    parent_of, colour_of = _structure(basis, mono, host_mask)
     exps: dict[tuple[int, int], int] = {}
     for v in parent_of:
         if mask >> v & 1:
@@ -162,23 +178,19 @@ def q_coeff(s: Subforest, ctx: HopfContext, within: Subforest | None = None) -> 
     return evaluate_exponents(ctx.qspec, exps)
 
 
-def _split_table(forest: Forest):
-    """All (mask, induced part, induced complement, exponents) splits."""
-    table = _SPLIT_CACHE.get(forest)
+def _split_table(basis, mono):
+    """All (induced part, induced complement, exponents) vertex splits."""
+    table = _SPLIT_CACHE.get(mono)
     if table is None:
-        nv = indexed(forest).nverts
-        full = (1 << nv) - 1
-        rows = []
-        for mask in range(1 << nv):
-            rows.append(
-                (
-                    mask,
-                    _induced(forest, mask),
-                    _induced(forest, full ^ mask),
-                    subset_exponents(forest, mask),
-                )
+        full = (1 << _index(basis, mono).nverts) - 1
+        table = _SPLIT_CACHE[mono] = tuple(
+            (
+                _induced(basis, mono, mask),
+                _induced(basis, mono, full ^ mask),
+                _exponents(basis, mono, mask),
             )
-        table = _SPLIT_CACHE[forest] = tuple(rows)
+            for mask in range(full + 1)
+        )
     return table
 
 
@@ -186,36 +198,27 @@ def _split_table(forest: Forest):
 # coproducts
 # ---------------------------------------------------------------------------
 
-# production Δ per (parameters, basis forest); the oracles never touch it
-_DELTA_CACHE: dict[tuple[QSpec, Forest], TensorElement] = {}
+# production Δ per (parameters, basis monomial); the oracles never touch it
+_DELTA_CACHE: dict[tuple[QSpec, object], object] = {}
 
 
-def _acc(store: dict, key, coeff: Coeff):
-    prev = store.get(key)
-    total = coeff if prev is None else prev + coeff
-    if total.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = total
+def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
+    """Δ(λ(x_1..x_n)) = Σ σ_1(x')⊗λ(x'') + λ(x')⊗σ_2(x''), from the slot
+    coproducts Δ(x_j) = ``slot_deltas[j-1]``.
 
-
-def _root_square(slot_deltas: Sequence[dict], qspec: QSpec, lam, unit) -> dict:
-    """Δ(λ(x_1..x_n)) = Σ σ_1(x')⊗λ(x'') + λ(x')⊗σ_2(x''), as a term dict.
-
-    ``slot_deltas[j-1]`` maps the (x'_j, x''_j) pairs of Δ(x_j) to their
-    coefficients.  σ_i multiplies the slot legs in slot order with weight
-    Π_j q_{ij}^{|leg_j|}; ``lam`` is the root constructor on a tuple of
-    legs and ``unit`` the empty product.  Shared by the forest and the
-    planar-word bases.
+    σ_i multiplies the slot legs in slot order with weight
+    Π_j q_{ij}^{|leg_j|}; λ is the basis's root constructor.
     """
+    n, qspec = ctx.n, ctx.qspec
+    lam = lambda legs: basis.single(basis.lam(legs, n))
     out: dict = {}
     for side in (1, 2):
         # fold the σ_side weight into each slot term and drop the terms it kills
         weighted = []
-        for j, terms in enumerate(slot_deltas, start=1):
+        for j, delta in enumerate(slot_deltas, start=1):
             q = qspec.q(side, j)
             slot = []
-            for (l, r), c in terms.items():
+            for (l, r), c in delta.data.items():
                 w = c * q ** (l if side == 1 else r).size
                 if not w.is_zero():
                     slot.append((l, r, w))
@@ -228,43 +231,29 @@ def _root_square(slot_deltas: Sequence[dict], qspec: QSpec, lam, unit) -> dict:
                 lefts.append(l)
                 rights.append(r)
             if side == 1:
-                key = (reduce(mul, lefts, unit), lam(rights))
+                key = (reduce(mul, lefts, basis.unit), lam(rights))
             else:
-                key = (lam(lefts), reduce(mul, rights, unit))
+                key = (lam(lefts), reduce(mul, rights, basis.unit))
             _acc(out, key, coeff)
-    return out
+    return basis.tensor(n, out)
 
 
-def _delta_forest(forest: Forest, ctx: HopfContext) -> TensorElement:
-    cached = _DELTA_CACHE.get((ctx.qspec, forest))
+def _delta(basis, mono, ctx: HopfContext):
+    """Memoised Δ of a basis monomial: the root-constructor square on a
+    single tree, else the product over its trees in order (Δ is an
+    algebra map)."""
+    cached = _DELTA_CACHE.get((ctx.qspec, mono))
     if cached is None:
-        cached = _DELTA_CACHE[(ctx.qspec, forest)] = _delta_forest_inductive(forest, ctx)
+        trees = tuple(basis.trees(mono))
+        if len(trees) == 1:
+            slots = [_delta(basis, x, ctx) for x in basis.decompose(trees[0], ctx.n)]
+            cached = _root_square(basis, slots, ctx)
+        else:
+            cached = basis.tensor.unit(ctx.n)
+            for tree in trees:
+                cached = cached * _delta(basis, basis.single(tree), ctx)
+        _DELTA_CACHE[(ctx.qspec, mono)] = cached
     return cached
-
-
-def _combine_slot_deltas(
-    slot_deltas: Sequence[TensorElement], ctx: HopfContext
-) -> TensorElement:
-    n = ctx.n
-    lam = lambda legs: Forest.single(add_root(legs, n))
-    square = _root_square([d.data for d in slot_deltas], ctx.qspec, lam, EMPTY_FOREST)
-    return TensorElement(n, square)
-
-
-def _delta_tree_inductive(tree: ColouredTree, ctx: HopfContext) -> TensorElement:
-    slots = [_delta_forest(f, ctx) for f in decompose(tree, ctx.n)]
-    return _combine_slot_deltas(slots, ctx)
-
-
-def _delta_forest_inductive(forest: Forest, ctx: HopfContext) -> TensorElement:
-    """Δ of a basis forest: the root-constructor square on each tree, then
-    the product over the trees (Δ is an algebra map)."""
-    if forest.is_single_tree():
-        return _delta_tree_inductive(next(forest.trees()), ctx)
-    out = TensorElement.unit(ctx.n)
-    for tree in forest.trees():
-        out = out * _delta_forest(Forest.single(tree), ctx)
-    return out
 
 
 def _extend_linearly(a, basis_fn, cls):
@@ -276,6 +265,22 @@ def _extend_linearly(a, basis_fn, cls):
     return cls(a.n, out)
 
 
+def _coproduct(basis, a, ctx: HopfContext):
+    _check_n(a, ctx)
+    return _extend_linearly(a, lambda m: _delta(basis, m, ctx), basis.tensor)
+
+
+def _coproduct_closed(basis, a, ctx: HopfContext):
+    _check_n(a, ctx)
+    out: dict = {}
+    for mono, coeff in a.data.items():
+        for part, comp, exps in _split_table(basis, mono):
+            c = evaluate_exponents(ctx.qspec, exps)
+            if not c.is_zero():
+                _acc(out, (part, comp), c * coeff)
+    return basis.tensor(ctx.n, out)
+
+
 def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
     """Comultiplication by structural recursion through the root constructor.
 
@@ -285,8 +290,7 @@ def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
     cost follows the size of the output, not the 2^|V| vertex subsets
     that ``coproduct_closed`` sums over.
     """
-    _check_n(a, ctx)
-    return _extend_linearly(a, lambda f: _delta_forest(f, ctx), TensorElement)
+    return _coproduct(_FORESTS, a, ctx)
 
 
 # ``coproduct`` is the recursive route; the name is kept for existing callers
@@ -301,14 +305,7 @@ def coproduct_closed(a: Element, ctx: HopfContext) -> TensorElement:
     the reference the tests compare ``coproduct`` against, and it shares
     no Δ memo with it.
     """
-    _check_n(a, ctx)
-    out: dict[tuple[Forest, Forest], Coeff] = {}
-    for forest, coeff in a.data.items():
-        for _, part, comp, exps in _split_table(forest):
-            c = evaluate_exponents(ctx.qspec, exps)
-            if not c.is_zero():
-                _acc(out, (part, comp), c * coeff)
-    return TensorElement(ctx.n, out)
+    return _coproduct_closed(_FORESTS, a, ctx)
 
 
 def coproduct_of_slots(
@@ -327,10 +324,10 @@ def coproduct_of_slots(
         raise ValueError(f"expected {n} slot elements, got {len(slots)}")
     if delta is None:
         delta = lambda e: coproduct(e, ctx)
-    return _combine_slot_deltas([delta(s) for s in slots], ctx)
+    return _root_square(_FORESTS, [delta(s) for s in slots], ctx)
 
 
-def _check_n(a: Element, ctx: HopfContext):
+def _check_n(a, ctx: HopfContext):
     if a.n != ctx.n:
         raise ColourMismatchError(
             f"element over n={a.n} used with a context over n={ctx.n}"
@@ -341,18 +338,60 @@ def _check_n(a: Element, ctx: HopfContext):
 # antipodes
 # ---------------------------------------------------------------------------
 
-_ANTIPODE_CACHE: dict[tuple[QSpec, Forest], Element] = {}
+_ANTIPODE_CACHE: dict[tuple[QSpec, object], object] = {}
 _ANTIPODE_PART_CACHE: dict[tuple[QSpec, Forest], Element] = {}
 
 
-def _reduced_delta(forest: Forest, delta_basis) -> list[tuple[Forest, Forest, Coeff]]:
-    """Δ(f) minus f⊗1 and 1⊗f, as a plain term list (f must be nonempty)."""
-    out = []
-    for (l, r), c in delta_basis(forest).data.items():
-        if l.is_empty() or r.is_empty():
-            continue
-        out.append((l, r, c))
-    return out
+def _antipode(basis, a, ctx: HopfContext, coproduct_fn=None):
+    """S by the alternating series of iterated reduced coproducts.
+
+    The k-leg terms multiply in leg order, which makes S
+    anti-multiplicative on the noncommutative words.
+    """
+    _check_n(a, ctx)
+    n = ctx.n
+    element = basis.element
+    if coproduct_fn is None:
+        delta_basis = lambda m: _delta(basis, m, ctx)
+        cache = _ANTIPODE_CACHE
+        cache_key = lambda m: (ctx.qspec, m)
+    else:
+        delta_basis = lambda m: coproduct_fn(element.basis(m, n))
+        cache = {}
+        cache_key = lambda m: m
+
+    def reduced(mono):
+        # Δ(m) minus m⊗1 and 1⊗m, as a plain term list (m must be nonempty)
+        return [
+            (l, r, c)
+            for (l, r), c in delta_basis(mono).data.items()
+            if not l.is_empty() and not r.is_empty()
+        ]
+
+    def s_basis(mono):
+        if mono.is_empty():
+            return element.unit(n)
+        hit = cache.get(cache_key(mono))
+        if hit is not None:
+            return hit
+        acc: dict = {}
+        _acc(acc, mono, Coeff.rational(-1))
+        legs: dict[tuple, Coeff] = {(mono,): ONE}
+        sign = -1
+        while legs:
+            sign = -sign
+            nxt: dict[tuple, Coeff] = {}
+            for tup, c in legs.items():
+                for l, r, d in reduced(tup[0]):
+                    _acc(nxt, (l, r) + tup[1:], c * d)
+            for tup, c in nxt.items():
+                _acc(acc, reduce(mul, tup, basis.unit), c * sign)
+            legs = nxt
+        out = element(n, acc)
+        cache[cache_key(mono)] = out
+        return out
+
+    return _extend_linearly(a, s_basis, element)
 
 
 def antipode_recursive(
@@ -367,44 +406,7 @@ def antipode_recursive(
     single vertex.  ``coproduct_fn`` substitutes a different Δ (the
     verifier uses this to test corrupted coproducts honestly).
     """
-    _check_n(a, ctx)
-    n = ctx.n
-    if coproduct_fn is None:
-        delta_basis = lambda f: _delta_forest(f, ctx)
-        cache = _ANTIPODE_CACHE
-        cache_key = lambda f: (ctx.qspec, f)
-    else:
-        delta_basis = lambda f: coproduct_fn(Element.basis(f, n))
-        cache = {}
-        cache_key = lambda f: f
-
-    def s_basis(forest: Forest) -> Element:
-        if forest.is_empty():
-            return Element.unit(n)
-        hit = cache.get(cache_key(forest))
-        if hit is not None:
-            return hit
-        acc: dict[Forest, Coeff] = {}
-        _acc(acc, forest, Coeff.rational(-1))
-        legs: dict[tuple[Forest, ...], Coeff] = {(forest,): ONE}
-        sign = -1
-        while legs:
-            sign = -sign
-            nxt: dict[tuple[Forest, ...], Coeff] = {}
-            for tup, c in legs.items():
-                for l, r, d in _reduced_delta(tup[0], delta_basis):
-                    _acc(nxt, (l, r) + tup[1:], c * d)
-            for tup, c in nxt.items():
-                prod = EMPTY_FOREST
-                for f in tup:
-                    prod = prod * f
-                _acc(acc, prod, c * sign)
-            legs = nxt
-        out = Element(n, acc)
-        cache[cache_key(forest)] = out
-        return out
-
-    return _extend_linearly(a, s_basis, Element)
+    return _antipode(_FORESTS, a, ctx, coproduct_fn)
 
 
 def antipode_partitions(a: Element, ctx: HopfContext) -> Element:
@@ -431,14 +433,14 @@ def antipode_partitions(a: Element, ctx: HopfContext) -> Element:
             if got is not None:
                 return got
             out: dict[Forest, Coeff] = {}
-            _acc(out, _induced(forest, mask), Coeff.rational(-1))
+            _acc(out, _induced(_FORESTS, forest, mask), Coeff.rational(-1))
             sub = (mask - 1) & mask
             while sub:
                 factor = evaluate_exponents(
                     ctx.qspec, subset_exponents(forest, sub, mask)
                 )
                 if not factor.is_zero():
-                    part = _induced(forest, sub)
+                    part = _induced(_FORESTS, forest, sub)
                     for tail, c in rest(mask & ~sub).items():
                         _acc(out, part * tail, -(factor * c))
                 sub = (sub - 1) & mask
@@ -619,6 +621,104 @@ def _sample(cases: list, max_cases: int | None, seed: int) -> list:
     return random.Random(seed).sample(cases, max_cases)
 
 
+def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=None):
+    """The axiom checks shared by both bases, on every basis monomial (or
+    pair of monomials) within ``max_degree``: coassociativity, the counit
+    laws, multiplicativity of Δ, then ``extra_checks(monomials, delta)``
+    when given, then both antipode convolution laws.
+
+    Commuting monomials are paired once per unordered pair, words in
+    both orders.  ``coproduct_fn`` replaces the production Δ, and the
+    antipode is rebuilt from it; ``max_cases`` caps each case list by
+    seeded sampling.
+    """
+    n = ctx.n
+    element = basis.element
+    report = VerificationReport(n=n, max_degree=max_degree)
+    if coproduct_fn is None:
+        delta = lambda m: _delta(basis, m, ctx)
+    else:
+        delta_memo: dict = {}
+
+        def delta(m):
+            got = delta_memo.get(m)
+            if got is None:
+                got = delta_memo[m] = coproduct_fn(element.basis(m, n))
+            return got
+
+    monos = list(basis.enumerate_up_to(n, max_degree))
+
+    # 1. coassociativity
+    cases = _sample(monos, max_cases, seed)
+    failure = None
+    for f in cases:
+        left: dict = {}
+        right: dict = {}
+        for (l, r), c in delta(f).data.items():
+            for (a, b), d in delta(l).data.items():
+                _acc(left, (a, b, r), c * d)
+            for (a, b), d in delta(r).data.items():
+                _acc(right, (l, a, b), c * d)
+        if left != right:
+            failure = f"(Δ⊗id)Δ ≠ (id⊗Δ)Δ on {f}"
+            break
+    report.checks.append(CheckOutcome("coassociativity", len(cases), failure))
+
+    # 2. counit laws
+    failure = None
+    for f in cases:
+        d = delta(f)
+        ident = element.basis(f, n)
+        if d.left_counit() != ident or d.right_counit() != ident:
+            failure = f"counit law fails on {f}"
+            break
+    report.checks.append(CheckOutcome("counit laws", len(cases), failure))
+
+    # 3. Δ is an algebra morphism
+    pairs = [
+        (f, g)
+        for i, f in enumerate(monos)
+        for g in (monos[i:] if basis.commutative else monos)
+        if f.size + g.size <= max_degree
+    ]
+    pairs = _sample(pairs, max_cases, seed + 1)
+    failure = None
+    for f, g in pairs:
+        if delta(f * g) != delta(f) * delta(g):
+            failure = f"Δ({f}·{g}) ≠ Δ({f})·Δ({g})"
+            break
+    report.checks.append(CheckOutcome("Δ multiplicative", len(pairs), failure))
+
+    if extra_checks is not None:
+        report.checks += extra_checks(monos, delta)
+
+    # last: antipode convolution laws, summed in place
+    failure = None
+    s_memo: dict = {}
+
+    def s_of(m) -> dict:
+        got = s_memo.get(m)
+        if got is None:
+            got = s_memo[m] = _antipode(basis, element.basis(m, n), ctx, coproduct_fn).data
+        return got
+
+    for f in cases:
+        lhs: dict = {}
+        rhs: dict = {}
+        for (l, r), c in delta(f).data.items():
+            for k, d in s_of(l).items():
+                _acc(lhs, k * r, d * c)
+            for k, d in s_of(r).items():
+                _acc(rhs, l * k, d * c)
+        expect = {basis.unit: ONE} if f.is_empty() else {}
+        if lhs != expect or rhs != expect:
+            failure = f"S*id = id*S = uε fails on {f}"
+            break
+    report.checks.append(CheckOutcome("antipode convolution", len(cases), failure))
+
+    return report
+
+
 def verify_bialgebra(
     ctx: HopfContext,
     max_degree: int,
@@ -638,143 +738,69 @@ def verify_bialgebra(
     check's case list by seeded sampling (exhaustive when ``None``).
     """
     n = ctx.n
-    report = VerificationReport(n=n, max_degree=max_degree)
-    if coproduct_fn is None:
-        coproduct_fn = lambda e: coproduct(e, ctx)
-    delta_memo: dict[Forest, TensorElement] = {}
 
-    def delta(f: Forest) -> TensorElement:
-        got = delta_memo.get(f)
-        if got is None:
-            got = delta_memo[f] = coproduct_fn(Element.basis(f, n))
-        return got
+    def root_checks(forests, delta) -> list[CheckOutcome]:
+        # tuples of slot forests for the sigma / root-constructor checks
+        tuples = [
+            combo
+            for combo in _iproduct(*([forests] * n))
+            if sum(f.size for f in combo) <= max_degree - 1
+        ]
+        tuples = _sample(tuples, max_cases, seed + 2)
+        outcomes = []
 
-    forests = list(enumerate_forests_up_to(n, max_degree))
-
-    # 1. coassociativity
-    cases = _sample(forests, max_cases, seed)
-    failure = None
-    for f in cases:
-        left: dict[tuple[Forest, Forest, Forest], Coeff] = {}
-        right: dict[tuple[Forest, Forest, Forest], Coeff] = {}
-        for (l, r), c in delta(f).data.items():
-            for (a, b), d in delta(l).data.items():
-                _acc(left, (a, b, r), c * d)
-            for (a, b), d in delta(r).data.items():
-                _acc(right, (l, a, b), c * d)
-        if left != right:
-            failure = f"(Δ⊗id)Δ ≠ (id⊗Δ)Δ on {f}"
-            break
-    report.checks.append(CheckOutcome("coassociativity", len(cases), failure))
-
-    # 2. counit laws
-    failure = None
-    for f in cases:
-        d = delta(f)
-        ident = Element.basis(f, n)
-        if d.left_counit() != ident or d.right_counit() != ident:
-            failure = f"counit law fails on {f}"
-            break
-    report.checks.append(CheckOutcome("counit laws", len(cases), failure))
-
-    # 3. Δ is an algebra morphism
-    pairs = [
-        (f, g)
-        for i, f in enumerate(forests)
-        for g in forests[i:]
-        if f.size + g.size <= max_degree
-    ]
-    pairs = _sample(pairs, max_cases, seed + 1)
-    failure = None
-    for f, g in pairs:
-        if delta(f * g) != delta(f) * delta(g):
-            failure = f"Δ({f}·{g}) ≠ Δ({f})·Δ({g})"
-            break
-    report.checks.append(CheckOutcome("Δ multiplicative", len(pairs), failure))
-
-    # tuples of slot forests for the sigma / root-constructor checks
-    tuples = [
-        combo
-        for combo in _iproduct(*([forests] * n))
-        if sum(f.size for f in combo) <= max_degree - 1
-    ]
-    tuples = _sample(tuples, max_cases, seed + 2)
-
-    # 4. sigma compatibility (counit and coproduct conditions)
-    failure = None
-    for combo in tuples:
-        slot_elems = [Element.basis(f, n) for f in combo]
-        for side in (1, 2):
-            s_elem = sigma(side, ctx.qspec, slot_elems)
-            # counit condition
-            eps = s_elem.counit()
-            expect = ONE if all(f.is_empty() for f in combo) else ZERO
-            if eps != expect:
-                failure = f"ε∘σ_{side} ≠ ε^⊗n on {tuple(map(str, combo))}"
+        # 4. sigma compatibility (counit and coproduct conditions)
+        failure = None
+        for combo in tuples:
+            slot_elems = [Element.basis(f, n) for f in combo]
+            for side in (1, 2):
+                s_elem = sigma(side, ctx.qspec, slot_elems)
+                # counit condition
+                eps = s_elem.counit()
+                expect = ONE if all(f.is_empty() for f in combo) else ZERO
+                if eps != expect:
+                    failure = f"ε∘σ_{side} ≠ ε^⊗n on {tuple(map(str, combo))}"
+                    break
+                # coproduct condition
+                lhs = _extend_linearly(s_elem, delta, TensorElement)
+                rhs: dict[tuple[Forest, Forest], Coeff] = {}
+                for cross in _iproduct(*(delta(f).data.items() for f in combo)):
+                    coeff = ONE
+                    for _, c in cross:
+                        coeff = coeff * c
+                    lefts = EMPTY_FOREST
+                    rights = EMPTY_FOREST
+                    for j, (key, _) in enumerate(cross, start=1):
+                        coeff = (
+                            coeff
+                            * ctx.qspec.q(side, j) ** key[0].size
+                            * ctx.qspec.q(side, j) ** key[1].size
+                        )
+                        lefts = lefts * key[0]
+                        rights = rights * key[1]
+                    if not coeff.is_zero():
+                        _acc(rhs, (lefts, rights), coeff)
+                if lhs != TensorElement(n, rhs):
+                    failure = f"Δ∘σ_{side} condition fails on {tuple(map(str, combo))}"
+                    break
+            if failure:
                 break
-            # coproduct condition
-            lhs = _extend_linearly(s_elem, delta, TensorElement)
-            rhs: dict[tuple[Forest, Forest], Coeff] = {}
-            for cross in _iproduct(*(delta(f).data.items() for f in combo)):
-                coeff = ONE
-                for _, c in cross:
-                    coeff = coeff * c
-                lefts = EMPTY_FOREST
-                rights = EMPTY_FOREST
-                for j, (key, _) in enumerate(cross, start=1):
-                    coeff = (
-                        coeff
-                        * ctx.qspec.q(side, j) ** key[0].size
-                        * ctx.qspec.q(side, j) ** key[1].size
-                    )
-                    lefts = lefts * key[0]
-                    rights = rights * key[1]
-                if not coeff.is_zero():
-                    _acc(rhs, (lefts, rights), coeff)
-            if lhs != TensorElement(n, rhs):
-                failure = f"Δ∘σ_{side} condition fails on {tuple(map(str, combo))}"
-                break
-        if failure:
-            break
-    report.checks.append(CheckOutcome("σ compatibility", len(tuples), failure))
+        outcomes.append(CheckOutcome("σ compatibility", len(tuples), failure))
 
-    # 5. defining square for the root constructor
-    failure = None
-    for combo in tuples:
-        tree = add_root(combo, n)
-        lhs = delta(Forest.single(tree))
-        rhs = coproduct_of_slots(
-            [Element.basis(f, n) for f in combo],
-            ctx,
-            delta=lambda e: _extend_linearly(e, delta, TensorElement),
-        )
-        if lhs != rhs:
-            failure = f"Δ∘λ square fails on {tuple(map(str, combo))}"
-            break
-    report.checks.append(CheckOutcome("root-constructor square", len(tuples), failure))
-
-    # 6. antipode convolution laws
-    failure = None
-    s_dict: dict[Forest, Element] = {}
-
-    def s_of(g: Forest) -> Element:
-        got = s_dict.get(g)
-        if got is None:
-            got = s_dict[g] = antipode_recursive(
-                Element.basis(g, n), ctx, coproduct_fn=coproduct_fn
+        # 5. defining square for the root constructor
+        failure = None
+        for combo in tuples:
+            tree = add_root(combo, n)
+            lhs = delta(Forest.single(tree))
+            rhs = coproduct_of_slots(
+                [Element.basis(f, n) for f in combo],
+                ctx,
+                delta=lambda e: _extend_linearly(e, delta, TensorElement),
             )
-        return got
+            if lhs != rhs:
+                failure = f"Δ∘λ square fails on {tuple(map(str, combo))}"
+                break
+        outcomes.append(CheckOutcome("root-constructor square", len(tuples), failure))
+        return outcomes
 
-    for f in cases:
-        lhs = Element.zero(n)
-        rhs = Element.zero(n)
-        for (l, r), c in delta(f).data.items():
-            lhs = lhs + (s_of(l) * Element.basis(r, n)).scale(c)
-            rhs = rhs + (Element.basis(l, n) * s_of(r)).scale(c)
-        expect = Element.unit(n) if f.is_empty() else Element.zero(n)
-        if lhs != expect or rhs != expect:
-            failure = f"S*id = id*S = uε fails on {f}"
-            break
-    report.checks.append(CheckOutcome("antipode convolution", len(cases), failure))
-
-    return report
+    return _verify(_FORESTS, ctx, max_degree, coproduct_fn, max_cases, seed, root_checks)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .algebra import Coeff, Combination, ONE, evaluate_exponents, _format_terms
+from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms, evaluate_exponents
 from .hopf import HopfContext, _split_table
 from .trees import (
     BudgetError,
     ColouredTree,
     ColourMismatchError,
-    Forest,
     Scanner,
+    _Keyed,
     aut_order,
     enumerate_trees,
 )
@@ -38,25 +38,13 @@ DEFAULT_BULLET_BUDGET = 6
 
 
 class DualElement(Combination):
-    """A combination of dual tree functionals Σ c_t D_t (trees, not forests)."""
+    """A combination of dual tree functionals Σ c_t D_t (trees, not forests).
 
-    def _check_key(self, key, n):
-        if not isinstance(key, ColouredTree):
-            raise TypeError(f"DualElement keys must be trees, got {key!r}")
-        if key.max_colour > n:
-            raise ColourMismatchError(f"tree {key} uses colour {key.max_colour} > n = {n}")
+    The subclass ``PlanarDualElement`` takes planar trees.
+    """
 
-    @staticmethod
-    def _term_sort_key(key: ColouredTree):
-        return key.sort_key()
-
-    @classmethod
-    def zero(cls, n: int) -> "DualElement":
-        return cls(n)
-
-    @classmethod
-    def basis(cls, tree: ColouredTree, n: int) -> "DualElement":
-        return cls(n, {tree: ONE})
+    _key_type = ColouredTree
+    _noun = "tree"
 
     def __str__(self):
         return _format_terms(self.terms(), lambda t: f"D{t}")
@@ -66,22 +54,52 @@ class DualElement(Combination):
 # the enumeration product
 # ---------------------------------------------------------------------------
 
-# per (n, m): map (induced part, induced complement) -> ((tree, exponents), ...)
-# exponents are parameter-independent, so one table serves every QSpec
-_DUAL_TABLE: dict[tuple[int, int], dict] = {}
+# per (basis, n, m): map (induced part, induced complement) ->
+# ((tree, exponents), ...); exponents are parameter-independent, so one
+# table serves every QSpec
+_DUAL_TABLE: dict[tuple[object, int, int], dict] = {}
 
 
-def _dual_split_table(n: int, m: int):
-    table = _DUAL_TABLE.get((n, m))
+def _dual_split_table(basis, n: int, m: int):
+    table = _DUAL_TABLE.get((basis, n, m))
     if table is None:
         table = {}
-        for w in enumerate_trees(n, m):
-            for _, part, comp, exps in _split_table(Forest.single(w)):
+        for w in basis.enumerate_trees(n, m):
+            for part, comp, exps in _split_table(basis, basis.single(w)):
                 key = (part, comp)
                 table.setdefault(key, []).append((w, tuple(sorted(exps.items()))))
         table = {k: tuple(v) for k, v in table.items()}
-        _DUAL_TABLE[(n, m)] = table
+        _DUAL_TABLE[(basis, n, m)] = table
     return table
+
+
+def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):
+    """The enumeration product shared by ``bullet`` and ``planar_bullet``.
+
+    For each basis pair (x, y) of ``a`` and ``b``, ``split(x, y)`` names
+    the (part, complement) pair of trees, and the product sums q·D_w over
+    the trees w with a vertex subset inducing the part whose complement
+    induces the complement.  A pair beyond ``budget`` total vertices
+    raises :class:`BudgetError`, naming the product ``name``, rather than
+    degrade silently.
+    """
+    n = _common_n(a, b, ctx)
+    out: dict = {}
+    for x, cx in a.data.items():
+        for y, cy in b.data.items():
+            m = x.size + y.size
+            if m > budget:
+                raise BudgetError(
+                    f"{name} on degree {x.size}+{y.size} exceeds its budget of "
+                    f"{budget} total vertices (raise the budget to proceed)"
+                )
+            scale = cx * cy
+            key = tuple(basis.single(tree) for tree in split(x, y))
+            for w, exps in _dual_split_table(basis, n, m).get(key, ()):
+                coeff = evaluate_exponents(ctx.qspec, dict(exps)) * scale
+                if not coeff.is_zero():
+                    _acc(out, w, coeff)
+    return type(a)(n, out)
 
 
 def bullet(
@@ -97,29 +115,7 @@ def bullet(
     the trees of size |t|+|s|; pairs beyond ``budget`` total vertices
     raise :class:`BudgetError` rather than degrade silently.
     """
-    n = _common_n(a, b, ctx)
-    out: dict[ColouredTree, Coeff] = {}
-    for t, ct in a.data.items():
-        for s, cs in b.data.items():
-            m = t.size + s.size
-            if m > budget:
-                raise BudgetError(
-                    f"bullet on degree {t.size}+{s.size} exceeds its budget of "
-                    f"{budget} total vertices (raise the budget to proceed)"
-                )
-            scale = ct * cs
-            table = _dual_split_table(n, m)
-            for w, exps in table.get((Forest.single(s), Forest.single(t)), ()):
-                coeff = evaluate_exponents(ctx.qspec, dict(exps)) * scale
-                if coeff.is_zero():
-                    continue
-                prev = out.get(w)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = total
-    return DualElement(n, out)
+    return _dual_product(_FORESTS, "bullet", a, b, ctx, budget, lambda t, s: (s, t))
 
 
 def lie_bracket(
@@ -181,12 +177,7 @@ def bullet_prime(
             scale = ct * cs
             for i in colours:
                 for w in _graft_everywhere(t, s, i):
-                    prev = out.get(w)
-                    total = scale if prev is None else prev + scale
-                    if total.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = total
+                    _acc(out, w, scale)
     return DualElement(n, out)
 
 
@@ -212,7 +203,7 @@ def _common_n(a: DualElement, b: DualElement, ctx: HopfContext) -> int:
 # ---------------------------------------------------------------------------
 
 
-class LabelledTree:
+class LabelledTree(_Keyed):
     """Canonical rooted tree with vertex labels and plain (uncoloured) edges.
 
     Children are sorted by encoding, so structural equality is equality
@@ -235,24 +226,8 @@ class LabelledTree:
         self.max_label = max([label] + [t.max_label for t in kids])
         self._hash = hash(self.key)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, LabelledTree):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        return (self.size, self.key)
-
     def __str__(self):
         return f"({self.label})[" + ",".join(str(t) for t in self.children) + "]"
-
-    def __repr__(self):
-        return f"LabelledTree({self})"
 
     def vertex_paths(self) -> tuple[tuple[int, ...], ...]:
         """Depth-first preorder addresses; each step is a child position."""
@@ -302,21 +277,6 @@ class PreLieElement(Combination):
         if key.max_label > n:
             raise ValueError(f"tree {key} uses label {key.max_label} > n = {n}")
 
-    @staticmethod
-    def _term_sort_key(key: LabelledTree):
-        return key.sort_key()
-
-    @classmethod
-    def zero(cls, n: int) -> "PreLieElement":
-        return cls(n)
-
-    @classmethod
-    def basis(cls, tree: LabelledTree, n: int) -> "PreLieElement":
-        return cls(n, {tree: ONE})
-
-    def __str__(self):
-        return _format_terms(self.terms(), str)
-
 
 def free_graft(t: LabelledTree, v: tuple[int, ...], s: LabelledTree) -> LabelledTree:
     """Attach the root of s below the vertex of t addressed by ``v``
@@ -349,12 +309,7 @@ def free_bullet(a: PreLieElement, b: PreLieElement) -> PreLieElement:
         for s, cs in b.data.items():
             scale = ct * cs
             for w in _free_graft_everywhere(t, s):
-                prev = out.get(w)
-                total = scale if prev is None else prev + scale
-                if total.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = total
+                _acc(out, w, scale)
     return PreLieElement(a.n, out)
 
 
@@ -398,13 +353,7 @@ def phi(a: DualElement) -> PreLieElement:
     out: dict[LabelledTree, Coeff] = {}
     for t, c in a.data.items():
         for j in range(1, n + 1):
-            key = up_map(j, t)
-            prev = out.get(key)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
+            _acc(out, up_map(j, t), c)
     return PreLieElement(n, out)
 
 

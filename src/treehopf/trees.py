@@ -27,14 +27,30 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
+
+
+# Characters of input quoted on each side of a parse error's position.
+_EXCERPT = 40
 
 
 class ParseError(ValueError):
-    """Raised on malformed textual input; carries the offending position."""
+    """Raised on malformed textual input; carries the offending position.
+
+    The message quotes the input within ``_EXCERPT`` characters of the
+    position ("..." marks a cut), so a long input gives a short error
+    line; ``text`` keeps the whole input.
+    """
 
     def __init__(self, message: str, text: str, pos: int):
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        start, end = max(0, pos - _EXCERPT), pos + _EXCERPT
+        excerpt = repr(text[start:end])
+        if start:
+            excerpt = "..." + excerpt
+        if end < len(text):
+            excerpt += "..."
+        super().__init__(f"{message} at position {pos}: {excerpt}")
         self.text = text
         self.pos = pos
 
@@ -52,7 +68,30 @@ class BudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class ColouredTree:
+class _Keyed:
+    """Value semantics of the tree and monomial types: equal (and hashed)
+    by the canonical nested-tuple ``key``, listed by ``(size, key)``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return self._hash
+
+    def sort_key(self):
+        return (self.size, self.key)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class ColouredTree(_Keyed):
     """An isomorphism class of n-coloured rooted trees.
 
     ``children`` is a tuple of ``(colour, subtree)`` pairs sorted by
@@ -78,30 +117,14 @@ class ColouredTree:
         )
         self._hash = hash(self.key)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ColouredTree):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
     def __lt__(self, other):
         return self.key < other.key
 
     def __le__(self, other):
         return self.key <= other.key
 
-    def sort_key(self):
-        return (self.size, self.key)
-
     def __str__(self):
         return "[" + ",".join(f"{c}:{t}" for c, t in self.children) + "]"
-
-    def __repr__(self):
-        return f"ColouredTree({self})"
 
     def recolour(self, mapping) -> "ColouredTree":
         """Rebuild the tree with every edge colour passed through ``mapping``."""
@@ -111,7 +134,7 @@ class ColouredTree:
 LEAF = ColouredTree()
 
 
-class Forest:
+class Forest(_Keyed):
     """A multiset of coloured trees (commutative monomial in the tree basis).
 
     Multiplicities are stored run-length in ``items``; ``trees()`` expands
@@ -160,19 +183,6 @@ class Forest:
             return NotImplemented
         return Forest(list(self.trees()) + list(other.trees()))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Forest):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        return (self.size, self.key)
-
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
@@ -180,9 +190,6 @@ class Forest:
         if not self.items:
             return "1"
         return "*".join(str(t) for t in self.trees())
-
-    def __repr__(self):
-        return f"Forest({self})"
 
 
 EMPTY_FOREST = Forest()
@@ -372,55 +379,75 @@ class VertexRef:
 
 
 class IndexedForest:
-    """Flat vertex-array view of a forest (internal).
+    """Flat vertex-array view of a forest or planar word (internal).
 
-    Vertices are numbered in depth-first preorder over the expanded
-    canonical tree list, so vertex ids are a deterministic total order.
+    Vertices are numbered in depth-first preorder over the trees in product
+    order, each vertex's edges in listing order, so vertex ids are a
+    deterministic total order.  The path addresses ``refs`` are built on
+    first use: only the ``Subforest`` API reads them.
     """
 
-    __slots__ = ("forest", "parents", "colours", "tree_index", "children", "refs", "ref_ids")
+    __slots__ = ("parents", "colours", "_refs", "_ref_ids")
 
-    def __init__(self, forest: Forest):
-        self.forest = forest
+    def __init__(self, trees: Iterable, edges: Callable):
         self.parents: list[int | None] = []
         self.colours: list[int | None] = []
-        self.tree_index: list[int] = []
-        self.children: list[list[int]] = []
-        self.refs: list[VertexRef] = []
+        self._refs: list[VertexRef] | None = None
+        self._ref_ids: dict[VertexRef, int] | None = None
 
-        def visit(tree: ColouredTree, t_idx: int, parent: int | None,
-                  colour: int | None, path: tuple) -> int:
+        def visit(tree, parent: int | None, colour: int | None):
             vid = len(self.parents)
             self.parents.append(parent)
             self.colours.append(colour)
-            self.tree_index.append(t_idx)
-            self.children.append([])
-            self.refs.append(VertexRef(t_idx, path))
-            if parent is not None:
-                self.children[parent].append(vid)
-            per_colour: dict[int, int] = {}
-            for c, child in tree.children:
-                k = per_colour.get(c, 0)
-                per_colour[c] = k + 1
-                visit(child, t_idx, vid, c, path + ((c, k),))
-            return vid
+            for c, child in edges(tree):
+                visit(child, vid, c)
 
-        for t_idx, tree in enumerate(forest.trees()):
-            visit(tree, t_idx, None, None, ())
-        self.ref_ids = {ref: vid for vid, ref in enumerate(self.refs)}
+        for tree in trees:
+            visit(tree, None, None)
 
     @property
     def nverts(self) -> int:
         return len(self.parents)
 
+    @property
+    def refs(self) -> list[VertexRef]:
+        if self._refs is None:
+            # a child's address extends its parent's by (colour, k), k
+            # counting the parent's earlier children of that colour
+            refs: list[VertexRef] = []
+            seen: dict[tuple[int, int], int] = {}
+            t_idx = -1
+            for parent, colour in zip(self.parents, self.colours):
+                if parent is None:
+                    t_idx += 1
+                    refs.append(VertexRef(t_idx))
+                else:
+                    k = seen.get((parent, colour), 0)
+                    seen[(parent, colour)] = k + 1
+                    refs.append(VertexRef(t_idx, refs[parent].path + ((colour, k),)))
+            self._refs = refs
+        return self._refs
 
-_INDEX_CACHE: dict[Forest, IndexedForest] = {}
+    @property
+    def ref_ids(self) -> dict[VertexRef, int]:
+        if self._ref_ids is None:
+            self._ref_ids = {ref: vid for vid, ref in enumerate(self.refs)}
+        return self._ref_ids
 
 
-def indexed(forest: Forest) -> IndexedForest:
+_INDEX_CACHE: dict = {}
+
+
+def indexed(
+    forest: Forest,
+    trees: Callable = Forest.trees,
+    edges: Callable = attrgetter("children"),
+) -> IndexedForest:
+    """The cached vertex arrays of a forest; a planar word passes its own
+    ``trees`` and ``edges`` accessors."""
     idx = _INDEX_CACHE.get(forest)
     if idx is None:
-        idx = _INDEX_CACHE[forest] = IndexedForest(forest)
+        idx = _INDEX_CACHE[forest] = IndexedForest(trees(forest), edges)
     return idx
 
 
@@ -480,19 +507,7 @@ class Subforest:
 
     def induced(self) -> Forest:
         """The canonical forest induced on the selected vertices."""
-        parent_of, colour_of = induced_structure(indexed(self.host), self.mask)
-        kids: dict[int, list[tuple[int, int]]] = {v: [] for v in parent_of}
-        roots = []
-        for v, p in parent_of.items():
-            if p is None:
-                roots.append(v)
-            else:
-                kids[p].append((colour_of[v], v))
-
-        def build(v: int) -> ColouredTree:
-            return ColouredTree((c, build(u)) for c, u in kids[v])
-
-        return Forest(build(r) for r in roots)
+        return _induced_monomial(indexed(self.host), self.mask)
 
     def __repr__(self):
         return f"Subforest({self.host}, {{{','.join(map(str, self.vertex_ids()))}}})"
@@ -527,6 +542,34 @@ def induced_structure(
         parent_of[v] = anc
         colour_of[v] = idx.colours[walk] if anc is not None else None
     return parent_of, colour_of
+
+
+def _induced_monomial(
+    idx: IndexedForest,
+    mask: int,
+    tree: Callable = ColouredTree,
+    monomial: Callable = Forest,
+):
+    """The forest (or, given planar constructors, the word) induced on a
+    vertex subset.
+
+    Component roots and each vertex's (colour, child) pairs are listed in
+    host vertex order, the host's depth-first first-visit order; ``tree``
+    and ``monomial`` build the result from them.
+    """
+    parent_of, colour_of = induced_structure(idx, mask)
+    kids: dict[int, list[tuple[int, int]]] = {v: [] for v in parent_of}
+    roots = []
+    for v, p in parent_of.items():
+        if p is None:
+            roots.append(v)
+        else:
+            kids[p].append((colour_of[v], v))
+
+    def build(v: int):
+        return tree((c, build(u)) for c, u in kids[v])
+
+    return monomial(build(r) for r in roots)
 
 
 def p_count(colour: int, v: VertexRef, s: Subforest) -> int:
@@ -623,9 +666,11 @@ class Scanner:
         if depth > MAX_NESTING_DEPTH:
             raise self.error(f"trees nested deeper than {MAX_NESTING_DEPTH} levels")
 
-    # -- symmetric tree / forest productions --
+    # -- tree / forest productions --
 
-    def tree(self, n: int | None = None, depth: int = 1) -> ColouredTree:
+    def tree(self, n: int | None = None, depth: int = 1, make: Callable = ColouredTree):
+        """One bracket-grammar tree; ``make`` builds it from its (colour,
+        child) pairs in listed order (``PlanarTree`` keeps that order)."""
         self.check_depth(depth)
         self.skip_ws()
         self.expect("[")
@@ -640,13 +685,13 @@ class Scanner:
                     raise ColourMismatchError(f"colour {colour} exceeds n = {n}")
                 self.skip_ws()
                 self.expect(":")
-                children.append((colour, self.tree(n, depth + 1)))
+                children.append((colour, self.tree(n, depth + 1, make)))
                 self.skip_ws()
                 if self.try_take("]"):
                     break
                 self.expect(",")
                 self.skip_ws()
-        return ColouredTree(children)
+        return make(children)
 
     def forest(self, n: int | None = None) -> Forest:
         self.skip_ws()

@@ -143,6 +143,8 @@ def test_deep_nesting_exits_2(capsys, variant):
     assert code == 2
     assert err.startswith("error:") and "nested deeper" in err
     assert out == ""
+    # the error quotes an excerpt, not the whole input
+    assert "position" in err and err.count("\n") == 1 and len(err.encode()) < 300
 
 
 def test_colour_mismatch_exits_5(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import bruteforce
 from treehopf.algebra import Element, parse_coeff
-from treehopf.hopf import HopfContext, coproduct
+from treehopf.hopf import HopfContext, antipode_recursive, coproduct
 from treehopf.planar import (
     EMPTY_WORD,
     PLANAR_LEAF,
@@ -253,6 +253,16 @@ def test_planar_antipode_is_an_anti_homomorphism():
     sv = planar_antipode(v, SYM1)
     assert planar_antipode(u * v, SYM1) == sv * su
     assert planar_antipode(v * u, SYM1) == su * sv
+
+
+@pytest.mark.parametrize("n,deg", [(1, 5), (2, 4)])
+def test_forget_intertwines_antipodes(n, deg):
+    # the planar S, with the orders forgotten, is the symmetric S
+    for ctx in (HopfContext.symbolic(n), HopfContext.rational(n, [2, -3, Fraction(1, 2), 5][: 2 * n])):
+        for word in enumerate_planar_words_up_to(n, deg):
+            e = PlanarElement.basis(word, n)
+            lhs = forget_element(planar_antipode(e, ctx))
+            assert lhs == antipode_recursive(forget_element(e), ctx), word
 
 
 def test_planar_antipode_convolution():

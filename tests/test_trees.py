@@ -278,6 +278,21 @@ def test_parse_errors_carry_position():
         parse_tree("[] []")
 
 
+def test_parse_error_quotes_a_bounded_excerpt():
+    # a short input is quoted whole; a long one only near the position,
+    # while the exception keeps the full text
+    with pytest.raises(ParseError) as info:
+        parse_tree("[1:[")
+    assert str(info.value) == "expected an integer at position 4: '[1:['"
+    text = "[1:[]" + "x" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_tree(text)
+    assert info.value.text == text and info.value.pos == 5
+    message = str(info.value)
+    assert "position 5" in message and len(message) < 120
+    assert message.endswith("xxx'...")
+
+
 def test_nesting_depth_bound():
     # a chain at the bound parses and prints back; one level more is refused
     def chain(depth):
