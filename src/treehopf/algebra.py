@@ -24,7 +24,6 @@ from .trees import (
     ColourMismatchError,
     EMPTY_FOREST,
     Forest,
-    ParseError,
     Scanner,
     add_root,
     decompose,

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Element, QSpec, parse_element
+from .algebra import QSpec, parse_element
 from .hopf import (
     HopfContext,
     antipode_recursive,
@@ -28,7 +28,6 @@ from .hopf import (
 from .planar import (
     PlanarDualElement,
     PlanarElement,
-    PlanarWord,
     enumerate_planar_trees,
     parse_planar_tree,
     parse_planar_word,
@@ -47,7 +46,6 @@ from .prelie import (
 from .trees import (
     BudgetError,
     ColourMismatchError,
-    Forest,
     ParseError,
     enumerate_trees,
     parse_tree,

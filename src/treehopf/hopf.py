@@ -18,7 +18,10 @@ parameters determined by colour counts along root paths (see
 the production route against it, and against the admissible-cut
 oracle ``ck_coproduct_oracle`` at the Connes–Kreimer point.
 
-The engine (``_delta``, ``_antipode``, ``_coproduct_closed``,
+The antipode is the tree recursion S(t) = −t − Σ S(t′)·t″; the
+ordered-partition sum ``antipode_partitions`` is kept as its oracle.
+
+The engine (``_delta``, ``_monomial_maps``, ``_coproduct_closed``,
 ``_verify``) is written once over a basis record ``algebra._Basis``: the
 public functions here run it on forests, those in ``planar`` on words.
 
@@ -338,60 +341,66 @@ def _check_n(a, ctx: HopfContext):
 # antipodes
 # ---------------------------------------------------------------------------
 
-_ANTIPODE_CACHE: dict[tuple[QSpec, object], object] = {}
+# production S per parameters: per-tree S, read and filled by ``_monomial_maps``
+_ANTIPODE_CACHE: dict[QSpec, dict[object, object]] = {}
 _ANTIPODE_PART_CACHE: dict[tuple[QSpec, Forest], Element] = {}
 
 
-def _antipode(basis, a, ctx: HopfContext, coproduct_fn=None):
-    """S by the alternating series of iterated reduced coproducts.
+def _monomial_maps(basis, ctx: HopfContext, coproduct_fn=None):
+    """Δ and S on basis monomials, as a pair of functions.
 
-    The k-leg terms multiply in leg order, which makes S
-    anti-multiplicative on the noncommutative words.
+    Δ is the production memo, or a per-call memo of ``coproduct_fn``.  S
+    is the recursion S(t) = −t − Σ S(t′)·t″ over the reduced coproduct
+    of a tree, which S ⋆ id = uε forces; it is memoised per tree (per
+    parameters for the production Δ).  S of a monomial multiplies the S
+    of its trees in reverse order: multiplicative on forests,
+    anti-multiplicative on words.  A reduced term whose left leg is as
+    large as the tree would recurse forever, so it raises ``ValueError``.
     """
-    _check_n(a, ctx)
     n = ctx.n
     element = basis.element
     if coproduct_fn is None:
-        delta_basis = lambda m: _delta(basis, m, ctx)
-        cache = _ANTIPODE_CACHE
-        cache_key = lambda m: (ctx.qspec, m)
+        delta = lambda m: _delta(basis, m, ctx)
+        memo = _ANTIPODE_CACHE.setdefault(ctx.qspec, {})
     else:
-        delta_basis = lambda m: coproduct_fn(element.basis(m, n))
-        cache = {}
-        cache_key = lambda m: m
+        delta_memo: dict = {}
+        memo = {}
 
-    def reduced(mono):
-        # Δ(m) minus m⊗1 and 1⊗m, as a plain term list (m must be nonempty)
-        return [
-            (l, r, c)
-            for (l, r), c in delta_basis(mono).data.items()
-            if not l.is_empty() and not r.is_empty()
-        ]
+        def delta(m):
+            got = delta_memo.get(m)
+            if got is None:
+                got = delta_memo[m] = coproduct_fn(element.basis(m, n))
+            return got
 
-    def s_basis(mono):
-        if mono.is_empty():
-            return element.unit(n)
-        hit = cache.get(cache_key(mono))
-        if hit is not None:
-            return hit
-        acc: dict = {}
-        _acc(acc, mono, Coeff.rational(-1))
-        legs: dict[tuple, Coeff] = {(mono,): ONE}
-        sign = -1
-        while legs:
-            sign = -sign
-            nxt: dict[tuple, Coeff] = {}
-            for tup, c in legs.items():
-                for l, r, d in reduced(tup[0]):
-                    _acc(nxt, (l, r) + tup[1:], c * d)
-            for tup, c in nxt.items():
-                _acc(acc, reduce(mul, tup, basis.unit), c * sign)
-            legs = nxt
-        out = element(n, acc)
-        cache[cache_key(mono)] = out
-        return out
+    def s_tree(tree):
+        got = memo.get(tree)
+        if got is None:
+            mono = basis.single(tree)
+            out: dict = {mono: Coeff.rational(-1)}
+            for (l, r), c in delta(mono).data.items():
+                if l.is_empty() or r.is_empty():
+                    continue
+                if l.size >= tree.size:
+                    raise ValueError(
+                        f"Δ is not graded: the reduced coproduct of {tree} has the "
+                        f"left leg {l} with {l.size} vertices"
+                    )
+                for k, d in antipode(l).data.items():
+                    _acc(out, k * r, -(c * d))
+            got = memo[tree] = element(n, out)
+        return got
 
-    return _extend_linearly(a, s_basis, element)
+    def antipode(mono):
+        trees = tuple(basis.trees(mono))
+        return reduce(mul, map(s_tree, reversed(trees))) if trees else element.unit(n)
+
+    return delta, antipode
+
+
+def _antipode(basis, a, ctx: HopfContext, coproduct_fn=None):
+    """S by the tree recursion of ``_monomial_maps``, extended linearly."""
+    _check_n(a, ctx)
+    return _extend_linearly(a, _monomial_maps(basis, ctx, coproduct_fn)[1], basis.element)
 
 
 def antipode_recursive(
@@ -399,12 +408,11 @@ def antipode_recursive(
     ctx: HopfContext,
     coproduct_fn: "Callable[[Element], TensorElement] | None" = None,
 ) -> Element:
-    """Antipode via the alternating series of iterated reduced coproducts.
-
-    S(x) = Σ_{k≥0} (−1)^{k+1} μ^{(k)}(Δ̄^{(k)}(x)) for counit-free x,
-    extended by S(1) = 1; the series stops once every tensor leg has a
-    single vertex.  ``coproduct_fn`` substitutes a different Δ (the
-    verifier uses this to test corrupted coproducts honestly).
+    """Antipode by the tree recursion S(t) = −t − Σ S(t′)·t″ over the
+    reduced coproduct of each tree (Δ(t) without t⊗1 and 1⊗t), extended
+    multiplicatively over forests.  ``coproduct_fn`` substitutes a
+    different Δ (the verifier uses this to test corrupted coproducts
+    honestly); one that is not graded raises ``ValueError``.
     """
     return _antipode(_FORESTS, a, ctx, coproduct_fn)
 
@@ -629,23 +637,14 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
 
     Commuting monomials are paired once per unordered pair, words in
     both orders.  ``coproduct_fn`` replaces the production Δ, and the
-    antipode is rebuilt from it; ``max_cases`` caps each case list by
-    seeded sampling.
+    antipode is rebuilt from it (a Δ on which the recursion cannot run
+    fails the antipode check with the ``ValueError`` message);
+    ``max_cases`` caps each case list by seeded sampling.
     """
     n = ctx.n
     element = basis.element
     report = VerificationReport(n=n, max_degree=max_degree)
-    if coproduct_fn is None:
-        delta = lambda m: _delta(basis, m, ctx)
-    else:
-        delta_memo: dict = {}
-
-        def delta(m):
-            got = delta_memo.get(m)
-            if got is None:
-                got = delta_memo[m] = coproduct_fn(element.basis(m, n))
-            return got
-
+    delta, antipode = _monomial_maps(basis, ctx, coproduct_fn)
     monos = list(basis.enumerate_up_to(n, max_degree))
 
     # 1. coassociativity
@@ -694,26 +693,21 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
 
     # last: antipode convolution laws, summed in place
     failure = None
-    s_memo: dict = {}
-
-    def s_of(m) -> dict:
-        got = s_memo.get(m)
-        if got is None:
-            got = s_memo[m] = _antipode(basis, element.basis(m, n), ctx, coproduct_fn).data
-        return got
-
-    for f in cases:
-        lhs: dict = {}
-        rhs: dict = {}
-        for (l, r), c in delta(f).data.items():
-            for k, d in s_of(l).items():
-                _acc(lhs, k * r, d * c)
-            for k, d in s_of(r).items():
-                _acc(rhs, l * k, d * c)
-        expect = {basis.unit: ONE} if f.is_empty() else {}
-        if lhs != expect or rhs != expect:
-            failure = f"S*id = id*S = uε fails on {f}"
-            break
+    try:
+        for f in cases:
+            lhs: dict = {}
+            rhs: dict = {}
+            for (l, r), c in delta(f).data.items():
+                for k, d in antipode(l).data.items():
+                    _acc(lhs, k * r, d * c)
+                for k, d in antipode(r).data.items():
+                    _acc(rhs, l * k, d * c)
+            expect = {basis.unit: ONE} if f.is_empty() else {}
+            if lhs != expect or rhs != expect:
+                failure = f"S*id = id*S = uε fails on {f}"
+                break
+    except ValueError as exc:
+        failure = str(exc)
     report.checks.append(CheckOutcome("antipode convolution", len(cases), failure))
 
     return report

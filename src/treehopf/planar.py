@@ -286,10 +286,10 @@ def planar_antipode(
     ctx: HopfContext,
     coproduct_fn: "Callable[[PlanarElement], PlanarTensorElement] | None" = None,
 ) -> PlanarElement:
-    """Antipode by the alternating series of iterated reduced coproducts.
+    """Antipode by the tree recursion S(t) = −t − Σ S(t′)·t″ over the
+    reduced coproduct of each planar tree.
 
-    Beware that the tensor algebra is noncommutative: the k-leg terms
-    multiply in leg order.
+    Words do not commute, so S is anti-multiplicative: S(uv) = S(v)S(u).
     """
     return _antipode(_WORDS, a, ctx, coproduct_fn)
 

@@ -11,7 +11,7 @@ import sys
 import time
 
 import bruteforce
-from treehopf.algebra import Element, QSpec
+from treehopf.algebra import Element
 from treehopf.hopf import (
     HopfContext,
     antipode_partitions,

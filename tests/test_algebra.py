@@ -12,7 +12,6 @@ from treehopf.algebra import (
     Coeff,
     Element,
     QSpec,
-    TensorElement,
     parse_coeff,
     parse_element,
     parse_tensor,

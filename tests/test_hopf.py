@@ -195,18 +195,21 @@ def forests_and_points(draw):
             colours = [None] + [draw(st.integers(1, n)) for _ in range(1, size)]
             trees.append(canonicalize(parents, colours, n))
         forests.append((Forest(trees), draw(st.integers(-3, 3))))
+    return Element(n, forests), draw_point(draw, n)
+
+
+def draw_point(draw, n):
+    """The symbolic point or a random rational one, over n colours."""
     if draw(st.booleans()):
-        ctx = HopfContext.symbolic(n)
-    else:
-        values = draw(
-            st.lists(
-                st.fractions(min_value=-2, max_value=2, max_denominator=3),
-                min_size=2 * n,
-                max_size=2 * n,
-            )
+        return HopfContext.symbolic(n)
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            min_size=2 * n,
+            max_size=2 * n,
         )
-        ctx = HopfContext.rational(n, values)
-    return Element(n, forests), ctx
+    )
+    return HopfContext.rational(n, values)
 
 
 @given(forests_and_points())
@@ -298,19 +301,71 @@ def test_antipode_routes_agree(n, deg):
 
 @pytest.mark.parametrize("n,deg", [(1, 4), (2, 3)])
 def test_antipode_convolution_identity(n, deg):
+    # S ⋆ id = uε holds by construction of the recursion; id ⋆ S = uε is
+    # the real check (a left inverse that is also a right inverse)
     ctx = HopfContext.symbolic(n)
     for f in enumerate_forests_up_to(n, deg):
-        acc = Element.zero(n)
+        left = Element.zero(n)
+        right = Element.zero(n)
         for (l, r), c in coproduct(Element(n, {f: 1}), ctx).data.items():
-            acc = acc + (antipode_recursive(Element(n, {l: 1}), ctx) * Element(n, {r: 1})).scale(c)
+            left = left + (antipode_recursive(Element(n, {l: 1}), ctx) * Element(n, {r: 1})).scale(c)
+            right = right + (Element(n, {l: 1}) * antipode_recursive(Element(n, {r: 1}), ctx)).scale(c)
         expect = Element.unit(n) if f.is_empty() else Element.zero(n)
-        assert acc == expect
+        assert left == expect
+        assert right == expect
+
+
+@st.composite
+def mid_forests_and_points(draw):
+    """One random tree or forest with 5 to 7 vertices, at n in {1, 2},
+    with a symbolic or a random rational point."""
+    n = draw(st.sampled_from([1, 2]))
+    budget = draw(st.integers(5, 7))
+    trees = []
+    while budget:
+        size = budget if not trees and draw(st.booleans()) else draw(st.integers(1, budget))
+        budget -= size
+        parents = [None] + [draw(st.integers(0, v - 1)) for v in range(1, size)]
+        colours = [None] + [draw(st.integers(1, n)) for _ in range(1, size)]
+        trees.append(canonicalize(parents, colours, n))
+    return Element.basis(Forest(trees), n), draw_point(draw, n)
+
+
+@given(mid_forests_and_points())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_antipode_equals_partitions_on_random_forests(case):
+    e, ctx = case
+    assert antipode_recursive(e, ctx) == antipode_partitions(e, ctx)
 
 
 def test_antipode_ck_three_chain():
     # classic alternating-forest expansion at the CK point
     s = antipode_recursive(elt("[1:[1:[]]]"), CK)
     assert s == parse_element("-[1:[1:[]]] + 2 [1:[]]*[] - []*[]*[]", 1)
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_antipode_ck_chains_by_compositions(m):
+    # S(ℓ_m) = Σ over compositions (c_1..c_k) of m of (−1)^k ℓ_{c_1}⋯ℓ_{c_k},
+    # summed by the first part: E_j = −Σ_c ℓ_c·E_{j−c}, E_0 = 1
+    ladder = [None] + [elt("[1:" * (c - 1) + "[]" + "]" * (c - 1)) for c in range(1, m + 1)]
+    comps = [Element.unit(1)]
+    for j in range(1, m + 1):
+        comps.append(-sum((ladder[c] * comps[j - c] for c in range(1, j + 1)), Element.zero(1)))
+    assert antipode_recursive(ladder[m], CK) == comps[m]
+
+
+def _ungraded(ctx):
+    """Δ plus f ⊗ [] for every forest f with 2 vertices: not graded."""
+    extra = {
+        (f, parse_forest("[]")): 1 for f in enumerate_forests_up_to(ctx.n, 2) if f.size == 2
+    }
+    return lambda e: coproduct(e, ctx) + TensorElement(ctx.n, extra)
+
+
+def test_antipode_rejects_an_ungraded_coproduct():
+    with pytest.raises(ValueError, match="not graded"):
+        antipode_recursive(elt("[1:[]]"), SYM1, coproduct_fn=_ungraded(SYM1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +480,14 @@ def test_verify_detects_a_broken_coproduct():
     assert not report.passed
     failed = report.first_failure
     assert failed is not None and failed.name == "coassociativity"
+
+
+def test_verify_reports_an_ungraded_coproduct():
+    # the antipode recursion would not terminate; the check fails instead
+    report = verify_bialgebra(SYM1, 2, coproduct_fn=_ungraded(SYM1))
+    outcome = {c.name: c for c in report.checks}["antipode convolution"]
+    assert not outcome.passed
+    assert "not graded" in outcome.failure
 
 
 def test_verify_sampling_is_deterministic():

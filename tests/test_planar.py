@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
-from treehopf.algebra import Element, parse_coeff
+from treehopf.algebra import parse_coeff
 from treehopf.hopf import HopfContext, antipode_recursive, coproduct
 from treehopf.planar import (
     EMPTY_WORD,
     PLANAR_LEAF,
     PlanarDualElement,
     PlanarElement,
-    PlanarTree,
     PlanarWord,
     enumerate_planar_trees,
     enumerate_planar_words,
@@ -266,14 +265,21 @@ def test_forget_intertwines_antipodes(n, deg):
 
 
 def test_planar_antipode_convolution():
+    # S ⋆ id = uε holds by construction of the recursion; id ⋆ S = uε is
+    # the real check
     for word in enumerate_planar_words_up_to(1, 4):
-        acc = PlanarElement.zero(1)
+        left = PlanarElement.zero(1)
+        right = PlanarElement.zero(1)
         for (l, r), c in planar_coproduct(PlanarElement.basis(word, 1), SYM1).data.items():
-            acc = acc + (
+            left = left + (
                 planar_antipode(PlanarElement.basis(l, 1), SYM1) * PlanarElement.basis(r, 1)
             ).scale(c)
+            right = right + (
+                PlanarElement.basis(l, 1) * planar_antipode(PlanarElement.basis(r, 1), SYM1)
+            ).scale(c)
         expect = PlanarElement.unit(1) if word.is_empty() else PlanarElement.zero(1)
-        assert acc == expect, word
+        assert left == expect, word
+        assert right == expect, word
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,10 @@ rescaling, and the embedding into labelled trees."""
 
 import pytest
 
-from treehopf.algebra import Coeff, QSpec, parse_coeff
+from treehopf.algebra import Coeff, parse_coeff
 from treehopf.hopf import HopfContext, coproduct
 from treehopf.prelie import (
     DualElement,
-    LabelledTree,
     PreLieElement,
     _free_graft_everywhere,
     _graft_everywhere,
