@@ -25,17 +25,20 @@ The engine (``_delta``, ``_monomial_maps``, ``_coproduct_closed``,
 ``_verify``) is written once over a basis record ``algebra._Basis``: the
 public functions here run it on forests, those in ``planar`` on words.
 
-Everything here is a pure function of immutable values; the module-level
-dictionaries are memo tables keyed by basis monomials (and parameter
-specifications), filled deterministically.  The oracles keep their own
-tables and never read the production Δ memo.
+Everything here is a pure function of immutable values.  A value is
+memoised only where a later call reads it again, and always by
+``functools.cache`` on the function that computes it: Δ per (basis,
+monomial, parameters), and S per tree inside the maps that
+``_production_maps`` keeps per (basis, parameters).  The split table and
+the oracles build their vertex indexes and induced monomials per call;
+the dual product in ``prelie`` caches its own table of splits.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import product as _iproduct
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -57,11 +60,11 @@ from .trees import (
     ColourMismatchError,
     EMPTY_FOREST,
     Forest,
+    IndexedForest,
     Subforest,
     _induced_monomial,
     add_root,
     decompose,
-    indexed,
     induced_structure,
 )
 
@@ -97,38 +100,18 @@ class HopfContext:
 # q-coefficients
 # ---------------------------------------------------------------------------
 
-# The tables below are keyed by basis monomials of either variant; a forest
-# and a word never compare equal, so the two variants share them safely.
 
-# induced (parent, colour) maps per (monomial, host-mask); the same host mask
-# is revisited constantly by the partition antipode
-_STRUCT_CACHE: dict[tuple[object, int], tuple[dict, dict]] = {}
-
-# induced monomial per (monomial, mask)
-_INDUCED_CACHE: dict[tuple[object, int], object] = {}
-
-# per monomial: tuple over all masks of (part, complement, exponents)
-_SPLIT_CACHE: dict[object, tuple] = {}
+def _index(basis, mono) -> IndexedForest:
+    """A fresh vertex index of a monomial of either basis."""
+    return IndexedForest(basis.trees(mono), basis.edges)
 
 
-def _index(basis, mono):
-    return indexed(mono, basis.trees, basis.edges)
-
-
-def _structure(basis, mono, mask: int):
-    out = _STRUCT_CACHE.get((mono, mask))
-    if out is None:
-        out = induced_structure(_index(basis, mono), mask)
-        _STRUCT_CACHE[(mono, mask)] = out
-    return out
-
-
-def _induced(basis, mono, mask: int):
-    out = _INDUCED_CACHE.get((mono, mask))
-    if out is None:
-        out = _induced_monomial(_index(basis, mono), mask, basis.tree, basis.monomial)
-        _INDUCED_CACHE[(mono, mask)] = out
-    return out
+def _parts(basis, idx: IndexedForest) -> list:
+    """The induced monomial of every vertex subset, indexed by mask."""
+    return [
+        _induced_monomial(idx, mask, basis.tree, basis.monomial)
+        for mask in range(1 << idx.nverts)
+    ]
 
 
 def subset_exponents(
@@ -142,16 +125,18 @@ def subset_exponents(
     vertices contribute the same counts relative to the complement, on
     row 2.
     """
-    return _exponents(_FORESTS, forest, mask, host_mask)
-
-
-def _exponents(basis, mono, mask: int, host_mask: int | None = None):
-    """``subset_exponents`` on a monomial of either basis."""
+    idx = _index(_FORESTS, forest)
     if host_mask is None:
-        host_mask = (1 << _index(basis, mono).nverts) - 1
+        host_mask = (1 << idx.nverts) - 1
     if mask & ~host_mask:
         raise ValueError("subset must lie inside the host")
-    parent_of, colour_of = _structure(basis, mono, host_mask)
+    return _walk(induced_structure(idx, host_mask), mask, host_mask)
+
+
+def _walk(structure, mask: int, host_mask: int) -> dict[tuple[int, int], int]:
+    """The exponent walk of ``subset_exponents`` over the induced
+    (parent, colour) maps ``structure`` of ``host_mask``."""
+    parent_of, colour_of = structure
     exps: dict[tuple[int, int], int] = {}
     for v in parent_of:
         if mask >> v & 1:
@@ -171,8 +156,8 @@ def _exponents(basis, mono, mask: int, host_mask: int | None = None):
 def q_coeff(s: Subforest, ctx: HopfContext, within: Subforest | None = None) -> Coeff:
     """The parameter monomial q(s, host) attached to a vertex subset.
 
-    ``within`` restricts the host to an induced subforest (used by the
-    ordered-partition antipode); by default the host is the full forest.
+    ``within`` restricts the host to an induced subforest; by default the
+    host is the full forest.
     """
     if within is not None and within.host != s.host:
         raise ValueError("s and within must share the same underlying forest")
@@ -181,28 +166,22 @@ def q_coeff(s: Subforest, ctx: HopfContext, within: Subforest | None = None) -> 
     return evaluate_exponents(ctx.qspec, exps)
 
 
-def _split_table(basis, mono):
-    """All (induced part, induced complement, exponents) vertex splits."""
-    table = _SPLIT_CACHE.get(mono)
-    if table is None:
-        full = (1 << _index(basis, mono).nverts) - 1
-        table = _SPLIT_CACHE[mono] = tuple(
-            (
-                _induced(basis, mono, mask),
-                _induced(basis, mono, full ^ mask),
-                _exponents(basis, mono, mask),
-            )
-            for mask in range(full + 1)
-        )
-    return table
+def _split_table(basis, mono) -> list:
+    """All (induced part, induced complement, exponents) vertex splits,
+    in mask order."""
+    idx = _index(basis, mono)
+    full = (1 << idx.nverts) - 1
+    structure = induced_structure(idx, full)
+    parts = _parts(basis, idx)
+    return [
+        (parts[mask], parts[full ^ mask], _walk(structure, mask, full))
+        for mask in range(full + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # coproducts
 # ---------------------------------------------------------------------------
-
-# production Δ per (parameters, basis monomial); the oracles never touch it
-_DELTA_CACHE: dict[tuple[QSpec, object], object] = {}
 
 
 def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
@@ -241,22 +220,19 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
     return basis.tensor(n, out)
 
 
+@cache
 def _delta(basis, mono, ctx: HopfContext):
     """Memoised Δ of a basis monomial: the root-constructor square on a
     single tree, else the product over its trees in order (Δ is an
-    algebra map)."""
-    cached = _DELTA_CACHE.get((ctx.qspec, mono))
-    if cached is None:
-        trees = tuple(basis.trees(mono))
-        if len(trees) == 1:
-            slots = [_delta(basis, x, ctx) for x in basis.decompose(trees[0], ctx.n)]
-            cached = _root_square(basis, slots, ctx)
-        else:
-            cached = basis.tensor.unit(ctx.n)
-            for tree in trees:
-                cached = cached * _delta(basis, basis.single(tree), ctx)
-        _DELTA_CACHE[(ctx.qspec, mono)] = cached
-    return cached
+    algebra map).  The oracles never read it."""
+    trees = tuple(basis.trees(mono))
+    if len(trees) == 1:
+        slots = [_delta(basis, x, ctx) for x in basis.decompose(trees[0], ctx.n)]
+        return _root_square(basis, slots, ctx)
+    out = basis.tensor.unit(ctx.n)
+    for tree in trees:
+        out = out * _delta(basis, basis.single(tree), ctx)
+    return out
 
 
 def _extend_linearly(a, basis_fn, cls):
@@ -341,54 +317,52 @@ def _check_n(a, ctx: HopfContext):
 # antipodes
 # ---------------------------------------------------------------------------
 
-# production S per parameters: per-tree S, read and filled by ``_monomial_maps``
-_ANTIPODE_CACHE: dict[QSpec, dict[object, object]] = {}
-_ANTIPODE_PART_CACHE: dict[tuple[QSpec, Forest], Element] = {}
-
 
 def _monomial_maps(basis, ctx: HopfContext, coproduct_fn=None):
     """Δ and S on basis monomials, as a pair of functions.
 
-    Δ is the production memo, or a per-call memo of ``coproduct_fn``.  S
-    is the recursion S(t) = −t − Σ S(t′)·t″ over the reduced coproduct
-    of a tree, which S ⋆ id = uε forces; it is memoised per tree (per
-    parameters for the production Δ).  S of a monomial multiplies the S
-    of its trees in reverse order: multiplicative on forests,
-    anti-multiplicative on words.  A reduced term whose left leg is as
-    large as the tree would recurse forever, so it raises ``ValueError``.
+    Δ is the production memo, or a per-call memo of ``coproduct_fn``; the
+    production pair is kept per (basis, parameters).
+    """
+    if coproduct_fn is None:
+        return _production_maps(basis, ctx)
+    delta = cache(lambda m: coproduct_fn(basis.element.basis(m, ctx.n)))
+    return _maps_over(basis, ctx, delta)
+
+
+@cache
+def _production_maps(basis, ctx: HopfContext):
+    return _maps_over(basis, ctx, lambda m: _delta(basis, m, ctx))
+
+
+def _maps_over(basis, ctx: HopfContext, delta):
+    """``delta`` and the S it determines.
+
+    S is the recursion S(t) = −t − Σ S(t′)·t″ over the reduced coproduct
+    of a tree, which S ⋆ id = uε forces; it is memoised per tree.  S of a
+    monomial multiplies the S of its trees in reverse order:
+    multiplicative on forests, anti-multiplicative on words.  A reduced
+    term whose left leg is as large as the tree would recurse forever, so
+    it raises ``ValueError``.
     """
     n = ctx.n
     element = basis.element
-    if coproduct_fn is None:
-        delta = lambda m: _delta(basis, m, ctx)
-        memo = _ANTIPODE_CACHE.setdefault(ctx.qspec, {})
-    else:
-        delta_memo: dict = {}
-        memo = {}
 
-        def delta(m):
-            got = delta_memo.get(m)
-            if got is None:
-                got = delta_memo[m] = coproduct_fn(element.basis(m, n))
-            return got
-
+    @cache
     def s_tree(tree):
-        got = memo.get(tree)
-        if got is None:
-            mono = basis.single(tree)
-            out: dict = {mono: Coeff.rational(-1)}
-            for (l, r), c in delta(mono).data.items():
-                if l.is_empty() or r.is_empty():
-                    continue
-                if l.size >= tree.size:
-                    raise ValueError(
-                        f"Δ is not graded: the reduced coproduct of {tree} has the "
-                        f"left leg {l} with {l.size} vertices"
-                    )
-                for k, d in antipode(l).data.items():
-                    _acc(out, k * r, -(c * d))
-            got = memo[tree] = element(n, out)
-        return got
+        mono = basis.single(tree)
+        out: dict = {mono: Coeff.rational(-1)}
+        for (l, r), c in delta(mono).data.items():
+            if l.is_empty() or r.is_empty():
+                continue
+            if l.size >= tree.size:
+                raise ValueError(
+                    f"Δ is not graded: the reduced coproduct of {tree} has the "
+                    f"left leg {l} with {l.size} vertices"
+                )
+            for k, d in antipode(l).data.items():
+                _acc(out, k * r, -(c * d))
+        return element(n, out)
 
     def antipode(mono):
         trees = tuple(basis.trees(mono))
@@ -398,7 +372,7 @@ def _monomial_maps(basis, ctx: HopfContext, coproduct_fn=None):
 
 
 def _antipode(basis, a, ctx: HopfContext, coproduct_fn=None):
-    """S by the tree recursion of ``_monomial_maps``, extended linearly."""
+    """S by the tree recursion of ``_maps_over``, extended linearly."""
     _check_n(a, ctx)
     return _extend_linearly(a, _monomial_maps(basis, ctx, coproduct_fn)[1], basis.element)
 
@@ -430,34 +404,24 @@ def antipode_partitions(a: Element, ctx: HopfContext) -> Element:
     def s_basis(forest: Forest) -> Element:
         if forest.is_empty():
             return Element.unit(n)
-        hit = _ANTIPODE_PART_CACHE.get((ctx.qspec, forest))
-        if hit is not None:
-            return hit
-        full = (1 << indexed(forest).nverts) - 1
-        memo: dict[int, dict[Forest, Coeff]] = {}
+        idx = _index(_FORESTS, forest)
+        parts = _parts(_FORESTS, idx)
 
+        @cache
         def rest(mask: int) -> dict[Forest, Coeff]:
-            got = memo.get(mask)
-            if got is not None:
-                return got
             out: dict[Forest, Coeff] = {}
-            _acc(out, _induced(_FORESTS, forest, mask), Coeff.rational(-1))
+            _acc(out, parts[mask], Coeff.rational(-1))
+            structure = induced_structure(idx, mask)
             sub = (mask - 1) & mask
             while sub:
-                factor = evaluate_exponents(
-                    ctx.qspec, subset_exponents(forest, sub, mask)
-                )
+                factor = evaluate_exponents(ctx.qspec, _walk(structure, sub, mask))
                 if not factor.is_zero():
-                    part = _induced(_FORESTS, forest, sub)
                     for tail, c in rest(mask & ~sub).items():
-                        _acc(out, part * tail, -(factor * c))
+                        _acc(out, parts[sub] * tail, -(factor * c))
                 sub = (sub - 1) & mask
-            memo[mask] = out
             return out
 
-        out = Element(n, rest(full))
-        _ANTIPODE_PART_CACHE[(ctx.qspec, forest)] = out
-        return out
+        return Element(n, rest(len(parts) - 1))
 
     return _extend_linearly(a, s_basis, Element)
 

@@ -26,7 +26,7 @@ same traversal induces the sibling orders inside each component.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import product as _iproduct
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -38,10 +38,10 @@ from .hopf import (
     _antipode,
     _coproduct,
     _coproduct_closed,
-    _induced,
+    _index,
     _verify,
 )
-from .prelie import DualElement, _dual_product
+from .prelie import DEFAULT_BULLET_BUDGET, DualElement, _dual_product
 from .trees import (
     ColouredTree,
     ColourMismatchError,
@@ -49,6 +49,7 @@ from .trees import (
     Scanner,
     _Keyed,
     _compositions,
+    _induced_monomial,
 )
 
 
@@ -191,7 +192,7 @@ class PlanarDualElement(DualElement):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_planar_trees(n: int, m: int) -> tuple[PlanarTree, ...]:
     """All planar n-trees with m vertices (deterministic order)."""
     if m < 1:
@@ -207,7 +208,7 @@ def enumerate_planar_trees(n: int, m: int) -> tuple[PlanarTree, ...]:
     return tuple(sorted(out, key=lambda t: t.sort_key()))
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_planar_words(n: int, total: int) -> tuple[PlanarWord, ...]:
     """All words (ordered sequences of planar n-trees) of a given size."""
     if total < 0:
@@ -259,7 +260,7 @@ def induced_word(word: PlanarWord, mask: int) -> PlanarWord:
     path edge adjacent to that ancestor; component roots and siblings
     take the host's depth-first first-visit order.
     """
-    return _induced(_WORDS, word, mask)
+    return _induced_monomial(_index(_WORDS, word), mask, PlanarTree, PlanarWord)
 
 
 def planar_coproduct(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
@@ -294,14 +295,11 @@ def planar_antipode(
     return _antipode(_WORDS, a, ctx, coproduct_fn)
 
 
-DEFAULT_PLANAR_BULLET_BUDGET = 6
-
-
 def planar_bullet(
     a: PlanarDualElement,
     b: PlanarDualElement,
     ctx: HopfContext,
-    budget: int = DEFAULT_PLANAR_BULLET_BUDGET,
+    budget: int = DEFAULT_BULLET_BUDGET,
 ) -> PlanarDualElement:
     """The planar dual product D_s • D_t: sum over planar trees w and
     order-respecting inclusions of the FIRST factor with complement the

@@ -20,6 +20,7 @@ n generators, modelled on vertex-labelled trees.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms, evaluate_exponents
@@ -54,23 +55,16 @@ class DualElement(Combination):
 # the enumeration product
 # ---------------------------------------------------------------------------
 
-# per (basis, n, m): map (induced part, induced complement) ->
-# ((tree, exponents), ...); exponents are parameter-independent, so one
-# table serves every QSpec
-_DUAL_TABLE: dict[tuple[object, int, int], dict] = {}
-
-
-def _dual_split_table(basis, n: int, m: int):
-    table = _DUAL_TABLE.get((basis, n, m))
-    if table is None:
-        table = {}
-        for w in basis.enumerate_trees(n, m):
-            for part, comp, exps in _split_table(basis, basis.single(w)):
-                key = (part, comp)
-                table.setdefault(key, []).append((w, tuple(sorted(exps.items()))))
-        table = {k: tuple(v) for k, v in table.items()}
-        _DUAL_TABLE[(basis, n, m)] = table
-    return table
+@cache
+def _dual_split_table(basis, n: int, m: int) -> dict:
+    """Map (induced part, induced complement) -> ((tree, exponents), ...)
+    over the trees with m vertices; exponents are parameter-independent,
+    so one table serves every QSpec."""
+    table: dict = {}
+    for w in basis.enumerate_trees(n, m):
+        for part, comp, exps in _split_table(basis, basis.single(w)):
+            table.setdefault((part, comp), []).append((w, tuple(sorted(exps.items()))))
+    return {k: tuple(v) for k, v in table.items()}
 
 
 def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import product as _iproduct
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -311,7 +311,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_trees(n: int, m: int) -> tuple[ColouredTree, ...]:
     """All canonical n-coloured trees with exactly m vertices, sorted."""
     if m < 1:
@@ -327,7 +327,7 @@ def enumerate_trees(n: int, m: int) -> tuple[ColouredTree, ...]:
     return tuple(sorted(found))
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_forests(n: int, total: int) -> tuple[Forest, ...]:
     """All forests (multisets of n-coloured trees) with ``total`` vertices."""
     if total < 0:
@@ -435,20 +435,10 @@ class IndexedForest:
         return self._ref_ids
 
 
-_INDEX_CACHE: dict = {}
-
-
-def indexed(
-    forest: Forest,
-    trees: Callable = Forest.trees,
-    edges: Callable = attrgetter("children"),
-) -> IndexedForest:
-    """The cached vertex arrays of a forest; a planar word passes its own
-    ``trees`` and ``edges`` accessors."""
-    idx = _INDEX_CACHE.get(forest)
-    if idx is None:
-        idx = _INDEX_CACHE[forest] = IndexedForest(trees(forest), edges)
-    return idx
+@cache
+def indexed(forest: Forest) -> IndexedForest:
+    """The cached vertex arrays of a forest, read by the ``Subforest`` API."""
+    return IndexedForest(forest.trees(), attrgetter("children"))
 
 
 def vertices(forest: Forest) -> tuple[VertexRef, ...]:

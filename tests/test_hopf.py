@@ -32,6 +32,7 @@ from treehopf.hopf import (
 from treehopf.trees import (
     ColourMismatchError,
     Forest,
+    MAX_NESTING_DEPTH,
     Subforest,
     VertexRef,
     canonicalize,
@@ -248,7 +249,9 @@ def test_ck_specialization_matches_oracle():
         assert coproduct(e, CK) == ck_coproduct_oracle(e)
 
 
-@pytest.mark.parametrize("m", [16, 24])
+# the deepest chain the parser accepts also exercises Δ's recursion through
+# its memo wrapper
+@pytest.mark.parametrize("m", [16, 24, MAX_NESTING_DEPTH])
 def test_ck_specialization_on_large_chains_and_stars(m):
     chain = elt("[1:" * (m - 1) + "[]" + "]" * (m - 1))
     assert coproduct(chain, CK) == ck_coproduct_oracle(chain)

@@ -6,12 +6,13 @@ import sys
 
 import treehopf
 
+SOURCES = sorted(pathlib.Path(treehopf.__file__).parent.glob("*.py"))
+
 
 def test_library_imports_only_the_standard_library():
-    sources = sorted(pathlib.Path(treehopf.__file__).parent.glob("*.py"))
-    assert sources
+    assert SOURCES
     outside = []
-    for path in sources:
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -47,9 +48,8 @@ def _annotation_names(tree):
 
 
 def test_library_modules_use_every_name_they_import():
-    sources = sorted(pathlib.Path(treehopf.__file__).parent.glob("*.py"))
     unused = []
-    for path in sources:
+    for path in SOURCES:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -66,3 +66,32 @@ def test_library_modules_use_every_name_they_import():
                 f"{path.name}:{node.lineno} imports {name}" for name in bound if name not in used
             ]
     assert not unused
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def test_library_modules_bind_no_module_level_memo_table():
+    # a module-level empty container is a hand-written memo table; memos
+    # that outlive a call go through functools.cache on the function that
+    # computes the value
+    tables = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and _is_empty_container(node.value)
+    ]
+    assert not tables

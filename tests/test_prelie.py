@@ -24,6 +24,14 @@ from treehopf.prelie import (
     up_map,
 )
 from treehopf.algebra import Element
+from treehopf.planar import (
+    PlanarDualElement,
+    PlanarElement,
+    PlanarWord,
+    enumerate_planar_trees,
+    planar_bullet,
+    planar_coproduct,
+)
 from treehopf.trees import (
     BudgetError,
     ColourMismatchError,
@@ -190,18 +198,33 @@ def test_rescale_two_colours_spot():
 # ---------------------------------------------------------------------------
 
 
+# (trees, one-tree monomial, dual, element, Δ, product, the Δ legs of D_t • D_s)
+SYMMETRIC = (
+    enumerate_trees, Forest.single, DualElement, Element, coproduct, bullet,
+    lambda t, s: (s, t),
+)
+PLANAR = (
+    enumerate_planar_trees, PlanarWord.single, PlanarDualElement, PlanarElement,
+    planar_coproduct, planar_bullet, lambda t, s: (t, s),
+)
+
+
 def test_duality_pairing_symbolic():
     # the structure constant of D_w in D_t • D_s is the coefficient of
-    # s ⊗ t in Δ(w), for every tree w up to 4 vertices
-    for m in range(2, 5):
-        for w in enumerate_trees(1, m):
-            d = coproduct(Element(1, {Forest.single(w): 1}), SYM1)
-            for ka in range(1, m):
-                for t in enumerate_trees(1, ka):
-                    for s in enumerate_trees(1, m - ka):
-                        lhs = bullet(dual(t), dual(s), SYM1).coefficient(w)
-                        rhs = d.coefficient((Forest.single(s), Forest.single(t)))
-                        assert lhs == rhs, (w, t, s)
+    # s ⊗ t in Δ(w) (t ⊗ s for the planar product), for every tree w up
+    # to the size bound: this pins the split and dual tables of both bases
+    for variant, n, max_m in [(SYMMETRIC, 1, 4), (SYMMETRIC, 2, 4), (PLANAR, 1, 5), (PLANAR, 2, 4)]:
+        trees, single, dual_cls, element, delta, product, legs = variant
+        ctx = HopfContext.symbolic(n)
+        for m in range(2, max_m + 1):
+            for w in trees(n, m):
+                d = delta(element.basis(single(w), n), ctx)
+                for ka in range(1, m):
+                    for t in trees(n, ka):
+                        for s in trees(n, m - ka):
+                            prod = product(dual_cls.basis(t, n), dual_cls.basis(s, n), ctx)
+                            rhs = d.coefficient(tuple(map(single, legs(t, s))))
+                            assert prod.coefficient(w) == rhs, (n, w, t, s)
 
 
 # ---------------------------------------------------------------------------
