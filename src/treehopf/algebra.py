@@ -7,17 +7,22 @@ rational constant or a polynomial (usually the symbol itself); constants
 are substituted eagerly, so purely rational runs never touch polynomial
 arithmetic beyond the constant term.
 
-Printing is canonical: monomials are sorted degree-then-lexicographically
-and zero-normalised, so equal coefficients always print identically.
+A monomial is one ``int`` packing the exponents of the 2n symbols in
+fixed-width fields, so multiplying monomials is an integer addition;
+values stay ``int`` until a denominator appears.  Terms are stored
+unordered and sorted into canonical order (by degree, then by symbol)
+only when printed, so equal coefficients always print identically.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as _iproduct
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .trees import (
     ColouredTree,
@@ -31,74 +36,121 @@ from .trees import (
     enumerate_trees,
 )
 
-# a monomial maps no symbols (constant) or symbols (i, j) to exponents;
-# stored as a tuple of ((i, j), exp) pairs sorted by symbol
-Monomial = tuple[tuple[tuple[int, int], int], ...]
+# A monomial is one int: the exponent of q_{ij} sits in the _WIDTH-bit
+# field at index 2(j-1) + (i-1), and the constant monomial is 0, so a
+# monomial product is one integer addition.  The top bit of each field is
+# a guard: every stored exponent is below EXPONENT_LIMIT, so adding two
+# fields never carries into the next one, and a sum that sets a guard bit
+# has overflowed.
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1
+EXPONENT_LIMIT = 1 << (_WIDTH - 1)
+# symbols q_{i1}..q_{i MAX_SYMBOL_COLOUR}; a symbol's field lies past all
+# lower ones, so the colour bounds the size of a monomial
+MAX_SYMBOL_COLOUR = 1024
 
-_CONST: Monomial = ()
+# Guard bits of every field some monomial has used.  Monomials get fields
+# only through ``_shift``, which widens the mask before the field is used;
+# a product's fields are those of its factors.
+_GUARD = 0
+_GUARD_LOCK = threading.Lock()
 
 
-def _mono_sort_key(mono: Monomial):
-    return (sum(e for _, e in mono), mono)
+def _shift(i: int, j: int) -> int:
+    """Bit offset of the field of q_{ij}."""
+    global _GUARD
+    if i not in (1, 2) or not 1 <= j <= MAX_SYMBOL_COLOUR:
+        raise ValueError(
+            f"no such coefficient symbol q{i}{j} (colours run 1..{MAX_SYMBOL_COLOUR})"
+        )
+    shift = _WIDTH * (2 * (j - 1) + (i - 1))
+    guard = EXPONENT_LIMIT << shift
+    if not _GUARD & guard:
+        with _GUARD_LOCK:
+            _GUARD |= guard
+    return shift
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[tuple[int, int], int] = dict(a)
-    for sym, e in b:
-        exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items()))
+def _overflow():
+    raise ValueError(f"a coefficient exponent reached the limit {EXPONENT_LIMIT}")
+
+
+def _unpack(mono: int) -> tuple:
+    """The ((i, j), exponent) pairs of a packed monomial, sorted by symbol."""
+    pairs = []
+    field = 0
+    while mono:
+        exp = mono & _FIELD
+        if exp:
+            pairs.append((((field & 1) + 1, (field >> 1) + 1), exp))
+        mono >>= _WIDTH
+        field += 1
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _norm(value):
+    """An int for an integral value, else the Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _make(terms: dict) -> "Coeff":
+    """Trusted constructor: ``terms`` maps packed monomials to nonzero
+    int or (non-integral) Fraction values."""
+    out = object.__new__(Coeff)
+    out._t = terms
+    return out
 
 
 class Coeff:
-    """A multivariate polynomial over Q in the q-symbols (immutable)."""
+    """A multivariate polynomial over Q in the q-symbols (immutable).
 
-    __slots__ = ("terms", "_hash")
+    The terms are a dict from packed monomial to nonzero value; a value
+    is an ``int`` unless it has a denominator, then a ``Fraction``.
+    """
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable = ()):
+    __slots__ = ("_t", "_hash")
+
+    def __init__(self, terms: Mapping | Iterable = ()):
+        """From (monomial, value) pairs or a mapping; a monomial is a
+        tuple of ((i, j), exponent) pairs, and repeated monomials add up."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
+        total = _make({})
         for mono, value in items:
-            value = Fraction(value)
-            if value:
-                acc[mono] = acc.get(mono, Fraction(0)) + value
-        self.terms = tuple(
-            (m, v) for m, v in sorted(acc.items(), key=lambda kv: _mono_sort_key(kv[0])) if v
-        )
-        self._hash = hash(self.terms)
+            part = Coeff.rational(value)
+            for (i, j), e in mono:
+                part = part * Coeff.variable(i, j) ** e
+            total = total + part
+        self._t = total._t
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, value) -> "Coeff":
-        return cls({_CONST: Fraction(value)})
+        if value.__class__ is not int:
+            value = _norm(Fraction(value))
+        return _make({0: value} if value else {})
 
     @classmethod
     def variable(cls, i: int, j: int) -> "Coeff":
-        if i not in (1, 2) or j < 1:
-            raise ValueError(f"no such coefficient symbol q{i}{j}")
-        return cls({(((i, j), 1),): Fraction(1)})
+        return _make({1 << _shift(i, j): 1})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == _CONST)
+        t = self._t
+        return not t or (len(t) == 1 and 0 in t)
 
     def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"{self} is not a rational constant")
-        return self.terms[0][1]
+        return Fraction(self._t.get(0, 0))
 
     # -- ring operations ---------------------------------------------------
 
@@ -111,13 +163,31 @@ class Coeff:
         raise TypeError(f"cannot treat {value!r} as a coefficient")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return Coeff(list(self.terms) + list(other.terms))
+        if other.__class__ is not Coeff:
+            other = self._coerce(other)
+        a, b = self._t, other._t
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        for m, v in b.items():
+            if m in out:
+                v += out[m]
+                if v:
+                    out[m] = v if v.__class__ is int else _norm(v)
+                else:
+                    del out[m]
+            else:
+                out[m] = v
+        return _make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coeff((m, -v) for m, v in self.terms)
+        return _make({m: -v for m, v in self._t.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -126,15 +196,37 @@ class Coeff:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (Coeff, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
-        acc: dict[Monomial, Fraction] = {}
-        for ma, va in self.terms:
-            for mb, vb in other.terms:
-                m = _mono_mul(ma, mb)
-                acc[m] = acc.get(m, Fraction(0)) + va * vb
-        return Coeff(acc)
+        if other.__class__ is not Coeff:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Coeff.rational(other)
+        a, b = self._t, other._t
+        if len(a) == 1 and len(b) == 1:
+            [(ma, va)] = a.items()
+            [(mb, vb)] = b.items()
+            m = ma + mb
+            if m & _GUARD:
+                _overflow()
+            v = va * vb
+            return _make({m: v if v.__class__ is int else _norm(v)})
+        acc: dict = {}
+        for ma, va in a.items():
+            for mb, vb in b.items():
+                m = ma + mb
+                if m in acc:
+                    acc[m] += va * vb
+                else:
+                    acc[m] = va * vb
+        # checking the result's monomials suffices: the terms of top degree
+        # in a symbol never cancel, so an overflowed field always survives
+        guard = _GUARD
+        out = {}
+        for m, v in acc.items():
+            if v:
+                if m & guard:
+                    _overflow()
+                out[m] = v if v.__class__ is int else _norm(v)
+        return _make(out)
 
     __rmul__ = __mul__
 
@@ -143,12 +235,13 @@ class Coeff:
             raise ValueError("exponent must be a nonnegative integer")
         out = ONE
         base = self
-        while exponent:
+        while True:
             if exponent & 1:
                 out = out * base
-            base = base * base
             exponent >>= 1
-        return out
+            if not exponent:
+                return out
+            base = base * base
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -162,25 +255,39 @@ class Coeff:
             part = Coeff.rational(value)
             for sym, exp in mono:
                 factor = table.get(sym)
-                part = part * (factor ** exp if factor is not None
-                               else Coeff({((sym, exp),): Fraction(1)}))
+                part = part * (factor if factor is not None else Coeff.variable(*sym)) ** exp
             out = out + part
         return out
 
     # -- ordering / hashing / printing --------------------------------------
+
+    @property
+    def terms(self) -> tuple:
+        """The (monomial, value) pairs in canonical order: by degree, then
+        by the monomial's ((i, j), exponent) pairs sorted by symbol."""
+        keyed = []
+        for mono, value in self._t.items():
+            pairs = _unpack(mono)
+            keyed.append((sum(e for _, e in pairs), pairs, value))
+        keyed.sort(key=lambda k: k[:2])
+        return tuple((pairs, value) for _, pairs, value in keyed)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Coeff.rational(other)
         if not isinstance(other, Coeff):
             return NotImplemented
-        return self.terms == other.terms
+        return self._t == other._t
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self._t.items()))
+            return self._hash
 
     def __str__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
         chunks: list[str] = []
         for mono, value in self.terms:
@@ -195,7 +302,7 @@ class Coeff:
         return f"Coeff({self})"
 
 
-def _format_monomial(mono: Monomial, value: Fraction) -> str:
+def _format_monomial(mono: tuple, value) -> str:
     mag = abs(value)
     factors = [f"q{i}{j}" + (f"^{e}" if e > 1 else "") for (i, j), e in mono]
     if not factors:
@@ -242,7 +349,11 @@ def _scan_monomial(sc: Scanner) -> Coeff:
             sym = _scan_symbol(sc)
             exp = 1
             if sc.try_take("^"):
+                at = sc.pos
                 exp = sc.integer()
+                if exp >= EXPONENT_LIMIT:
+                    sc.pos = at
+                    raise sc.error(f"exponent at or over the limit {EXPONENT_LIMIT}")
             out = out * Coeff.variable(*sym) ** exp
         elif ch.isdigit() and first:
             out = out * Coeff.rational(_scan_rational(sc))
@@ -405,6 +516,15 @@ class Combination:
         self.n = n
         self.data = store
 
+    @classmethod
+    def _adopt(cls, n: int, data: dict):
+        """Trusted constructor: ``data`` is a term dict built from checked
+        keys over ``n`` with zero coefficients dropped (as ``_acc`` does)."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.data = data
+        return out
+
     def _check_key(self, key, n):
         if not isinstance(key, self._key_type):
             raise TypeError(f"{type(self).__name__} keys must be {self._noun}s, got {key!r}")
@@ -514,7 +634,7 @@ class Element(Combination):
         for fa, ca in self.data.items():
             for fb, cb in other.data.items():
                 _acc(acc, fa * fb, ca * cb)
-        return type(self)(self.n, acc)
+        return self._adopt(self.n, acc)
 
     def counit(self) -> Coeff:
         return self.coefficient(self._unit_key)
@@ -575,7 +695,7 @@ class TensorElement(Combination):
         for (la, ra), ca in self.data.items():
             for (lb, rb), cb in other.data.items():
                 _acc(acc, (la * lb, ra * rb), ca * cb)
-        return type(self)(self.n, acc)
+        return self._adopt(self.n, acc)
 
     def swap(self):
         return type(self)(self.n, (((r, l), c) for (l, r), c in self.data.items()))
@@ -637,15 +757,16 @@ def sigma(side: int, qspec: QSpec, slots: Sequence[Element]) -> Element:
             raise ValueError("slot elements must live over the same n")
     out: dict[Forest, Coeff] = {}
     items = [list(s.data.items()) for s in slots]
+    powers = [cache(qspec.q(side, j).__pow__) for j in range(1, n + 1)]
     for combo in _iproduct(*items):
         coeff = ONE
         forest = EMPTY_FOREST
-        for j, (f, c) in enumerate(combo, start=1):
-            coeff = coeff * c * qspec.q(side, j) ** f.size
+        for power, (f, c) in zip(powers, combo):
+            coeff = coeff * c * power(f.size)
             forest = forest * f
         if not coeff.is_zero():
             _acc(out, forest, coeff)
-    return Element(n, out)
+    return Element._adopt(n, out)
 
 
 # ---------------------------------------------------------------------------

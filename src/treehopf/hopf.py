@@ -198,10 +198,10 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
         # fold the σ_side weight into each slot term and drop the terms it kills
         weighted = []
         for j, delta in enumerate(slot_deltas, start=1):
-            q = qspec.q(side, j)
+            power = cache(qspec.q(side, j).__pow__)
             slot = []
             for (l, r), c in delta.data.items():
-                w = c * q ** (l if side == 1 else r).size
+                w = c * power((l if side == 1 else r).size)
                 if not w.is_zero():
                     slot.append((l, r, w))
             weighted.append(slot)
@@ -217,7 +217,7 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
             else:
                 key = (lam(lefts), reduce(mul, rights, basis.unit))
             _acc(out, key, coeff)
-    return basis.tensor(n, out)
+    return basis.tensor._adopt(n, out)
 
 
 @cache
@@ -241,7 +241,7 @@ def _extend_linearly(a, basis_fn, cls):
     for key, coeff in a.data.items():
         for k, c in basis_fn(key).data.items():
             _acc(out, k, c * coeff)
-    return cls(a.n, out)
+    return cls._adopt(a.n, out)
 
 
 def _coproduct(basis, a, ctx: HopfContext):
@@ -362,7 +362,7 @@ def _maps_over(basis, ctx: HopfContext, delta):
                 )
             for k, d in antipode(l).data.items():
                 _acc(out, k * r, -(c * d))
-        return element(n, out)
+        return element._adopt(n, out)
 
     def antipode(mono):
         trees = tuple(basis.trees(mono))
@@ -705,6 +705,11 @@ def verify_bialgebra(
             if sum(f.size for f in combo) <= max_degree - 1
         ]
         tuples = _sample(tuples, max_cases, seed + 2)
+        powers = {
+            (side, j): cache(ctx.qspec.q(side, j).__pow__)
+            for side in (1, 2)
+            for j in range(1, n + 1)
+        }
         outcomes = []
 
         # 4. sigma compatibility (counit and coproduct conditions)
@@ -729,11 +734,8 @@ def verify_bialgebra(
                     lefts = EMPTY_FOREST
                     rights = EMPTY_FOREST
                     for j, (key, _) in enumerate(cross, start=1):
-                        coeff = (
-                            coeff
-                            * ctx.qspec.q(side, j) ** key[0].size
-                            * ctx.qspec.q(side, j) ** key[1].size
-                        )
+                        power = powers[side, j]
+                        coeff = coeff * power(key[0].size) * power(key[1].size)
                         lefts = lefts * key[0]
                         rights = rights * key[1]
                     if not coeff.is_zero():

@@ -93,7 +93,7 @@ def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):
                 coeff = evaluate_exponents(ctx.qspec, dict(exps)) * scale
                 if not coeff.is_zero():
                     _acc(out, w, coeff)
-    return type(a)(n, out)
+    return type(a)._adopt(n, out)
 
 
 def bullet(

@@ -4,11 +4,14 @@ Everything in this module is deliberately written against raw
 ``(parents, colours)`` arrays and nested tuples, without importing the
 package under test.  The canonical encodings here are throwaway and only
 serve to deduplicate isomorphism classes; they share no code with the
-library's own canonical forms.
+library's own canonical forms.  ``RefPoly`` is the coefficient ring in
+its first representation (sorted symbol tuples to ``Fraction``), with its
+own product, sum and printer.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 
@@ -118,3 +121,55 @@ def ordered_trees(m: int):
 
 def count_ordered_trees(m: int) -> int:
     return len(set(ordered_trees(m)))
+
+
+# ---------------------------------------------------------------------------
+# the coefficient ring in its first representation
+# ---------------------------------------------------------------------------
+
+
+class RefPoly:
+    """A polynomial over Q in the q-symbols, stored as a dict from a
+    monomial, the sorted tuple of its ((i, j), exponent) pairs, to a
+    nonzero Fraction; printed in the library's canonical form."""
+
+    def __init__(self, terms=None):
+        self.terms = {m: Fraction(v) for m, v in (terms or {}).items() if v}
+
+    @classmethod
+    def monomial(cls, value, exps):
+        """``value`` times the product of q_{ij}^e over ``exps`` {(i, j): e}."""
+        return cls({tuple(sorted((s, e) for s, e in exps.items() if e)): value})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, v in other.terms.items():
+            out[m] = out.get(m, 0) + v
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly({m: -v for m, v in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for ma, va in self.terms.items():
+            for mb, vb in other.terms.items():
+                exps = dict(ma)
+                for s, e in mb:
+                    exps[s] = exps.get(s, 0) + e
+                m = tuple(sorted(exps.items()))
+                out[m] = out.get(m, 0) + va * vb
+        return RefPoly(out)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        chunks = []
+        for m in sorted(self.terms, key=lambda m: (sum(e for _, e in m), m)):
+            v = self.terms[m]
+            factors = [f"q{i}{j}" + (f"^{e}" if e > 1 else "") for (i, j), e in m]
+            if abs(v) != 1 or not factors:
+                factors.insert(0, str(abs(v)))
+            sign = ("" if v > 0 else "-") if not chunks else (" + " if v > 0 else " - ")
+            chunks.append(sign + "*".join(factors))
+        return "".join(chunks)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce
 from treehopf.algebra import (
+    EXPONENT_LIMIT,
+    MAX_SYMBOL_COLOUR,
     ONE,
     ZERO,
     Coeff,
@@ -17,7 +20,14 @@ from treehopf.algebra import (
     parse_tensor,
     sigma,
 )
-from treehopf.trees import ColourMismatchError, EMPTY_FOREST, Forest, parse_forest, parse_tree
+from treehopf.trees import (
+    ColourMismatchError,
+    EMPTY_FOREST,
+    Forest,
+    ParseError,
+    parse_forest,
+    parse_tree,
+)
 
 Q11 = Coeff.variable(1, 1)
 Q21 = Coeff.variable(2, 1)
@@ -87,6 +97,42 @@ def test_variable_symbol_validation():
         Coeff.variable(3, 1)
     with pytest.raises(ValueError):
         Coeff.variable(1, 0)
+    assert str(Coeff.variable(2, MAX_SYMBOL_COLOUR)) == f"q2{MAX_SYMBOL_COLOUR}"
+    with pytest.raises(ValueError):
+        Coeff.variable(1, MAX_SYMBOL_COLOUR + 1)
+
+
+def test_equal_values_hash_equal():
+    assert Coeff.rational(Fraction(4, 2)) == Coeff.rational(2)
+    assert hash(Coeff.rational(Fraction(4, 2))) == hash(Coeff.rational(2))
+    half = Coeff.rational(Fraction(1, 2))
+    assert half * 2 == ONE and hash(half * 2) == hash(ONE)
+    assert hash(half * Q12 + half * Q12) == hash(Q12)
+    assert hash(Q11 * Fraction(1, 3) * 3) == hash(Q11)
+    assert {Coeff.rational(2): "two"}[Coeff.rational(Fraction(6, 3))] == "two"
+
+
+def test_power_is_the_repeated_product():
+    base = Q11 + Q21 + 1
+    product = ONE
+    for k in range(10):
+        assert base ** k == product
+        product = product * base
+
+
+def test_exponent_limit():
+    big = Q11 ** (EXPONENT_LIMIT - 1)
+    assert str(big) == f"q11^{EXPONENT_LIMIT - 1}"
+    assert str(big * Q21) == f"q11^{EXPONENT_LIMIT - 1}*q21"
+    for overflow in (lambda: Q11 ** EXPONENT_LIMIT, lambda: big * Q11,
+                     lambda: (big + 1) * (Q11 - 1),
+                     lambda: Coeff({(((1, 1), EXPONENT_LIMIT),): 1})):
+        with pytest.raises(ValueError, match=str(EXPONENT_LIMIT)):
+            overflow()
+    assert parse_coeff(f"q11^{EXPONENT_LIMIT - 1}") == big
+    with pytest.raises(ParseError, match=str(EXPONENT_LIMIT)) as info:
+        parse_coeff(f"2*q11^{EXPONENT_LIMIT}")
+    assert info.value.pos == len("2*q11^")
 
 
 coeffs = st.builds(
@@ -120,6 +166,42 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_coeff_print_parse_roundtrip(a):
     assert parse_coeff(str(a)) == a
+
+
+# every symbol over n = 3, so fields above the first two and gaps between
+# the fields a monomial uses both occur
+SYMBOLS3 = [(i, j) for j in (1, 2, 3) for i in (1, 2)]
+
+ref_terms = st.lists(
+    st.tuples(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
+    ),
+    max_size=4,
+)
+
+
+def _coeff_and_reference(terms):
+    coeff, ref = ZERO, bruteforce.RefPoly()
+    for value, exps in terms:
+        mono = Coeff.rational(value)
+        for sym, e in zip(SYMBOLS3, exps):
+            mono = mono * Coeff.variable(*sym) ** e
+        coeff = coeff + mono
+        ref = ref + bruteforce.RefPoly.monomial(value, dict(zip(SYMBOLS3, exps)))
+    return coeff, ref
+
+
+@given(ref_terms, ref_terms)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_packed_ring_matches_reference(x, y):
+    a, ra = _coeff_and_reference(x)
+    b, rb = _coeff_and_reference(y)
+    assert str(a) == str(ra) and str(b) == str(rb)
+    for got, want in ((a + b, ra + rb), (a - b, ra + -rb), (a * b, ra * rb)):
+        assert str(got) == str(want)
+        rebuilt = Coeff(want.terms)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
 
 
 @given(coeffs, coeffs)

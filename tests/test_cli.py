@@ -7,7 +7,14 @@ import sys
 import pytest
 
 from treehopf import cli
-from treehopf.algebra import Element, TensorElement, parse_coeff, parse_element, parse_tensor
+from treehopf.algebra import (
+    EXPONENT_LIMIT,
+    Element,
+    TensorElement,
+    parse_coeff,
+    parse_element,
+    parse_tensor,
+)
 from treehopf.hopf import CheckOutcome, VerificationReport
 from treehopf.trees import parse_forest
 
@@ -121,6 +128,12 @@ def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "coproduct", "--n", "1", "[1:[")
     assert code == 2
     assert "position" in err
+
+
+def test_exponent_over_the_limit_exits_2(capsys):
+    code, out, err = run(capsys, "coproduct", "--n", "1", f"q11^{EXPONENT_LIMIT} [1:[]]")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(EXPONENT_LIMIT) in err and err.count("\n") == 1
 
 
 def test_bad_qspec_exits_2(capsys):
