@@ -786,11 +786,9 @@ class _Basis:
 
     commutative: bool  # whether monomials commute
     unit: object  # the empty monomial
-    single: Callable  # tree -> one-tree monomial
-    trees: Callable  # monomial -> its trees, in product order
     edges: Callable  # tree -> its (colour, child) pairs, in listing order
     tree: Callable  # (colour, child) pairs -> tree
-    monomial: Callable  # trees -> monomial
+    monomial: type  # trees -> monomial; ``.trees`` lists them in product order
     lam: Callable  # (slot monomials, n) -> tree: the root constructor
     decompose: Callable  # (tree, n) -> slot monomials: the inverse of lam
     enumerate_trees: Callable  # (n, m) -> all trees with m vertices
@@ -802,8 +800,6 @@ class _Basis:
 _FORESTS = _Basis(
     commutative=True,
     unit=EMPTY_FOREST,
-    single=Forest.single,
-    trees=Forest.trees,
     edges=attrgetter("children"),
     tree=ColouredTree,
     monomial=Forest,
@@ -818,8 +814,18 @@ _FORESTS = _Basis(
 
 def parse_element(text: str, n: int) -> Element:
     """Parse ``coef forest (+|-) ...``; omitted coefficients default to 1."""
+    return _parse_terms(text, n, Element, _scan_term)
+
+
+def _parse_terms(text: str, n: int, cls, scan):
+    """The term loop of ``parse_element`` and ``parse_tensor``.
+
+    Signed terms joined by ``+``/``-``, each read by ``scan`` as a
+    (coefficient, key) pair, are summed into one term dict, and the
+    ``cls`` combination is built from it once; a lone ``0`` is zero.
+    """
     sc = Scanner(text)
-    out = Element.zero(n)
+    out: dict = {}
     sign = 1
     sc.skip_ws()
     if sc.try_take("-"):
@@ -829,11 +835,11 @@ def parse_element(text: str, n: int) -> Element:
         sc.pos += 1
         sc.skip_ws()
         if sc.at_end():
-            return out
+            return cls(n)
         sc.pos = save
     while True:
-        coeff, forest = _scan_term(sc, n)
-        out = out + Element(n, {forest: coeff * sign})
+        coeff, key = scan(sc, n)
+        _acc(out, key, coeff * sign)
         sc.skip_ws()
         if sc.try_take("+"):
             sign = 1
@@ -841,7 +847,7 @@ def parse_element(text: str, n: int) -> Element:
             sign = -1
         else:
             sc.check_done()
-            return out
+            return cls(n, out)
 
 
 def _scan_term(sc: Scanner, n: int) -> tuple[Coeff, Forest]:
@@ -881,32 +887,14 @@ def _scan_term(sc: Scanner, n: int) -> tuple[Coeff, Forest]:
 
 def parse_tensor(text: str, n: int) -> TensorElement:
     """Parse ``coef forest ⊗ forest (+|-) ...`` (``(x)`` accepted for ``⊗``)."""
-    sc = Scanner(text)
-    out = TensorElement.zero(n)
-    sign = 1
+    return _parse_terms(text, n, TensorElement, _scan_tensor_term)
+
+
+def _scan_tensor_term(sc: Scanner, n: int) -> tuple[Coeff, tuple[Forest, Forest]]:
+    """One signless tensor term: a term, ``⊗``, then the right forest."""
+    coeff, left = _scan_term(sc, n)
     sc.skip_ws()
-    if sc.try_take("-"):
-        sign = -1
-    elif sc.peek() == "0":
-        save = sc.pos
-        sc.pos += 1
-        sc.skip_ws()
-        if sc.at_end():
-            return out
-        sc.pos = save
-    while True:
-        coeff, left = _scan_term(sc, n)
-        sc.skip_ws()
-        if not sc.try_take("⊗"):
-            sc.expect("(x)")
-        sc.skip_ws()
-        right = sc.forest(n)
-        out = out + TensorElement(n, {(left, right): coeff * sign})
-        sc.skip_ws()
-        if sc.try_take("+"):
-            sign = 1
-        elif sc.try_take("-"):
-            sign = -1
-        else:
-            sc.check_done()
-            return out
+    if not sc.try_take("⊗"):
+        sc.expect("(x)")
+    sc.skip_ws()
+    return coeff, (left, sc.forest(n))

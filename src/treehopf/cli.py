@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the axiom suite; exit 3 on failure")
     common(p)
     p.add_argument("--max-degree", type=int, default=3, help="largest total vertex count")
-    p.add_argument("--max-cases", type=int, default=None, help="sample size per check")
+    p.add_argument("--max-cases", type=int, default=None, help="sample size per check (at least 1)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     return top
 

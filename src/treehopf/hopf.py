@@ -14,7 +14,7 @@ The closed formula is kept as an oracle, ``coproduct_closed``: the sum
 over all vertex subsets s of q(s,t)·(induced forest of s) ⊗ (induced
 forest of the complement), where q(s,t) is a monomial in the 2n
 parameters determined by colour counts along root paths (see
-``subset_exponents``).  It costs 2^|V| per forest; the test-suite pins
+``_walk``).  It costs 2^|V| per forest; the test-suite pins
 the production route against it, and against the admissible-cut
 oracle ``ck_coproduct_oracle`` at the Connes–Kreimer point.
 
@@ -61,7 +61,6 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     IndexedForest,
-    Subforest,
     _induced_monomial,
     add_root,
     decompose,
@@ -103,7 +102,7 @@ class HopfContext:
 
 def _index(basis, mono) -> IndexedForest:
     """A fresh vertex index of a monomial of either basis."""
-    return IndexedForest(basis.trees(mono), basis.edges)
+    return IndexedForest(mono.trees, basis.edges)
 
 
 def _parts(basis, idx: IndexedForest) -> list:
@@ -114,28 +113,16 @@ def _parts(basis, idx: IndexedForest) -> list:
     ]
 
 
-def subset_exponents(
-    forest: Forest, mask: int, host_mask: int | None = None
-) -> dict[tuple[int, int], int]:
-    """Exponent of each parameter q_{ij} in q(s, host).
-
-    For every selected vertex, walk its root path (inside the induced
-    structure of ``host_mask`` when given) and count, per colour, the
-    edges whose lower vertex falls outside the subset; complementary
-    vertices contribute the same counts relative to the complement, on
-    row 2.
-    """
-    idx = _index(_FORESTS, forest)
-    if host_mask is None:
-        host_mask = (1 << idx.nverts) - 1
-    if mask & ~host_mask:
-        raise ValueError("subset must lie inside the host")
-    return _walk(induced_structure(idx, host_mask), mask, host_mask)
-
-
 def _walk(structure, mask: int, host_mask: int) -> dict[tuple[int, int], int]:
-    """The exponent walk of ``subset_exponents`` over the induced
-    (parent, colour) maps ``structure`` of ``host_mask``."""
+    """Exponent of each parameter q_{ij} in q(s, host), for the subset
+    ``mask`` of ``host_mask``, given the induced (parent, colour) maps
+    ``structure`` of ``host_mask``.
+
+    For every selected vertex, walk its root path inside the host and
+    count, per colour, the edges whose lower (root-side) vertex falls
+    outside the subset, on row 1; complementary vertices contribute the
+    same counts relative to the complement, on row 2.
+    """
     parent_of, colour_of = structure
     exps: dict[tuple[int, int], int] = {}
     for v in parent_of:
@@ -151,19 +138,6 @@ def _walk(structure, mask: int, host_mask: int) -> dict[tuple[int, int], int]:
                 exps[key] = exps.get(key, 0) + 1
             walk = lower
     return exps
-
-
-def q_coeff(s: Subforest, ctx: HopfContext, within: Subforest | None = None) -> Coeff:
-    """The parameter monomial q(s, host) attached to a vertex subset.
-
-    ``within`` restricts the host to an induced subforest; by default the
-    host is the full forest.
-    """
-    if within is not None and within.host != s.host:
-        raise ValueError("s and within must share the same underlying forest")
-    host_mask = within.mask if within is not None else None
-    exps = subset_exponents(s.host, s.mask, host_mask)
-    return evaluate_exponents(ctx.qspec, exps)
 
 
 def _split_table(basis, mono) -> list:
@@ -192,7 +166,7 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
     Π_j q_{ij}^{|leg_j|}; λ is the basis's root constructor.
     """
     n, qspec = ctx.n, ctx.qspec
-    lam = lambda legs: basis.single(basis.lam(legs, n))
+    lam = lambda legs: basis.monomial.single(basis.lam(legs, n))
     out: dict = {}
     for side in (1, 2):
         # fold the σ_side weight into each slot term and drop the terms it kills
@@ -225,13 +199,13 @@ def _delta(basis, mono, ctx: HopfContext):
     """Memoised Δ of a basis monomial: the root-constructor square on a
     single tree, else the product over its trees in order (Δ is an
     algebra map).  The oracles never read it."""
-    trees = tuple(basis.trees(mono))
+    trees = mono.trees
     if len(trees) == 1:
         slots = [_delta(basis, x, ctx) for x in basis.decompose(trees[0], ctx.n)]
         return _root_square(basis, slots, ctx)
     out = basis.tensor.unit(ctx.n)
     for tree in trees:
-        out = out * _delta(basis, basis.single(tree), ctx)
+        out = out * _delta(basis, basis.monomial.single(tree), ctx)
     return out
 
 
@@ -350,7 +324,7 @@ def _maps_over(basis, ctx: HopfContext, delta):
 
     @cache
     def s_tree(tree):
-        mono = basis.single(tree)
+        mono = basis.monomial.single(tree)
         out: dict = {mono: Coeff.rational(-1)}
         for (l, r), c in delta(mono).data.items():
             if l.is_empty() or r.is_empty():
@@ -365,7 +339,7 @@ def _maps_over(basis, ctx: HopfContext, delta):
         return element._adopt(n, out)
 
     def antipode(mono):
-        trees = tuple(basis.trees(mono))
+        trees = mono.trees
         return reduce(mul, map(s_tree, reversed(trees))) if trees else element.unit(n)
 
     return delta, antipode
@@ -471,7 +445,7 @@ def ck_coproduct_oracle(a: Element) -> TensorElement:
     out: dict[tuple[Forest, Forest], Coeff] = {}
     for forest, coeff in a.data.items():
         terms: dict[tuple[Forest, Forest], Coeff] = {(EMPTY_FOREST, EMPTY_FOREST): ONE}
-        for tree in forest.trees():
+        for tree in forest.trees:
             tree_terms: dict[tuple[Forest, Forest], Coeff] = {}
             _acc(tree_terms, (Forest.single(tree), EMPTY_FOREST), ONE)
             for crown, trunk in _admissible_cuts(tree):
@@ -518,7 +492,7 @@ def simplicial_d(i: int, a: Element) -> Element:
 
     def d_forest(forest: Forest) -> Forest:
         out = EMPTY_FOREST
-        for tree in forest.trees():
+        for tree in forest.trees:
             out = out * d_tree(tree)
         return out
 
@@ -536,7 +510,7 @@ def simplicial_s(i: int, a: Element) -> Element:
 
     def s_forest(forest: Forest) -> Forest:
         return Forest(
-            t.recolour(lambda c: c if c <= i else c + 1) for t in forest.trees()
+            t.recolour(lambda c: c if c <= i else c + 1) for t in forest.trees
         )
 
     return Element(n + 1, ((s_forest(f), c) for f, c in a.data.items()))
@@ -603,8 +577,11 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
     both orders.  ``coproduct_fn`` replaces the production Δ, and the
     antipode is rebuilt from it (a Δ on which the recursion cannot run
     fails the antipode check with the ``ValueError`` message);
-    ``max_cases`` caps each case list by seeded sampling.
+    ``max_cases`` caps each case list by seeded sampling; below 1 it
+    raises ``ValueError``.
     """
+    if max_cases is not None and max_cases < 1:
+        raise ValueError(f"max_cases must be at least 1, got {max_cases}")
     n = ctx.n
     element = basis.element
     report = VerificationReport(n=n, max_degree=max_degree)

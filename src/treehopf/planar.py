@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product as _iproduct
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .algebra import Element, TensorElement, _Basis
@@ -48,6 +47,7 @@ from .trees import (
     Forest,
     Scanner,
     _Keyed,
+    _Monomial,
     _compositions,
     _induced_monomial,
 )
@@ -101,39 +101,14 @@ class PlanarTree(_Keyed):
 PLANAR_LEAF = PlanarTree()
 
 
-class PlanarWord(_Keyed):
+class PlanarWord(_Monomial):
     """An ordered sequence of planar trees: a basis word of the tensor
     algebra.  The empty word is the unit; concatenation multiplies."""
 
-    __slots__ = ("trees", "key", "size", "max_colour", "_hash")
-
-    def __init__(self, trees: Iterable[PlanarTree] = ()):
-        seq = tuple(trees)
-        for t in seq:
-            if not isinstance(t, PlanarTree):
-                raise TypeError("word members must be PlanarTree instances")
-        self.trees = seq
-        self.key = tuple(t.key for t in seq)
-        self.size = sum(t.size for t in seq)
-        self.max_colour = max((t.max_colour for t in seq), default=0)
-        self._hash = hash(self.key)
-
-    @classmethod
-    def single(cls, tree: PlanarTree) -> "PlanarWord":
-        return cls((tree,))
-
-    def is_empty(self) -> bool:
-        return not self.trees
-
-    def __mul__(self, other):
-        if not isinstance(other, PlanarWord):
-            return NotImplemented
-        return PlanarWord(self.trees + other.trees)
-
-    def __str__(self):
-        if not self.trees:
-            return "1"
-        return "*".join(str(t) for t in self.trees)
+    __slots__ = ()
+    _member = PlanarTree
+    _noun = "word"
+    _sorted = False
 
 
 EMPTY_WORD = PlanarWord()
@@ -234,8 +209,6 @@ def enumerate_planar_words_up_to(n: int, max_total: int) -> tuple[PlanarWord, ..
 _WORDS = _Basis(
     commutative=False,
     unit=EMPTY_WORD,
-    single=PlanarWord.single,
-    trees=attrgetter("trees"),
     edges=PlanarTree.children,
     tree=PlanarTree,
     monomial=PlanarWord,

@@ -62,7 +62,7 @@ def _dual_split_table(basis, n: int, m: int) -> dict:
     so one table serves every QSpec."""
     table: dict = {}
     for w in basis.enumerate_trees(n, m):
-        for part, comp, exps in _split_table(basis, basis.single(w)):
+        for part, comp, exps in _split_table(basis, basis.monomial.single(w)):
             table.setdefault((part, comp), []).append((w, tuple(sorted(exps.items()))))
     return {k: tuple(v) for k, v in table.items()}
 
@@ -88,7 +88,7 @@ def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):
                     f"{budget} total vertices (raise the budget to proceed)"
                 )
             scale = cx * cy
-            key = tuple(basis.single(tree) for tree in split(x, y))
+            key = tuple(basis.monomial.single(tree) for tree in split(x, y))
             for w, exps in _dual_split_table(basis, n, m).get(key, ()):
                 coeff = evaluate_exponents(ctx.qspec, dict(exps)) * scale
                 if not coeff.is_zero():

@@ -1,4 +1,4 @@
-"""Coloured rooted trees, forests and subforest machinery.
+"""Coloured rooted trees, forests and their vertex subsets.
 
 A *tree* is a finite rooted tree whose edges carry colours ``1..n``; the
 colour count ``n`` is a context parameter, not part of the tree itself.
@@ -15,8 +15,8 @@ Text grammar (bit-exact, whitespace-tolerant on input)::
     colour  := decimal integer >= 1
     forest  := "1" | tree ("*" tree)*
 
-Subforests are vertex subsets of a concrete host forest together with
-the induced partial order.  The induced forest of a subset assigns each
+A vertex subset of a forest is a bitmask over its depth-first vertex
+ids (``IndexedForest``).  The induced forest of a subset assigns each
 selected vertex to its nearest selected ancestor; the connecting edge
 takes the colour of the host edge adjacent to that ancestor on the path.
 """
@@ -24,7 +24,6 @@ takes the colour of the host edge adjacent to that ancestor on the path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as _iproduct
 from operator import attrgetter
@@ -134,62 +133,79 @@ class ColouredTree(_Keyed):
 LEAF = ColouredTree()
 
 
-class Forest(_Keyed):
-    """A multiset of coloured trees (commutative monomial in the tree basis).
+_KEY = attrgetter("key")
 
-    Multiplicities are stored run-length in ``items``; ``trees()`` expands
-    them in canonical order.  ``Forest(())`` is the empty forest / unit.
+
+class _Monomial(_Keyed):
+    """Value code shared by forests and planar words: a basis monomial of
+    the free algebra on trees, stored as the tuple ``trees`` of its
+    factors.
+
+    A subclass names its member type ``_member`` and the word for itself,
+    ``_noun``; ``_sorted`` says whether ``trees`` is kept sorted by key
+    (a commutative product) or in product order.  The empty tuple is the
+    unit.
     """
 
-    __slots__ = ("items", "key", "size", "max_colour", "_hash")
+    __slots__ = ("trees", "key", "size", "max_colour", "_hash")
 
-    def __init__(self, trees: Iterable[ColouredTree] = ()):
-        expanded = sorted(trees)
-        items: list[tuple[ColouredTree, int]] = []
-        for t in expanded:
-            if not isinstance(t, ColouredTree):
-                raise TypeError("forest members must be ColouredTree instances")
-            if items and items[-1][0] == t:
-                items[-1] = (t, items[-1][1] + 1)
-            else:
-                items.append((t, 1))
-        self.items = tuple(items)
-        self.key = tuple(t.key for t in expanded)
-        self.size = sum(t.size for t in expanded)
-        self.max_colour = max((t.max_colour for t, _ in items), default=0)
+    _member: type
+    _noun: str
+    _sorted: bool
+
+    def __init__(self, trees: Iterable = ()):
+        trees = tuple(trees)
+        for t in trees:
+            if not isinstance(t, self._member):
+                raise TypeError(
+                    f"{self._noun} members must be {self._member.__name__} instances"
+                )
+        self._fill(trees)
+
+    def _fill(self, trees: tuple):
+        if self._sorted:
+            trees = tuple(sorted(trees, key=_KEY))
+        self.trees = trees
+        self.key = tuple(map(_KEY, trees))
+        self.size = sum(t.size for t in trees)
+        self.max_colour = max((t.max_colour for t in trees), default=0)
         self._hash = hash(self.key)
 
     @classmethod
-    def single(cls, tree: ColouredTree) -> "Forest":
+    def single(cls, tree):
         return cls((tree,))
 
-    def trees(self) -> Iterator[ColouredTree]:
-        for t, mult in self.items:
-            for _ in range(mult):
-                yield t
-
-    @property
-    def ntrees(self) -> int:
-        return sum(m for _, m in self.items)
-
     def is_empty(self) -> bool:
-        return not self.items
-
-    def is_single_tree(self) -> bool:
-        return self.ntrees == 1
+        return not self.trees
 
     def __mul__(self, other):
-        if not isinstance(other, Forest):
+        if type(other) is not type(self):
             return NotImplemented
-        return Forest(list(self.trees()) + list(other.trees()))
+        if not other.trees:
+            return self
+        if not self.trees:
+            return other
+        out = object.__new__(type(self))
+        out._fill(self.trees + other.trees)
+        return out
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
     def __str__(self):
-        if not self.items:
+        if not self.trees:
             return "1"
-        return "*".join(str(t) for t in self.trees())
+        return "*".join(str(t) for t in self.trees)
+
+
+class Forest(_Monomial):
+    """A multiset of coloured trees (commutative monomial in the tree basis),
+    its trees sorted by key.  ``Forest(())`` is the empty forest / unit."""
+
+    __slots__ = ()
+    _member = ColouredTree
+    _noun = "forest"
+    _sorted = True
 
 
 EMPTY_FOREST = Forest()
@@ -211,7 +227,7 @@ def add_root(slots: Sequence[Forest], n: int | None = None) -> ColouredTree:
             raise ColourMismatchError(
                 f"slot {i} contains colour {forest.max_colour} > n = {n}"
             )
-        for t in forest.trees():
+        for t in forest.trees:
             children.append((i, t))
     return ColouredTree(children)
 
@@ -361,21 +377,8 @@ def enumerate_forests_up_to(n: int, max_total: int) -> tuple[Forest, ...]:
 
 
 # ---------------------------------------------------------------------------
-# vertex addressing and subforests
+# vertex subsets
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VertexRef:
-    """Path address of a vertex in a canonical forest.
-
-    ``tree_index`` positions the component in the multiplicity-expanded
-    canonical tree list; each path step ``(colour, k)`` descends to the
-    k-th child (0-based) among that colour's children.
-    """
-
-    tree_index: int
-    path: tuple[tuple[int, int], ...] = ()
 
 
 class IndexedForest:
@@ -383,17 +386,14 @@ class IndexedForest:
 
     Vertices are numbered in depth-first preorder over the trees in product
     order, each vertex's edges in listing order, so vertex ids are a
-    deterministic total order.  The path addresses ``refs`` are built on
-    first use: only the ``Subforest`` API reads them.
+    deterministic total order and a vertex subset is a bitmask over them.
     """
 
-    __slots__ = ("parents", "colours", "_refs", "_ref_ids")
+    __slots__ = ("parents", "colours")
 
     def __init__(self, trees: Iterable, edges: Callable):
         self.parents: list[int | None] = []
         self.colours: list[int | None] = []
-        self._refs: list[VertexRef] | None = None
-        self._ref_ids: dict[VertexRef, int] | None = None
 
         def visit(tree, parent: int | None, colour: int | None):
             vid = len(self.parents)
@@ -408,106 +408,6 @@ class IndexedForest:
     @property
     def nverts(self) -> int:
         return len(self.parents)
-
-    @property
-    def refs(self) -> list[VertexRef]:
-        if self._refs is None:
-            # a child's address extends its parent's by (colour, k), k
-            # counting the parent's earlier children of that colour
-            refs: list[VertexRef] = []
-            seen: dict[tuple[int, int], int] = {}
-            t_idx = -1
-            for parent, colour in zip(self.parents, self.colours):
-                if parent is None:
-                    t_idx += 1
-                    refs.append(VertexRef(t_idx))
-                else:
-                    k = seen.get((parent, colour), 0)
-                    seen[(parent, colour)] = k + 1
-                    refs.append(VertexRef(t_idx, refs[parent].path + ((colour, k),)))
-            self._refs = refs
-        return self._refs
-
-    @property
-    def ref_ids(self) -> dict[VertexRef, int]:
-        if self._ref_ids is None:
-            self._ref_ids = {ref: vid for vid, ref in enumerate(self.refs)}
-        return self._ref_ids
-
-
-@cache
-def indexed(forest: Forest) -> IndexedForest:
-    """The cached vertex arrays of a forest, read by the ``Subforest`` API."""
-    return IndexedForest(forest.trees(), attrgetter("children"))
-
-
-def vertices(forest: Forest) -> tuple[VertexRef, ...]:
-    return tuple(indexed(forest).refs)
-
-
-class Subforest:
-    """A vertex subset of a host forest, with the induced partial order.
-
-    The subset is held as a bitmask over the host's depth-first vertex
-    ids; ``selected`` exposes it as path addresses.
-    """
-
-    __slots__ = ("host", "mask")
-
-    def __init__(self, host: Forest, mask: int):
-        self.host = host
-        self.mask = mask
-
-    @classmethod
-    def from_refs(cls, host: Forest, refs: Iterable[VertexRef]) -> "Subforest":
-        idx = indexed(host)
-        mask = 0
-        for ref in refs:
-            if ref not in idx.ref_ids:
-                raise ValueError(f"{ref} is not a vertex of {host}")
-            mask |= 1 << idx.ref_ids[ref]
-        return cls(host, mask)
-
-    @classmethod
-    def full(cls, host: Forest) -> "Subforest":
-        return cls(host, (1 << indexed(host).nverts) - 1)
-
-    @property
-    def selected(self) -> frozenset[VertexRef]:
-        idx = indexed(self.host)
-        return frozenset(idx.refs[v] for v in self.vertex_ids())
-
-    def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(v for v in range(indexed(self.host).nverts) if self.mask >> v & 1)
-
-    def __len__(self):
-        return bin(self.mask).count("1")
-
-    def __eq__(self, other):
-        if not isinstance(other, Subforest):
-            return NotImplemented
-        return self.host == other.host and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((self.host, self.mask))
-
-    def complement(self) -> "Subforest":
-        full = (1 << indexed(self.host).nverts) - 1
-        return Subforest(self.host, full ^ self.mask)
-
-    def induced(self) -> Forest:
-        """The canonical forest induced on the selected vertices."""
-        return _induced_monomial(indexed(self.host), self.mask)
-
-    def __repr__(self):
-        return f"Subforest({self.host}, {{{','.join(map(str, self.vertex_ids()))}}})"
-
-
-def subforests(forest: Forest) -> Iterator[Subforest]:
-    """All 2^|forest| vertex subsets of a forest, as subforests."""
-    nv = indexed(forest).nverts
-    for mask in range(1 << nv):
-        yield Subforest(forest, mask)
 
 
 def induced_structure(
@@ -560,40 +460,6 @@ def _induced_monomial(
         return tree((c, build(u)) for c, u in kids[v])
 
     return monomial(build(r) for r in roots)
-
-
-def p_count(colour: int, v: VertexRef, s: Subforest) -> int:
-    """Edges of the given colour on v's root path whose lower vertex lies
-    outside ``s``.  Requires ``v`` selected in ``s``; paths stay inside
-    v's component."""
-    return p_count_within(colour, v, s, Subforest.full(s.host))
-
-
-def p_count_within(colour: int, v: VertexRef, s: Subforest, host: Subforest) -> int:
-    """Same count taken inside the induced forest of ``host``.
-
-    ``s`` must select a subset of ``host``'s vertices; the root path of
-    ``v`` is its ancestor chain in the induced structure of ``host``.
-    """
-    if s.host != host.host:
-        raise ValueError("s and host must share the same underlying forest")
-    if s.mask & ~host.mask:
-        raise ValueError("s must be a subset of host")
-    idx = indexed(s.host)
-    vid = idx.ref_ids.get(v)
-    if vid is None:
-        raise ValueError(f"{v} is not a vertex of {s.host}")
-    if not s.mask >> vid & 1:
-        raise ValueError(f"{v} is not selected in the subforest")
-    parent_of, colour_of = induced_structure(idx, host.mask)
-    count = 0
-    walk = vid
-    while parent_of[walk] is not None:
-        lower = parent_of[walk]
-        if colour_of[walk] == colour and not s.mask >> lower & 1:
-            count += 1
-        walk = lower
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ package under test.  The canonical encodings here are throwaway and only
 serve to deduplicate isomorphism classes; they share no code with the
 library's own canonical forms.  ``RefPoly`` is the coefficient ring in
 its first representation (sorted symbol tuples to ``Fraction``), with its
-own product, sum and printer.
+own product, sum and printer.  ``closed_coproduct`` reads the closed
+formula for the coproduct family literally: a sum over vertex subsets,
+with its own root-path counts and its own induced forests.
 """
 
 from __future__ import annotations
@@ -173,3 +175,79 @@ class RefPoly:
             sign = ("" if v > 0 else "-") if not chunks else (" + " if v > 0 else " - ")
             chunks.append(sign + "*".join(factors))
         return "".join(chunks)
+
+
+# ---------------------------------------------------------------------------
+# the closed coproduct formula, read literally on a raw tree
+# ---------------------------------------------------------------------------
+
+
+def p_count(parents, colours, colour, v, side) -> int:
+    """Colour-``colour`` edges on v's root path whose root-side end lies
+    outside ``side``, the set of vertices on v's side of the split."""
+    count = 0
+    while v:
+        up = parents[v - 1]
+        if colours[v - 1] == colour and up not in side:
+            count += 1
+        v = up
+    return count
+
+
+def induced_encoding(parents, colours, selected):
+    """Encoding of the forest induced on the vertex set ``selected``.
+
+    Each selected vertex hangs below its nearest selected ancestor, by the
+    colour of the host edge just below that ancestor; vertices without a
+    selected ancestor are roots.  Trees are encoded as in ``raw_encoding``
+    and a forest is the sorted tuple of its tree encodings.
+    """
+    kids = {v: [] for v in selected}
+    roots = []
+    for v in selected:
+        below = v
+        while below and parents[below - 1] not in selected:
+            below = parents[below - 1]
+        if below:
+            kids[parents[below - 1]].append((colours[below - 1], v))
+        else:
+            roots.append(v)
+
+    def enc(v):
+        return tuple(sorted((c, enc(u)) for c, u in kids[v]))
+
+    return tuple(sorted(enc(r) for r in roots))
+
+
+def closed_coproduct(parents, colours, n_colours: int) -> dict:
+    """The coproduct of one raw tree over the symbolic parameters.
+
+    Every vertex subset s contributes q(s)·(forest induced on s) ⊗ (forest
+    induced on the rest), where q(s) is the product of q1c^p over the
+    vertices v in s and of q2c^p over the vertices outside s, p being
+    ``p_count`` of colour c at v relative to v's side.  Returns
+    {(left encoding, right encoding): RefPoly}, zero terms dropped.
+    """
+    m = len(parents) + 1
+    out = {}
+    for bits in product((False, True), repeat=m):
+        s = frozenset(v for v in range(m) if bits[v])
+        rest = frozenset(range(m)) - s
+        exps = q_exponents(parents, colours, n_colours, s)
+        key = (induced_encoding(parents, colours, s), induced_encoding(parents, colours, rest))
+        out[key] = out.get(key, RefPoly()) + RefPoly.monomial(1, exps)
+    return {k: v for k, v in out.items() if v.terms}
+
+
+def q_exponents(parents, colours, n_colours: int, s) -> dict:
+    """The nonzero exponents {(row, colour): e} of q(s) for the vertex set s."""
+    m = len(parents) + 1
+    rest = frozenset(range(m)) - s
+    exps = {}
+    for v in range(m):
+        row, side = (1, s) if v in s else (2, rest)
+        for c in range(1, n_colours + 1):
+            e = p_count(parents, colours, c, v, side)
+            if e:
+                exps[(row, c)] = exps.get((row, c), 0) + e
+    return exps

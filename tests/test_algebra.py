@@ -13,8 +13,10 @@ from treehopf.algebra import (
     ONE,
     ZERO,
     Coeff,
+    Combination,
     Element,
     QSpec,
+    TensorElement,
     parse_coeff,
     parse_element,
     parse_tensor,
@@ -25,6 +27,7 @@ from treehopf.trees import (
     EMPTY_FOREST,
     Forest,
     ParseError,
+    enumerate_forests_up_to,
     parse_forest,
     parse_tree,
 )
@@ -302,6 +305,35 @@ def test_tensor_element():
     u = parse_tensor("1 ⊗ []*[]", 1)
     assert u.left_counit() == parse_element("[]*[]", 1)
     assert u.right_counit() == parse_element("0", 1)
+
+
+def test_parsing_sums_terms_without_adding_combinations(monkeypatch):
+    # parsing is linear in the term count: the terms go into one dict and
+    # the combination is built once, never by adding partial sums
+    forests = enumerate_forests_up_to(1, 9)[:1000]
+    assert len(forests) == 1000
+
+    def refuse(self, other):
+        raise AssertionError("Combination.__add__ called while parsing")
+
+    monkeypatch.setattr(Combination, "__add__", refuse)
+    text = " + ".join(f"{k + 1} {f}" for k, f in enumerate(forests))
+    assert parse_element(text, 1).data == {f: k + 1 for k, f in enumerate(forests)}
+    text = " - ".join(f"{k + 1} {f} ⊗ []" for k, f in enumerate(forests))
+    tensor = parse_tensor(text, 1)
+    assert len(tensor) == 1000
+    assert tensor.coefficient((forests[1], parse_forest("[]"))) == -2
+
+
+def test_parsed_terms_collect():
+    assert parse_element("[] - []", 1) == Element.zero(1)
+    assert parse_element("2 [] + 3 []", 1) == Element(1, {parse_forest("[]"): 5})
+    assert parse_element("0", 1) == Element.zero(1)
+    assert parse_tensor("[] ⊗ 1 - [] ⊗ 1", 1) == TensorElement.zero(1)
+    assert parse_tensor("2 [] ⊗ 1 + 3 [] ⊗ 1", 1) == TensorElement(
+        1, {(parse_forest("[]"), EMPTY_FOREST): 5}
+    )
+    assert parse_tensor("0", 1) == TensorElement.zero(1)
 
 
 def test_tensor_product_is_componentwise():

@@ -177,6 +177,13 @@ def test_budget_exits_4(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_cases_below_one_exits_2(capsys, value):
+    code, out, err = run(capsys, "verify", "--n", "1", "--max-degree", "2", "--max-cases", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "max_cases" in err and err.count("\n") == 1
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     # no honest parameter choice breaks the axioms, so force a failing
     # report to pin the exit-code contract

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce
 from treehopf.algebra import (
+    _FORESTS,
     Coeff,
     Element,
     QSpec,
     TensorElement,
+    evaluate_exponents,
     parse_coeff,
     parse_element,
     parse_tensor,
@@ -24,20 +27,22 @@ from treehopf.hopf import (
     coproduct,
     coproduct_closed,
     coproduct_of_slots,
-    q_coeff,
+    _index,
+    _split_table,
+    _walk,
     simplicial_d,
     simplicial_s,
     verify_bialgebra,
 )
+from treehopf.planar import verify_planar
 from treehopf.trees import (
     ColourMismatchError,
     Forest,
     MAX_NESTING_DEPTH,
-    Subforest,
-    VertexRef,
     canonicalize,
     enumerate_forests_up_to,
     enumerate_trees,
+    induced_structure,
     parse_forest,
     parse_tree,
 )
@@ -56,29 +61,78 @@ def elt(text, n=1):
 # ---------------------------------------------------------------------------
 
 
+# vertex ids of the 3-chain, in depth-first preorder
+ROOT, MID, TOP = 1 << 0, 1 << 1, 1 << 2
+
+
+def q_of(forest, mask, host_mask=None, ctx=SYM1):
+    """q(s, host) of the vertex subset ``mask``, the host being the
+    subset ``host_mask`` (by default every vertex)."""
+    idx = _index(_FORESTS, forest)
+    if host_mask is None:
+        host_mask = (1 << idx.nverts) - 1
+    return evaluate_exponents(ctx.qspec, _walk(induced_structure(idx, host_mask), mask, host_mask))
+
+
 def test_q_coeff_examples():
     host = Forest.single(parse_tree("[1:[1:[]]]"))
-    top = VertexRef(0, ((1, 0), (1, 0)))
-    mid = VertexRef(0, ((1, 0),))
-    root = VertexRef(0, ())
     # both path edges of the selected top vertex have outside lower ends
-    assert q_coeff(Subforest.from_refs(host, [top]), SYM1) == parse_coeff("q11^2")
+    assert q_of(host, TOP) == parse_coeff("q11^2")
     # complement vertices contribute on the q2 row
-    assert q_coeff(Subforest.from_refs(host, [root]), SYM1) == parse_coeff("q21^2")
-    assert q_coeff(Subforest.from_refs(host, [mid]), SYM1) == parse_coeff("q11*q21")
-    assert q_coeff(Subforest.from_refs(host, [root, mid, top]), SYM1) == parse_coeff("1")
+    assert q_of(host, ROOT) == parse_coeff("q21^2")
+    assert q_of(host, MID) == parse_coeff("q11*q21")
+    assert q_of(host, ROOT | MID | TOP) == parse_coeff("1")
+    # the split table carries the same exponents, in mask order
+    table = _split_table(_FORESTS, host)
+    for mask in range(8):
+        assert evaluate_exponents(SYM1.qspec, table[mask][2]) == q_of(host, mask)
 
 
 def test_q_coeff_within_induced_host():
     host = Forest.single(parse_tree("[1:[1:[]]]"))
-    top = VertexRef(0, ((1, 0), (1, 0)))
-    root = VertexRef(0, ())
-    within = Subforest.from_refs(host, [root, top])
-    s = Subforest.from_refs(host, [top])
+    within = ROOT | TOP
     # inside the contracted 2-chain the top keeps one edge below it, while
     # the complement (the root) has no path above it at all
-    assert q_coeff(s, SYM1, within=within) == parse_coeff("q11")
-    assert q_coeff(Subforest.from_refs(host, [root]), SYM1, within=within) == parse_coeff("q21")
+    assert q_of(host, TOP, within) == parse_coeff("q11")
+    assert q_of(host, ROOT, within) == parse_coeff("q21")
+
+
+@pytest.mark.parametrize("n,mmax", [(1, 6), (2, 5)])
+def test_split_exponents_match_the_literal_counts(n, mmax):
+    # subset by subset: the exponent walk of the split table against the
+    # oracle's root-path counts, on the same vertex numbering
+    for m in range(1, mmax + 1):
+        for tree in enumerate_trees(n, m):
+            host = Forest.single(tree)
+            idx = _index(_FORESTS, host)
+            parents, colours = tuple(idx.parents[1:]), tuple(idx.colours[1:])
+            for mask, (_, _, exps) in enumerate(_split_table(_FORESTS, host)):
+                s = frozenset(v for v in range(m) if mask >> v & 1)
+                assert exps == bruteforce.q_exponents(parents, colours, n, s), (str(tree), mask)
+
+
+@pytest.mark.parametrize("n,mmax", [(1, 6), (2, 5)])
+def test_coproduct_matches_the_literal_closed_formula(n, mmax):
+    # the brute-force oracle reads the closed formula on raw parent arrays,
+    # with its own root-path counts, induced forests and coefficient ring
+    ctx = HopfContext.symbolic(n)
+    for m in range(1, mmax + 1):
+        seen = set()
+        for parents, colours in bruteforce.raw_trees(n, m):
+            enc = bruteforce.raw_encoding(parents, colours)
+            if enc in seen:
+                continue
+            seen.add(enc)
+            tree = canonicalize((None,) + parents, (None,) + colours, n)
+            assert tree.key == enc
+            expect = {k: v.terms for k, v in bruteforce.closed_coproduct(parents, colours, n).items()}
+            elem = Element.basis(Forest.single(tree), n)
+            for route in (coproduct, coproduct_closed):
+                got = {
+                    (l.key, r.key): bruteforce.RefPoly(dict(c.terms)).terms
+                    for (l, r), c in route(elem, ctx).data.items()
+                }
+                assert got == expect, (route.__name__, str(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +552,15 @@ def test_verify_sampling_is_deterministic():
     b = verify_bialgebra(SYM1, 4, max_cases=5, seed=11)
     assert [c.cases for c in a.checks] == [c.cases for c in b.checks]
     assert a.passed and b.passed
+
+
+@pytest.mark.parametrize("max_cases", [0, -1])
+def test_verify_refuses_a_case_cap_below_one(max_cases):
+    # a cap of 0 would pass every check over no cases
+    for verify in (verify_bialgebra, verify_planar):
+        with pytest.raises(ValueError, match="max_cases"):
+            verify(SYM1, 2, max_cases=max_cases)
+    assert verify_bialgebra(SYM1, 2, max_cases=1).passed
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,16 @@ def test_library_modules_bind_no_module_level_memo_table():
         and _is_empty_container(node.value)
     ]
     assert not tables
+
+
+def test_bruteforce_oracle_imports_nothing_from_the_library():
+    # the oracle is only independent while it shares no code with treehopf
+    path = pathlib.Path(__file__).with_name("bruteforce.py")
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert modules
+    assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "treehopf"]

@@ -1,11 +1,21 @@
-"""Core combinatorics: canonical trees, forests, subforests, grammar."""
+"""Core combinatorics: canonical trees, forests, vertex subsets, grammar."""
+
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from treehopf.planar import parse_planar_tree
+from treehopf.algebra import _FORESTS
+from treehopf.hopf import _split_table, _walk
+from treehopf.planar import (
+    EMPTY_WORD,
+    PLANAR_LEAF,
+    PlanarWord,
+    enumerate_planar_trees,
+    parse_planar_tree,
+)
 from treehopf.prelie import parse_labelled_tree
 from treehopf.trees import (
     EMPTY_FOREST,
@@ -14,9 +24,9 @@ from treehopf.trees import (
     ColouredTree,
     ColourMismatchError,
     Forest,
+    IndexedForest,
     ParseError,
-    Subforest,
-    VertexRef,
+    _induced_monomial,
     add_root,
     aut_order,
     canonicalize,
@@ -24,18 +34,20 @@ from treehopf.trees import (
     enumerate_forests,
     enumerate_forests_up_to,
     enumerate_trees,
-    indexed,
-    p_count,
-    p_count_within,
+    induced_structure,
     parse_forest,
     parse_tree,
-    subforests,
-    vertices,
 )
 
 CHAIN2 = parse_tree("[1:[]]")
 CHAIN3 = parse_tree("[1:[1:[]]]")
 CHERRY = parse_tree("[1:[],1:[]]")
+# vertex ids of CHAIN3, in depth-first preorder
+ROOT, MID, TOP = 1 << 0, 1 << 1, 1 << 2
+
+
+def index(forest):
+    return IndexedForest(forest.trees, attrgetter("children"))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +180,7 @@ def test_forest_product_is_commutative_merge():
     assert f == g
     assert str(f) == "[]*[1:[]]"
     assert f * EMPTY_FOREST == f
-    assert f.size == 3 and f.ntrees == 2
+    assert f.size == 3 and len(f.trees) == 2
 
 
 def test_forest_grammar_roundtrip():
@@ -178,78 +190,74 @@ def test_forest_grammar_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# subforests and induced structure
+# vertex subsets and induced structure
 # ---------------------------------------------------------------------------
 
 
 def test_subforest_counts_and_partition():
     host = parse_forest("[1:[]]*[]")
-    subs = list(subforests(host))
-    assert len(subs) == 2 ** 3
-    for s in subs:
-        assert len(s) + len(s.complement()) == 3
-        assert s.complement().complement() == s
+    table = _split_table(_FORESTS, host)
+    assert len(table) == 2 ** 3
+    full = 2 ** 3 - 1
+    for mask, (part, comp, _) in enumerate(table):
+        assert part.size + comp.size == 3
+        # the complement's row swaps the two sides
+        assert table[full ^ mask][:2] == (comp, part)
 
 
 def test_induced_forest_examples():
-    host = Forest.single(CHAIN3)
-    top = VertexRef(0, ((1, 0), (1, 0)))
-    mid = VertexRef(0, ((1, 0),))
-    root = VertexRef(0, ())
+    idx = index(Forest.single(CHAIN3))
     # skipping the middle vertex contracts the path to a single edge
-    s = Subforest.from_refs(host, [root, top])
-    assert s.induced() == Forest.single(CHAIN2)
-    assert s.complement().induced() == Forest.single(LEAF)
-    # the two endpoints alone form two disjoint leaves
-    s = Subforest.from_refs(host, [top, root]).complement()
-    assert s.induced() == Forest.single(LEAF)
-    s = Subforest.from_refs(host, [mid, top])
-    assert s.induced() == Forest.single(CHAIN2)
+    assert _induced_monomial(idx, ROOT | TOP) == Forest.single(CHAIN2)
+    # its complement, the middle vertex alone, is a leaf
+    assert _induced_monomial(idx, 0b111 ^ (ROOT | TOP)) == Forest.single(LEAF)
+    assert _induced_monomial(idx, MID | TOP) == Forest.single(CHAIN2)
 
 
 def test_induced_colour_skips_to_ancestor_edge():
     # chain with a colour change: root -1- mid -2- top
-    host = Forest.single(parse_tree("[1:[2:[]]]"))
-    root = VertexRef(0, ())
-    top = VertexRef(0, ((1, 0), (2, 0)))
-    s = Subforest.from_refs(host, [root, top])
+    idx = index(Forest.single(parse_tree("[1:[2:[]]]")))
     # the induced edge takes the colour adjacent to the ancestor: colour 1
-    assert s.induced() == Forest.single(parse_tree("[1:[]]"))
+    assert induced_structure(idx, ROOT | TOP) == ({0: None, 2: 0}, {0: None, 2: 1})
+    assert _induced_monomial(idx, ROOT | TOP) == Forest.single(parse_tree("[1:[]]"))
 
 
 def test_induced_of_full_and_empty():
     for f in enumerate_forests_up_to(2, 3):
-        assert Subforest.full(f).induced() == f
-        assert Subforest(f, 0).induced() == EMPTY_FOREST
+        idx = index(f)
+        assert _induced_monomial(idx, (1 << idx.nverts) - 1) == f
+        assert _induced_monomial(idx, 0) == EMPTY_FOREST
 
 
 def test_p_count_examples():
-    host = Forest.single(CHAIN3)
-    top = VertexRef(0, ((1, 0), (1, 0)))
-    s = Subforest.from_refs(host, [top])
-    # both path edges have their lower vertex outside the selection
-    assert p_count(1, top, s) == 2
-    assert p_count(2, top, s) == 0
-    s2 = Subforest.from_refs(host, [VertexRef(0, ((1, 0),)), top])
-    assert p_count(1, top, s2) == 1
+    # CHAIN3 as raw arrays: vertex 1 hangs below 0, vertex 2 below 1
+    parents, colours = (0, 1), (1, 1)
+    # both path edges of the top vertex have their lower end outside {top}
+    assert bruteforce.p_count(parents, colours, 1, 2, {2}) == 2
+    assert bruteforce.p_count(parents, colours, 2, 2, {2}) == 0
+    assert bruteforce.p_count(parents, colours, 1, 2, {1, 2}) == 1
+    # the exponent walk sums these counts over the selected vertices on
+    # row 1 (the complement, rooted at the root, adds nothing on row 2)
+    idx = index(Forest.single(CHAIN3))
+    structure = induced_structure(idx, 0b111)
+    assert _walk(structure, TOP, 0b111) == {(1, 1): 2}
+    assert _walk(structure, MID | TOP, 0b111) == {(1, 1): 1 + 1}
 
 
 def test_p_count_within_contracts_host_paths():
-    host = Forest.single(CHAIN3)
-    top = VertexRef(0, ((1, 0), (1, 0)))
-    root = VertexRef(0, ())
-    within = Subforest.from_refs(host, [root, top])  # induced 2-chain
-    s = Subforest.from_refs(host, [top])
+    idx = index(Forest.single(CHAIN3))
+    within = ROOT | TOP  # induced 2-chain
     # inside the induced host the contracted edge counts once
-    assert p_count_within(1, top, s, within) == 1
-    with pytest.raises(ValueError):
-        p_count_within(1, root, s, within)  # root not selected in s
+    assert _walk(induced_structure(idx, within), TOP, within) == {(1, 1): 1}
+    # and the root, selected instead, has no path below it: the top, now
+    # the complement, counts the contracted edge on row 2
+    assert _walk(induced_structure(idx, within), ROOT, within) == {(2, 1): 1}
 
 
 def test_vertices_enumeration():
-    assert len(vertices(Forest.single(CHERRY))) == 3
-    assert len(vertices(parse_forest("[]*[]*[]"))) == 3
-    idx = indexed(Forest.single(CHAIN3))
+    assert index(Forest.single(CHERRY)).nverts == 3
+    assert index(parse_forest("[]*[]*[]")).nverts == 3
+    idx = index(Forest.single(CHAIN3))
     assert list(idx.parents) == [None, 0, 1]
     assert list(idx.colours) == [None, 1, 1]
 
@@ -341,13 +349,55 @@ def test_forest_product_commutes(a, b):
     assert Forest.single(a) * Forest.single(b) == Forest.single(b) * Forest.single(a)
 
 
+forest_lists = st.lists(coloured_trees(max_size=4), max_size=4)
+planar_lists = st.lists(
+    st.sampled_from([t for m in range(1, 5) for t in enumerate_planar_trees(2, m)]),
+    max_size=4,
+)
+
+
+@given(forest_lists, forest_lists)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_forest_product_keeps_trees_sorted_by_key(xs, ys):
+    f = Forest(xs) * Forest(ys)
+    assert f == Forest(xs + ys)
+    assert [t.key for t in f.trees] == sorted(t.key for t in xs + ys)
+    assert f.size == sum(t.size for t in xs + ys)
+
+
+@given(forest_lists)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_forest_unit_factor_on_either_side(xs):
+    f = Forest(xs)
+    assert f * EMPTY_FOREST == f
+    assert EMPTY_FOREST * f == f
+
+
+@given(planar_lists, planar_lists)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_planar_word_product_concatenates_in_order(xs, ys):
+    u, v = PlanarWord(xs), PlanarWord(ys)
+    assert (u * v).trees == tuple(xs + ys)
+    assert u * v == PlanarWord(xs + ys)
+    assert u * EMPTY_WORD == u and EMPTY_WORD * u == u
+
+
+def test_monomial_members_are_type_checked():
+    with pytest.raises(TypeError, match="forest members must be ColouredTree instances"):
+        Forest([LEAF, PLANAR_LEAF])
+    with pytest.raises(TypeError, match="word members must be PlanarTree instances"):
+        PlanarWord([PLANAR_LEAF, LEAF])
+    with pytest.raises(TypeError):
+        Forest.single(LEAF) * PlanarWord.single(PLANAR_LEAF)
+
+
 @given(coloured_trees(max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_subforest_induced_size(tree):
-    host = Forest.single(tree)
-    for s in subforests(host):
-        ind = s.induced()
-        assert ind.size == len(s)
+    idx = index(Forest.single(tree))
+    for mask in range(1 << idx.nverts):
+        ind = _induced_monomial(idx, mask)
+        assert ind.size == bin(mask).count("1")
         assert ind.max_colour <= tree.max_colour or ind.is_empty()
 
 
