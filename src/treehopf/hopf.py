@@ -30,8 +30,7 @@ memoised only where a later call reads it again, and always by
 ``functools.cache`` on the function that computes it: Δ per (basis,
 monomial, parameters), and S per tree inside the maps that
 ``_production_maps`` keeps per (basis, parameters).  The split table and
-the oracles build their vertex indexes and induced monomials per call;
-the dual product in ``prelie`` caches its own table of splits.
+the oracles build their vertex indexes and induced monomials per call.
 """
 
 from __future__ import annotations
@@ -578,8 +577,10 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
     antipode is rebuilt from it (a Δ on which the recursion cannot run
     fails the antipode check with the ``ValueError`` message);
     ``max_cases`` caps each case list by seeded sampling; below 1 it
-    raises ``ValueError``.
+    raises ``ValueError``, as does a ``max_degree`` below 0.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     if max_cases is not None and max_cases < 1:
         raise ValueError(f"max_cases must be at least 1, got {max_cases}")
     n = ctx.n

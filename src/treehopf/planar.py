@@ -274,9 +274,9 @@ def planar_bullet(
     ctx: HopfContext,
     budget: int = DEFAULT_BULLET_BUDGET,
 ) -> PlanarDualElement:
-    """The planar dual product D_s • D_t: sum over planar trees w and
-    order-respecting inclusions of the FIRST factor with complement the
-    second.
+    """The planar dual product D_s • D_t: sums c·D_w over the planar trees
+    w whose coproduct Δ(w) has the term c·s ⊗ t, the FIRST factor on the
+    left.
 
     (Note the argument roles are mirrored relative to the symmetric
     ``bullet``, matching how the two products are usually displayed.)

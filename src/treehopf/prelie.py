@@ -3,10 +3,11 @@
 The graded dual of the forest bialgebra has primitive part spanned by
 functionals D_t, one per tree.  Two products act on these:
 
-* ``bullet`` — the convolution-induced product, computed by enumerating
-  every candidate tree w of the right size and every vertex subset of w
-  inducing the second factor with complement the first.  Uniformly
-  correct for any parameter values, but enumeration-bounded: it raises
+* ``bullet`` — the convolution-induced product, whose structure
+  constants are coproduct coefficients: the D_w coefficient of D_t • D_s
+  is the s ⊗ t coefficient of Δ(w), read off the production Δ of every
+  candidate tree w of the right size.  Uniformly correct for any
+  parameter values, but enumeration-bounded: it raises
   :class:`~treehopf.trees.BudgetError` beyond its declared degree budget
   instead of silently truncating.
 * ``bullet_prime`` — the grafting product: attach the second factor
@@ -23,8 +24,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms, evaluate_exponents
-from .hopf import HopfContext, _split_table
+from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms
+from .hopf import HopfContext, _delta, _root_square
 from .trees import (
     BudgetError,
     ColouredTree,
@@ -56,14 +57,19 @@ class DualElement(Combination):
 # ---------------------------------------------------------------------------
 
 @cache
-def _dual_split_table(basis, n: int, m: int) -> dict:
-    """Map (induced part, induced complement) -> ((tree, exponents), ...)
-    over the trees with m vertices; exponents are parameter-independent,
-    so one table serves every QSpec."""
+def _dual_table(basis, n: int, m: int) -> dict:
+    """Map (left tree, right tree) -> ((w, c), ...) over the trees w with
+    m vertices, where c is the coefficient of that tree ⊗ tree term in the
+    symbolic Δ(w); one table serves every QSpec."""
+    sym = HopfContext.symbolic(n)
     table: dict = {}
     for w in basis.enumerate_trees(n, m):
-        for part, comp, exps in _split_table(basis, basis.monomial.single(w)):
-            table.setdefault((part, comp), []).append((w, tuple(sorted(exps.items()))))
+        # the slot Δs come from the memo; Δ(w) is not memoised, as nothing
+        # reads it again
+        slots = [_delta(basis, x, sym) for x in basis.decompose(w, n)]
+        for (l, r), c in _root_square(basis, slots, sym).data.items():
+            if len(l.trees) == 1 and len(r.trees) == 1:
+                table.setdefault((l.trees[0], r.trees[0]), []).append((w, c))
     return {k: tuple(v) for k, v in table.items()}
 
 
@@ -71,13 +77,13 @@ def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):
     """The enumeration product shared by ``bullet`` and ``planar_bullet``.
 
     For each basis pair (x, y) of ``a`` and ``b``, ``split(x, y)`` names
-    the (part, complement) pair of trees, and the product sums q·D_w over
-    the trees w with a vertex subset inducing the part whose complement
-    induces the complement.  A pair beyond ``budget`` total vertices
-    raises :class:`BudgetError`, naming the product ``name``, rather than
-    degrade silently.
+    the (left, right) pair of trees, and the product sums c·D_w over the
+    trees w whose Δ(w) has the term c·left ⊗ right.  A pair beyond
+    ``budget`` total vertices raises :class:`BudgetError`, naming the
+    product ``name``, rather than degrade silently.
     """
     n = _common_n(a, b, ctx)
+    values = {(i, j): ctx.qspec.q(i, j) for i in (1, 2) for j in range(1, n + 1)}
     out: dict = {}
     for x, cx in a.data.items():
         for y, cy in b.data.items():
@@ -88,9 +94,8 @@ def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):
                     f"{budget} total vertices (raise the budget to proceed)"
                 )
             scale = cx * cy
-            key = tuple(basis.monomial.single(tree) for tree in split(x, y))
-            for w, exps in _dual_split_table(basis, n, m).get(key, ()):
-                coeff = evaluate_exponents(ctx.qspec, dict(exps)) * scale
+            for w, c in _dual_table(basis, n, m).get(split(x, y), ()):
+                coeff = c.substitute(values) * scale
                 if not coeff.is_zero():
                     _acc(out, w, coeff)
     return type(a)._adopt(n, out)
@@ -102,8 +107,8 @@ def bullet(
     ctx: HopfContext,
     budget: int = DEFAULT_BULLET_BUDGET,
 ) -> DualElement:
-    """The dual product: D_t • D_s sums q(s,w)·D_w over trees w carrying
-    a vertex subset that induces s with complement t.
+    """The dual product: D_t • D_s sums c·D_w over the trees w whose
+    coproduct Δ(w) has the term c·s ⊗ t.
 
     Extended bilinearly.  Every basis pair costs an exhaustive sweep of
     the trees of size |t|+|s|; pairs beyond ``budget`` total vertices
@@ -119,22 +124,8 @@ def lie_bracket(
     budget: int = DEFAULT_BULLET_BUDGET,
 ) -> DualElement:
     """[D_s, D_t] with the convention D_t•D_s − D_s•D_t: the bracket of
-    (a, b) is bullet(b, a) − bullet(a, b).
-
-    For the commutator in the opposite orientation use
-    :func:`lie_bracket_opposite`.
-    """
+    (a, b) is bullet(b, a) − bullet(a, b)."""
     return bullet(b, a, ctx, budget) - bullet(a, b, ctx, budget)
-
-
-def lie_bracket_opposite(
-    a: DualElement,
-    b: DualElement,
-    ctx: HopfContext,
-    budget: int = DEFAULT_BULLET_BUDGET,
-) -> DualElement:
-    """The opposite orientation, bullet(a, b) − bullet(b, a)."""
-    return bullet(a, b, ctx, budget) - bullet(b, a, ctx, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,13 @@ def test_max_cases_below_one_exits_2(capsys, value):
     assert err.startswith("error:") and "max_cases" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("variant", ["symmetric", "planar"])
+def test_negative_max_degree_exits_2(capsys, variant):
+    code, out, err = run(capsys, "verify", "--n", "1", "--variant", variant, "--max-degree", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "max_degree" in err and err.count("\n") == 1
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     # no honest parameter choice breaks the axioms, so force a failing
     # report to pin the exit-code contract

@@ -563,6 +563,15 @@ def test_verify_refuses_a_case_cap_below_one(max_cases):
     assert verify_bialgebra(SYM1, 2, max_cases=1).passed
 
 
+def test_verify_refuses_a_negative_max_degree():
+    # below 0 every check would pass over no cases; degree 0 is the unit
+    for verify in (verify_bialgebra, verify_planar):
+        with pytest.raises(ValueError, match="max_degree"):
+            verify(SYM1, -1)
+        report = verify(SYM1, 0)
+        assert report.passed and report.checks[0].cases == 1
+
+
 # ---------------------------------------------------------------------------
 # properties at random rational points
 # ---------------------------------------------------------------------------

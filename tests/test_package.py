@@ -108,3 +108,24 @@ def test_bruteforce_oracle_imports_nothing_from_the_library():
             modules.append("." * node.level + (node.module or ""))
     assert modules
     assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "treehopf"]
+
+
+def test_only_hopf_reads_the_vertex_subset_formula():
+    # the 2^|V| subset sum is an oracle: production Δ, S and the dual
+    # products go through the root-constructor square instead
+    oracle = {"_split_table", "_walk", "evaluate_exponents"}
+    readers = []
+    for path in SOURCES:
+        if path.name == "hopf.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            readers += [f"{path.name}:{node.lineno} reads {name}" for name in names if name in oracle]
+    assert not readers

@@ -1,10 +1,12 @@
 """Dual functionals on trees: the enumeration product, grafting products,
 rescaling, and the embedding into labelled trees."""
 
+from fractions import Fraction
+
 import pytest
 
 from treehopf.algebra import Coeff, parse_coeff
-from treehopf.hopf import HopfContext, coproduct
+from treehopf.hopf import HopfContext, _delta, coproduct_closed
 from treehopf.prelie import (
     DualElement,
     PreLieElement,
@@ -18,7 +20,6 @@ from treehopf.prelie import (
     free_bullet,
     free_graft,
     lie_bracket,
-    lie_bracket_opposite,
     parse_labelled_tree,
     phi,
     up_map,
@@ -30,7 +31,7 @@ from treehopf.planar import (
     PlanarWord,
     enumerate_planar_trees,
     planar_bullet,
-    planar_coproduct,
+    planar_coproduct_closed,
 )
 from treehopf.trees import (
     BudgetError,
@@ -92,7 +93,7 @@ def test_bullet_colour_mismatch():
 def test_bracket_orientation():
     out = lie_bracket(dual(LEAF), dual(CHAIN2), CK)
     assert out == dual(CHERRY).scale(2)
-    assert lie_bracket_opposite(dual(LEAF), dual(CHAIN2), CK) == dual(CHERRY).scale(-2)
+    assert lie_bracket(dual(CHAIN2), dual(LEAF), CK) == dual(CHERRY).scale(-2)
     assert lie_bracket(dual(LEAF), dual(LEAF), CK).is_zero()
 
 
@@ -198,33 +199,50 @@ def test_rescale_two_colours_spot():
 # ---------------------------------------------------------------------------
 
 
-# (trees, one-tree monomial, dual, element, Δ, product, the Δ legs of D_t • D_s)
+# (trees, one-tree monomial, dual, element, oracle Δ, product, the Δ legs
+# of D_t • D_s)
 SYMMETRIC = (
-    enumerate_trees, Forest.single, DualElement, Element, coproduct, bullet,
+    enumerate_trees, Forest.single, DualElement, Element, coproduct_closed, bullet,
     lambda t, s: (s, t),
 )
 PLANAR = (
     enumerate_planar_trees, PlanarWord.single, PlanarDualElement, PlanarElement,
-    planar_coproduct, planar_bullet, lambda t, s: (t, s),
+    planar_coproduct_closed, planar_bullet, lambda t, s: (t, s),
 )
 
 
 def test_duality_pairing_symbolic():
     # the structure constant of D_w in D_t • D_s is the coefficient of
     # s ⊗ t in Δ(w) (t ⊗ s for the planar product), for every tree w up
-    # to the size bound: this pins the split and dual tables of both bases
-    for variant, n, max_m in [(SYMMETRIC, 1, 4), (SYMMETRIC, 2, 4), (PLANAR, 1, 5), (PLANAR, 2, 4)]:
+    # to the size bound; Δ here is the vertex-subset oracle, which shares
+    # no code with the production Δ the products read
+    for variant, n, max_m in [(SYMMETRIC, 1, 7), (SYMMETRIC, 2, 5), (PLANAR, 1, 6), (PLANAR, 2, 5)]:
         trees, single, dual_cls, element, delta, product, legs = variant
         ctx = HopfContext.symbolic(n)
         for m in range(2, max_m + 1):
-            for w in trees(n, m):
-                d = delta(element.basis(single(w), n), ctx)
-                for ka in range(1, m):
-                    for t in trees(n, ka):
-                        for s in trees(n, m - ka):
-                            prod = product(dual_cls.basis(t, n), dual_cls.basis(s, n), ctx)
-                            rhs = d.coefficient(tuple(map(single, legs(t, s))))
-                            assert prod.coefficient(w) == rhs, (n, w, t, s)
+            deltas = {w: delta(element.basis(single(w), n), ctx) for w in trees(n, m)}
+            for ka in range(1, m):
+                for t in trees(n, ka):
+                    for s in trees(n, m - ka):
+                        prod = product(dual_cls.basis(t, n), dual_cls.basis(s, n), ctx, m)
+                        key = tuple(map(single, legs(t, s)))
+                        for w, d in deltas.items():
+                            assert prod.coefficient(w) == d.coefficient(key), (n, w, t, s)
+
+
+def test_dual_products_leave_the_delta_memo_alone():
+    # the table holds symbolic coefficients; a product at new parameter
+    # values substitutes into them and computes no Δ at those values
+    x, y = dual(CHAIN2), dual(CHERRY)
+    px = PlanarDualElement.basis(enumerate_planar_trees(1, 2)[0], 1)
+    py = PlanarDualElement.basis(enumerate_planar_trees(1, 3)[0], 1)
+    bullet(x, y, SYM1)
+    planar_bullet(px, py, SYM1)
+    size = _delta.cache_info().currsize
+    ctx = HopfContext.rational(1, [Fraction(7, 13), Fraction(-11, 17)])
+    assert not bullet(x, y, ctx).is_zero()
+    assert not planar_bullet(px, py, ctx).is_zero()
+    assert _delta.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
