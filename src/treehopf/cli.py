@@ -8,6 +8,9 @@ JSON built from the same term list), and exits with a coded status:
     3  verification failure (``verify`` found a broken axiom)
     4  work exceeds the requested budget
     5  an edge colour exceeds the declared colour count n
+
+The argument parser is built once per process and reused: each parse
+makes a fresh namespace and leaves the parser unchanged.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import QSpec, parse_element
 from .hopf import (
@@ -58,6 +62,7 @@ EXIT_BUDGET = 4
 EXIT_COLOUR = 5
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="treehopf",
@@ -185,7 +190,7 @@ def _cmd_coproduct(args) -> int:
         result = planar_coproduct(PlanarElement.basis(word, args.n), ctx)
     else:
         result = coproduct(parse_element(args.expr, args.n), ctx)
-    payload = _result_payload(args, {"input": args.expr, "terms": _tensor_terms(result)})
+    payload = _result_payload(args, ctx, {"input": args.expr, "terms": _tensor_terms(result)})
     return _finish(args, payload, [str(result)])
 
 
@@ -196,7 +201,7 @@ def _cmd_antipode(args) -> int:
         result = planar_antipode(PlanarElement.basis(word, args.n), ctx)
     else:
         result = antipode_recursive(parse_element(args.expr, args.n), ctx)
-    payload = _result_payload(args, {"input": args.expr, "terms": _element_terms(result)})
+    payload = _result_payload(args, ctx, {"input": args.expr, "terms": _element_terms(result)})
     return _finish(args, payload, [str(result)])
 
 
@@ -211,7 +216,7 @@ def _cmd_bullet(args) -> int:
         b = DualElement.basis(parse_tree(args.right, args.n), args.n)
         result = bullet(a, b, ctx, budget=args.budget)
     payload = _result_payload(
-        args, {"input": [args.left, args.right], "terms": _dual_terms(result)}
+        args, ctx, {"input": [args.left, args.right], "terms": _dual_terms(result)}
     )
     return _finish(args, payload, [str(result)])
 
@@ -222,7 +227,7 @@ def _cmd_bracket(args) -> int:
     b = DualElement.basis(parse_tree(args.right, args.n), args.n)
     result = lie_bracket(a, b, ctx, budget=args.budget)
     payload = _result_payload(
-        args, {"input": [args.left, args.right], "terms": _dual_terms(result)}
+        args, ctx, {"input": [args.left, args.right], "terms": _dual_terms(result)}
     )
     return _finish(args, payload, [str(result)])
 
@@ -264,6 +269,7 @@ def _cmd_verify(args) -> int:
         report = verify_bialgebra(ctx, args.max_degree, max_cases=args.max_cases, seed=args.seed)
     payload = _result_payload(
         args,
+        ctx,
         {
             "max_degree": args.max_degree,
             "checks": [
@@ -277,12 +283,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _result_payload(args, extra: dict) -> dict:
+def _result_payload(args, ctx: HopfContext, extra: dict) -> dict:
     payload = {"command": args.command, "n": args.n}
     if hasattr(args, "variant"):
         payload["variant"] = args.variant
-    if hasattr(args, "q"):
-        payload["qspec"] = [str(e) for e in _qspec(args).entries]
+    payload["qspec"] = [str(e) for e in ctx.qspec.entries]
     payload.update(extra)
     return payload
 

@@ -676,13 +676,17 @@ def verify_bialgebra(
     n = ctx.n
 
     def root_checks(forests, delta) -> list[CheckOutcome]:
-        # tuples of slot forests for the sigma / root-constructor checks
-        tuples = [
-            combo
-            for combo in _iproduct(*([forests] * n))
-            if sum(f.size for f in combo) <= max_degree - 1
-        ]
-        tuples = _sample(tuples, max_cases, seed + 2)
+        # slot-forest tuples of total size < max_degree in product order,
+        # grown slot by slot (a loop: n may pass the recursion limit)
+        grown = [((), 0)] if max_degree >= 1 else []
+        for _ in range(n):
+            grown = [
+                (combo + (f,), size + f.size)
+                for combo, size in grown
+                for f in forests
+                if size + f.size < max_degree
+            ]
+        tuples = _sample([combo for combo, _ in grown], max_cases, seed + 2)
         powers = {
             (side, j): cache(ctx.qspec.q(side, j).__pow__)
             for side in (1, 2)

@@ -5,8 +5,9 @@ functionals D_t, one per tree.  Two products act on these:
 
 * ``bullet`` — the convolution-induced product, whose structure
   constants are coproduct coefficients: the D_w coefficient of D_t • D_s
-  is the s ⊗ t coefficient of Δ(w), read off the production Δ of every
-  candidate tree w of the right size.  Uniformly correct for any
+  is the s ⊗ t coefficient of Δ(w), read off the tree ⊗ tree terms of
+  the root-constructor square of every candidate tree w of the right
+  size, built from the memoised slot Δs.  Uniformly correct for any
   parameter values, but enumeration-bounded: it raises
   :class:`~treehopf.trees.BudgetError` beyond its declared degree budget
   instead of silently truncating.
@@ -25,7 +26,7 @@ from functools import cache
 from typing import Iterable
 
 from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms
-from .hopf import HopfContext, _delta, _root_square
+from .hopf import HopfContext, _delta
 from .trees import (
     BudgetError,
     ColouredTree,
@@ -60,16 +61,38 @@ class DualElement(Combination):
 def _dual_table(basis, n: int, m: int) -> dict:
     """Map (left tree, right tree) -> ((w, c), ...) over the trees w with
     m vertices, where c is the coefficient of that tree ⊗ tree term in the
-    symbolic Δ(w); one table serves every QSpec."""
+    symbolic Δ(w); one table serves every QSpec.
+
+    Only the tree ⊗ tree terms of the root square are formed.  Write
+    w = λ(x) with slots x_1..x_n.  In Δ(w) = Σ σ_1(x′)⊗λ(x″) + λ(x′)⊗σ_2(x″)
+    the σ_1 leg is one tree only when one slot j gives a one-tree leg
+    and every other slot k its term ∅ ⊗ x_k, of coefficient 1 by the
+    counit law; likewise for the σ_2 leg.  So each term c·l ⊗ r of
+    Δ(x_j) gives
+
+        c·q_{1j}^{|l|} at (l, λ(x with x_j → r))   when l is one tree,
+        c·q_{2j}^{|r|} at (λ(x with x_j → l), r)   when r is one tree.
+
+    A candidate costs Σ_j |Δ(x_j)| rather than Π_j |Δ(x_j)|, with the slot
+    Δs from the memo, and its full Δ(w) is never formed.  A one-tree leg
+    involves one slot only, so slot order never matters: words and
+    forests share the code.
+    """
     sym = HopfContext.symbolic(n)
+    power = cache(lambda i, j, k: sym.qspec.q(i, j) ** k)
     table: dict = {}
     for w in basis.enumerate_trees(n, m):
-        # the slot Δs come from the memo; Δ(w) is not memoised, as nothing
-        # reads it again
-        slots = [_delta(basis, x, sym) for x in basis.decompose(w, n)]
-        for (l, r), c in _root_square(basis, slots, sym).data.items():
-            if len(l.trees) == 1 and len(r.trees) == 1:
-                table.setdefault((l.trees[0], r.trees[0]), []).append((w, c))
+        x = basis.decompose(w, n)
+        terms: dict = {}
+        for j in range(1, n + 1):
+            swap = lambda leg: basis.lam(x[: j - 1] + (leg,) + x[j:], n)
+            for (l, r), c in _delta(basis, x[j - 1], sym).data.items():
+                if len(l.trees) == 1:
+                    _acc(terms, (l.trees[0], swap(r)), c * power(1, j, l.size))
+                if len(r.trees) == 1:
+                    _acc(terms, (swap(l), r.trees[0]), c * power(2, j, r.size))
+        for key, c in terms.items():
+            table.setdefault(key, []).append((w, c))
     return {k: tuple(v) for k, v in table.items()}
 
 
@@ -111,8 +134,9 @@ def bullet(
     coproduct Δ(w) has the term c·s ⊗ t.
 
     Extended bilinearly.  Every basis pair costs an exhaustive sweep of
-    the trees of size |t|+|s|; pairs beyond ``budget`` total vertices
-    raise :class:`BudgetError` rather than degrade silently.
+    the trees of size |t|+|s|, reading only the tree ⊗ tree terms of
+    their root squares; pairs beyond ``budget`` total vertices raise
+    :class:`BudgetError` rather than degrade silently.
     """
     return _dual_product(_FORESTS, "bullet", a, b, ctx, budget, lambda t, s: (s, t))
 

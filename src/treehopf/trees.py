@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import product as _iproduct
+from itertools import combinations, product as _iproduct
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -318,13 +318,16 @@ def aut_order(tree: ColouredTree) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The ``parts``-tuples of non-negative integers summing to ``total``,
+    in lexicographic order: stars and bars, with the ``parts - 1`` bars
+    placed by ``combinations`` rather than by recursion over the parts."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 @cache

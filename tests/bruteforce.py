@@ -125,6 +125,18 @@ def count_ordered_trees(m: int) -> int:
     return len(set(ordered_trees(m)))
 
 
+def compositions(total: int, parts: int):
+    """The ``parts``-tuples of non-negative integers summing to ``total``,
+    first part outermost: the reference for the enumeration order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 # ---------------------------------------------------------------------------
 # the coefficient ring in its first representation
 # ---------------------------------------------------------------------------

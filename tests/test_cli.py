@@ -49,6 +49,14 @@ def test_enumerate_planar_count(capsys):
     assert code == 0 and out.strip() == "14"
 
 
+@pytest.mark.parametrize("variant", ["symmetric", "planar"])
+def test_enumerate_more_colours_than_the_recursion_limit(capsys, variant):
+    code, out, _ = run(
+        capsys, "enumerate", "--n", "1000", "--variant", variant, "--vertices", "2", "--count"
+    )
+    assert code == 0 and out.strip() == "1000"
+
+
 def test_coproduct_ck_terms(capsys):
     code, out, _ = run(capsys, "coproduct", "--n", "1", "--q", "1,0", "[1:[]]")
     assert code == 0
@@ -101,6 +109,14 @@ def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--q", "sym", "--max-degree", "3")
     assert code == 0
     assert "ALL PASSED" in out
+
+
+def test_verify_many_slots_at_low_degree(capsys):
+    # the slot tuples are grown within the degree bound, not filtered out
+    # of the 8-fold product of the forest list
+    code, out, _ = run(capsys, "verify", "--n", "8", "--max-degree", "2")
+    assert code == 0
+    assert "root-constructor square (9 cases)" in out
 
 
 def test_verify_planar(capsys):
@@ -258,6 +274,26 @@ def test_output_is_deterministic(capsys):
     a = run(capsys, "enumerate", "--n", "2", "--vertices", "3", "--format", "json")
     b = run(capsys, "enumerate", "--n", "2", "--vertices", "3", "--format", "json")
     assert a == b
+
+
+def test_the_parser_is_built_once_and_keeps_no_request_state(capsys):
+    run(capsys, "enumerate", "--n", "1", "--vertices", "3", "--count")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bullet", "--n", "1", "--budget=x", "[]", "[]"])
+    assert exc.value.code == 2
+    code, _, _ = run(capsys, "bullet", "--n", "1", "--budget=3", "[1:[]]", "[1:[]]")
+    assert code == 4
+    # the rejected budgets must not stick to the next request
+    code, out, _ = run(capsys, "bullet", "--n", "1", "[1:[]]", "[1:[]]")
+    assert code == 0 and out.strip()
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+def test_help_matches_a_freshly_built_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli._build_parser.__wrapped__().format_help()
 
 
 def test_console_entry_point():

@@ -20,6 +20,7 @@ from treehopf.algebra import (
     parse_tensor,
 )
 from treehopf.hopf import (
+    CheckOutcome,
     HopfContext,
     antipode_partitions,
     antipode_recursive,
@@ -537,6 +538,20 @@ def test_verify_detects_a_broken_coproduct():
     assert not report.passed
     failed = report.first_failure
     assert failed is not None and failed.name == "coassociativity"
+
+
+def test_verify_samples_the_slot_tuples_in_product_order():
+    # Δ at other parameter values is a bialgebra, but not the root square
+    # of these; the sampled tuple it fails on pins the order of the list
+    # the sample is drawn from
+    ctx = HopfContext.symbolic(3)
+    other = HopfContext.rational(3, [1] * 6)
+    report = verify_bialgebra(
+        ctx, 4, coproduct_fn=lambda e: coproduct(e, other), max_cases=5
+    )
+    assert report.first_failure == CheckOutcome(
+        "root-constructor square", 5, "Δ∘λ square fails on ('1', '1', '[]*[1:[]]')"
+    )
 
 
 def test_verify_reports_an_ungraded_coproduct():

@@ -26,6 +26,7 @@ from treehopf.trees import (
     Forest,
     IndexedForest,
     ParseError,
+    _compositions,
     _induced_monomial,
     add_root,
     aut_order,
@@ -69,6 +70,15 @@ def test_two_colour_tree_counts_frozen():
 def test_tree_counts_match_bruteforce(n, mmax):
     for m in range(1, mmax + 1):
         assert len(enumerate_trees(n, m)) == bruteforce.count_trees(n, m)
+
+
+def test_compositions_follow_the_recursive_order():
+    # enumeration order rests on it; the library places bars, not recursion
+    for total in range(7):
+        for parts in range(5):
+            assert list(_compositions(total, parts)) == list(
+                bruteforce.compositions(total, parts)
+            )
 
 
 def test_enumerated_trees_are_distinct_and_sized():
