@@ -17,24 +17,13 @@ only when printed, so equal coefficients always print identically.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as _iproduct
-from operator import attrgetter
 
-from .trees import (
-    ColouredTree,
-    ColourMismatchError,
-    EMPTY_FOREST,
-    Forest,
-    Scanner,
-    add_root,
-    decompose,
-    enumerate_forests_up_to,
-    enumerate_trees,
-)
+from .trees import ColourMismatchError, EMPTY_FOREST, Forest, Scanner
 
 # A monomial is one int: the exponent of q_{ij} sits in the _WIDTH-bit
 # field at index 2(j-1) + (i-1), and the constant monomial is 0, so a
@@ -322,7 +311,12 @@ def _scan_rational(sc: Scanner) -> Fraction:
     sc.skip_ws()
     if sc.try_take("/"):
         sc.skip_ws()
-        return Fraction(num, sc.integer())
+        at = sc.pos
+        den = sc.integer()
+        if not den:
+            sc.pos = at
+            raise sc.error("zero denominator")
+        return Fraction(num, den)
     sc.pos = save
     return Fraction(num)
 
@@ -406,6 +400,11 @@ class QSpec:
     def __post_init__(self):
         if self.n < 0 or len(self.entries) != 2 * self.n:
             raise ValueError(f"need exactly {2 * self.n} entries for n = {self.n}")
+        # hashed once: every memo lookup keyed on a parameter point hashes it
+        object.__setattr__(self, "_hash", hash((self.n, self.entries)))
+
+    def __hash__(self):
+        return self._hash
 
     def q(self, i: int, j: int) -> Coeff:
         if i not in (1, 2) or not 1 <= j <= self.n:
@@ -442,22 +441,31 @@ class QSpec:
 
     @classmethod
     def from_strings(cls, n: int, words: Sequence[str]) -> "QSpec":
-        """CLI form: 2n comma-split entries, each a rational or ``sym``."""
+        """CLI form: 2n comma-split entries, each a rational or ``sym``; a bad
+        entry raises ``ValueError`` naming it."""
         if len(words) != 2 * n:
             raise ValueError(f"--q needs {2 * n} entries for n = {n}, got {len(words)}")
         entries = []
         for pos, word in enumerate(words):
             i, j = divmod(pos, n)
-            if word.strip() == "sym":
-                entries.append(Coeff.variable(i + 1, j + 1))
-            else:
-                try:
-                    value = Fraction(word.strip())
-                except ZeroDivisionError:
+            word = word.strip()
+            name = f"--q entry q{i + 1}{j + 1} = {word!r}"
+            if word == "sym":
+                if j >= MAX_SYMBOL_COLOUR:
                     raise ValueError(
-                        f"--q entry q{i + 1}{j + 1} = {word.strip()!r} has a zero denominator"
-                    ) from None
-                entries.append(Coeff.rational(value))
+                        f"--n {n} is over the {MAX_SYMBOL_COLOUR}-colour limit of symbolic "
+                        f"--q entries; give rational entries for colours past {MAX_SYMBOL_COLOUR}"
+                    )
+                entries.append(Coeff.variable(i + 1, j + 1))
+                continue
+            try:
+                value = Fraction(word)
+                str(value)  # the output prints every entry
+            except ZeroDivisionError:
+                raise ValueError(f"{name} has a zero denominator") from None
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+            entries.append(Coeff.rational(value))
         return cls(n, tuple(entries))
 
     def is_rational(self) -> bool:
@@ -620,11 +628,10 @@ class Element(Combination):
 
     _key_type = Forest
     _noun = "forest"
-    _unit_key = EMPTY_FOREST
 
     @classmethod
     def unit(cls, n: int):
-        return cls(n, {cls._unit_key: ONE})
+        return cls(n, {cls._key_type(): ONE})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Coeff)):
@@ -637,7 +644,7 @@ class Element(Combination):
         return self._adopt(self.n, acc)
 
     def counit(self) -> Coeff:
-        return self.coefficient(self._unit_key)
+        return self.coefficient(self._key_type())
 
     def graded_part(self, degree: int):
         return type(self)(self.n, {f: c for f, c in self.data.items() if f.size == degree})
@@ -671,7 +678,7 @@ class TensorElement(Combination):
 
     @classmethod
     def unit(cls, n: int):
-        empty = cls._element._unit_key
+        empty = cls._element._key_type()
         return cls(n, {(empty, empty): ONE})
 
     @classmethod
@@ -781,35 +788,17 @@ class _Basis:
 
     Two instances: ``_FORESTS`` (commutative forests, below) and
     ``_WORDS`` (ordered planar words, in ``planar``).  Δ, S, the dual
-    product and the verifier are written once over this record.
+    product and the verifier are written once over this record; the root
+    constructor, the enumerations and the product rule are read off the
+    monomial class through the generic functions of ``trees``.
     """
 
-    commutative: bool  # whether monomials commute
-    unit: object  # the empty monomial
-    edges: Callable  # tree -> its (colour, child) pairs, in listing order
-    tree: Callable  # (colour, child) pairs -> tree
     monomial: type  # trees -> monomial; ``.trees`` lists them in product order
-    lam: Callable  # (slot monomials, n) -> tree: the root constructor
-    decompose: Callable  # (tree, n) -> slot monomials: the inverse of lam
-    enumerate_trees: Callable  # (n, m) -> all trees with m vertices
-    enumerate_up_to: Callable  # (n, d) -> all monomials with <= d vertices
     element: type  # combinations of monomials
     tensor: type  # combinations of monomial pairs
 
 
-_FORESTS = _Basis(
-    commutative=True,
-    unit=EMPTY_FOREST,
-    edges=attrgetter("children"),
-    tree=ColouredTree,
-    monomial=Forest,
-    lam=add_root,
-    decompose=decompose,
-    enumerate_trees=enumerate_trees,
-    enumerate_up_to=enumerate_forests_up_to,
-    element=Element,
-    tensor=TensorElement,
-)
+_FORESTS = _Basis(monomial=Forest, element=Element, tensor=TensorElement)
 
 
 def parse_element(text: str, n: int) -> Element:
@@ -855,11 +844,11 @@ def _scan_term(sc: Scanner, n: int) -> tuple[Coeff, Forest]:
     sc.skip_ws()
     ch = sc.peek()
     if ch == "[":
-        return ONE, sc.forest(n)
+        return ONE, sc.monomial(n)
     if ch == "q":
         coeff = _scan_monomial(sc)
         sc.skip_ws()
-        return coeff, sc.forest(n)
+        return coeff, sc.monomial(n)
     if ch.isdigit():
         save = sc.pos
         coeff = Coeff.rational(_scan_rational(sc))
@@ -872,11 +861,11 @@ def _scan_term(sc: Scanner, n: int) -> tuple[Coeff, Forest]:
                 sc.pos = save
                 coeff = _scan_monomial(sc)
                 sc.skip_ws()
-                return coeff, sc.forest(n)
+                return coeff, sc.monomial(n)
             sc.pos = probe
             raise sc.error("expected a coefficient symbol after '*'")
         if nxt in ("[", "1"):
-            return coeff, sc.forest(n)
+            return coeff, sc.monomial(n)
         # a lone "1" is the empty forest, not a coefficient
         if sc.text[save:probe].strip() == "1":
             sc.pos = probe
@@ -897,4 +886,4 @@ def _scan_tensor_term(sc: Scanner, n: int) -> tuple[Coeff, tuple[Forest, Forest]
     if not sc.try_take("⊗"):
         sc.expect("(x)")
     sc.skip_ws()
-    return coeff, (left, sc.forest(n))
+    return coeff, (left, sc.monomial(n))

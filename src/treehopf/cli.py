@@ -135,9 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _qspec(args) -> QSpec:
     text = args.q.strip()
-    if text == "sym":
-        return QSpec.symbolic(args.n)
-    return QSpec.from_strings(args.n, text.split(","))
+    words = ["sym"] * (2 * args.n) if text == "sym" else text.split(",")
+    return QSpec.from_strings(args.n, words)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:

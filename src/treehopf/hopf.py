@@ -60,7 +60,10 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     IndexedForest,
+    _decompose,
+    _enumerate_up_to,
     _induced_monomial,
+    _lam,
     add_root,
     decompose,
     induced_structure,
@@ -99,15 +102,10 @@ class HopfContext:
 # ---------------------------------------------------------------------------
 
 
-def _index(basis, mono) -> IndexedForest:
-    """A fresh vertex index of a monomial of either basis."""
-    return IndexedForest(mono.trees, basis.edges)
-
-
 def _parts(basis, idx: IndexedForest) -> list:
     """The induced monomial of every vertex subset, indexed by mask."""
     return [
-        _induced_monomial(idx, mask, basis.tree, basis.monomial)
+        _induced_monomial(idx, mask, basis.monomial)
         for mask in range(1 << idx.nverts)
     ]
 
@@ -142,7 +140,7 @@ def _walk(structure, mask: int, host_mask: int) -> dict[tuple[int, int], int]:
 def _split_table(basis, mono) -> list:
     """All (induced part, induced complement, exponents) vertex splits,
     in mask order."""
-    idx = _index(basis, mono)
+    idx = IndexedForest(mono.trees)
     full = (1 << idx.nverts) - 1
     structure = induced_structure(idx, full)
     parts = _parts(basis, idx)
@@ -165,7 +163,9 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
     Π_j q_{ij}^{|leg_j|}; λ is the basis's root constructor.
     """
     n, qspec = ctx.n, ctx.qspec
-    lam = lambda legs: basis.monomial.single(basis.lam(legs, n))
+    monomial = basis.monomial
+    unit = monomial()
+    lam = lambda legs: monomial.single(_lam(monomial, legs, n))
     out: dict = {}
     for side in (1, 2):
         # fold the σ_side weight into each slot term and drop the terms it kills
@@ -186,9 +186,9 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
                 lefts.append(l)
                 rights.append(r)
             if side == 1:
-                key = (reduce(mul, lefts, basis.unit), lam(rights))
+                key = (reduce(mul, lefts, unit), lam(rights))
             else:
-                key = (lam(lefts), reduce(mul, rights, basis.unit))
+                key = (lam(lefts), reduce(mul, rights, unit))
             _acc(out, key, coeff)
     return basis.tensor._adopt(n, out)
 
@@ -200,7 +200,7 @@ def _delta(basis, mono, ctx: HopfContext):
     algebra map).  The oracles never read it."""
     trees = mono.trees
     if len(trees) == 1:
-        slots = [_delta(basis, x, ctx) for x in basis.decompose(trees[0], ctx.n)]
+        slots = [_delta(basis, x, ctx) for x in _decompose(basis.monomial, trees[0], ctx.n)]
         return _root_square(basis, slots, ctx)
     out = basis.tensor.unit(ctx.n)
     for tree in trees:
@@ -377,7 +377,7 @@ def antipode_partitions(a: Element, ctx: HopfContext) -> Element:
     def s_basis(forest: Forest) -> Element:
         if forest.is_empty():
             return Element.unit(n)
-        idx = _index(_FORESTS, forest)
+        idx = IndexedForest(forest.trees)
         parts = _parts(_FORESTS, idx)
 
         @cache
@@ -587,7 +587,7 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
     element = basis.element
     report = VerificationReport(n=n, max_degree=max_degree)
     delta, antipode = _monomial_maps(basis, ctx, coproduct_fn)
-    monos = list(basis.enumerate_up_to(n, max_degree))
+    monos = list(_enumerate_up_to(basis.monomial, n, max_degree))
 
     # 1. coassociativity
     cases = _sample(monos, max_cases, seed)
@@ -619,7 +619,7 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
     pairs = [
         (f, g)
         for i, f in enumerate(monos)
-        for g in (monos[i:] if basis.commutative else monos)
+        for g in (monos[i:] if basis.monomial._sorted else monos)
         if f.size + g.size <= max_degree
     ]
     pairs = _sample(pairs, max_cases, seed + 1)
@@ -644,7 +644,7 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
                     _acc(lhs, k * r, d * c)
                 for k, d in antipode(r).data.items():
                     _acc(rhs, l * k, d * c)
-            expect = {basis.unit: ONE} if f.is_empty() else {}
+            expect = {basis.monomial(): ONE} if f.is_empty() else {}
             if lhs != expect or rhs != expect:
                 failure = f"S*id = id*S = uε fails on {f}"
                 break

@@ -7,12 +7,16 @@ automorphism collapsing.  Products live in the tensor algebra: a basis
 element is a *word* (ordered sequence) of planar trees, multiplied by
 concatenation, which is associative and genuinely noncommutative.
 
-This module holds what is particular to words: the two types, the root
-constructor ``planar_lambda`` and its inverse, word enumeration, the
-forgetful maps, and ``_WORDS``, the word instance of the basis record
-``algebra._Basis``.  The containers, Δ, S, the dual product and the
-axiom checks are the symmetric engine of ``algebra``, ``hopf`` and
-``prelie`` run on that record; the public functions here wrap it.  So
+The two types differ from ``ColouredTree`` and ``Forest`` by one rule
+only: a planar tree's children are stably sorted by colour, keeping
+their order within each colour, and a word's trees are kept in product
+order.  Everything else — the tree and monomial value code, the root
+constructor ``planar_lambda`` and its inverse, the enumerations and the
+word grammar — is the code of ``trees`` run on ``PlanarWord``; this
+module adds the forgetful maps and ``_WORDS``, the word instance of the
+basis record ``algebra._Basis``.  Δ, S, the dual product and the axiom
+checks are the symmetric engine of ``algebra``, ``hopf`` and ``prelie``
+run on that record; the public functions here wrap it.  So
 ``planar_coproduct`` is the root-constructor square with the words of
 ``planar_decompose(tree)`` as slots, σ_i concatenating the slot legs in
 slot order, and Δ multiplicative over the trees of a word, in order.
@@ -26,9 +30,9 @@ same traversal induces the sibling orders inside each component.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import product as _iproduct
-from typing import Callable, Iterable, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Sequence
 
 from .algebra import Element, TensorElement, _Basis
 from .hopf import (
@@ -37,65 +41,43 @@ from .hopf import (
     _antipode,
     _coproduct,
     _coproduct_closed,
-    _index,
     _verify,
 )
 from .prelie import DEFAULT_BULLET_BUDGET, DualElement, _dual_product
 from .trees import (
     ColouredTree,
-    ColourMismatchError,
     Forest,
-    Scanner,
-    _Keyed,
+    IndexedForest,
     _Monomial,
-    _compositions,
+    _Tree,
+    _decompose,
+    _enumerate_monomials,
+    _enumerate_trees,
+    _enumerate_up_to,
     _induced_monomial,
+    _lam,
+    _parse_all,
 )
 
 
-class PlanarTree(_Keyed):
+class PlanarTree(_Tree):
     """A rooted tree with a separate linear order on each colour's children.
 
     Construction takes (colour, child) pairs in listed order; pairs of
     the same colour keep their relative order, and storage groups the
     colours in increasing order (the grouping is canonical bookkeeping,
     not a sort of the order data: per-colour sequences are the data).
+    ``key`` groups the child keys per colour.
     """
 
-    __slots__ = ("groups", "key", "size", "max_colour", "_hash")
-
-    def __init__(self, children: Iterable[tuple[int, "PlanarTree"]] = ()):
-        per_colour: dict[int, list[PlanarTree]] = {}
-        for colour, child in children:
-            if not isinstance(colour, int) or colour < 1:
-                raise ColourMismatchError(
-                    f"edge colour must be an integer >= 1, got {colour!r}"
-                )
-            if not isinstance(child, PlanarTree):
-                raise TypeError("children must be PlanarTree instances")
-            per_colour.setdefault(colour, []).append(child)
-        self.groups = tuple(
-            (colour, tuple(per_colour[colour])) for colour in sorted(per_colour)
+    __slots__ = ()
+    _order = itemgetter(0)
+    _encode = staticmethod(
+        lambda pairs: tuple(
+            (colour, tuple(key for _, key in run))
+            for colour, run in groupby(pairs, itemgetter(0))
         )
-        self.key = tuple(
-            (colour, tuple(t.key for t in seq)) for colour, seq in self.groups
-        )
-        self.size = 1 + sum(t.size for _, seq in self.groups for t in seq)
-        self.max_colour = max(
-            [c for c, _ in self.groups]
-            + [t.max_colour for _, seq in self.groups for t in seq],
-            default=0,
-        )
-        self._hash = hash(self.key)
-
-    def children(self) -> Iterable[tuple[int, "PlanarTree"]]:
-        """(colour, child) pairs in canonical listing order."""
-        for colour, seq in self.groups:
-            for child in seq:
-                yield colour, child
-
-    def __str__(self):
-        return "[" + ",".join(f"{c}:{t}" for c, t in self.children()) + "]"
+    )
 
 
 PLANAR_LEAF = PlanarTree()
@@ -117,23 +99,12 @@ EMPTY_WORD = PlanarWord()
 def planar_lambda(words: Sequence[PlanarWord], n: int | None = None) -> PlanarTree:
     """New root over n words; the trees of word i become its colour-i
     children, in word order."""
-    if n is not None and len(words) != n:
-        raise ValueError(f"expected {n} words, got {len(words)}")
-    children = []
-    for i, word in enumerate(words, start=1):
-        children.extend((i, t) for t in word.trees)
-    tree = PlanarTree(children)
-    if n is not None and tree.max_colour > n:
-        raise ColourMismatchError(f"slot contents use a colour > n = {n}")
-    return tree
+    return _lam(PlanarWord, words, n)
 
 
 def planar_decompose(tree: PlanarTree, n: int) -> tuple[PlanarWord, ...]:
     """Inverse of ``planar_lambda``: the colour-i children as word i."""
-    if tree.max_colour > n:
-        raise ColourMismatchError(f"tree {tree} uses colour {tree.max_colour} > n = {n}")
-    slots = {colour: PlanarWord(seq) for colour, seq in tree.groups}
-    return tuple(slots.get(i, EMPTY_WORD) for i in range(1, n + 1))
+    return _decompose(PlanarWord, tree, n)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +117,6 @@ class PlanarElement(Element):
 
     _key_type = PlanarWord
     _noun = "word"
-    _unit_key = EMPTY_WORD
 
 
 class PlanarTensorElement(TensorElement):
@@ -167,58 +137,22 @@ class PlanarDualElement(DualElement):
 # ---------------------------------------------------------------------------
 
 
-@cache
 def enumerate_planar_trees(n: int, m: int) -> tuple[PlanarTree, ...]:
-    """All planar n-trees with m vertices (deterministic order)."""
-    if m < 1:
-        raise ValueError("trees have at least one vertex")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if m == 1:
-        return (PLANAR_LEAF,)
-    out = []
-    for split in _compositions(m - 1, n):
-        for combo in _iproduct(*(enumerate_planar_words(n, k) for k in split)):
-            out.append(planar_lambda(combo, n))
-    return tuple(sorted(out, key=lambda t: t.sort_key()))
+    """All planar n-trees with m vertices, sorted by key."""
+    return _enumerate_trees(PlanarWord, n, m)
 
 
-@cache
 def enumerate_planar_words(n: int, total: int) -> tuple[PlanarWord, ...]:
     """All words (ordered sequences of planar n-trees) of a given size."""
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    if total == 0:
-        return (EMPTY_WORD,)
-    out = []
-    for head_size in range(1, total + 1):
-        for head in enumerate_planar_trees(n, head_size):
-            for tail in enumerate_planar_words(n, total - head_size):
-                out.append(PlanarWord.single(head) * tail)
-    return tuple(sorted(out, key=lambda w: w.sort_key()))
+    return _enumerate_monomials(PlanarWord, n, total)
 
 
 def enumerate_planar_words_up_to(n: int, max_total: int) -> tuple[PlanarWord, ...]:
-    out: list[PlanarWord] = []
-    for d in range(max_total + 1):
-        out.extend(enumerate_planar_words(n, d))
-    return tuple(out)
+    return _enumerate_up_to(PlanarWord, n, max_total)
 
 
 # the word basis, for the shared engine
-_WORDS = _Basis(
-    commutative=False,
-    unit=EMPTY_WORD,
-    edges=PlanarTree.children,
-    tree=PlanarTree,
-    monomial=PlanarWord,
-    lam=planar_lambda,
-    decompose=planar_decompose,
-    enumerate_trees=enumerate_planar_trees,
-    enumerate_up_to=enumerate_planar_words_up_to,
-    element=PlanarElement,
-    tensor=PlanarTensorElement,
-)
+_WORDS = _Basis(monomial=PlanarWord, element=PlanarElement, tensor=PlanarTensorElement)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +167,7 @@ def induced_word(word: PlanarWord, mask: int) -> PlanarWord:
     path edge adjacent to that ancestor; component roots and siblings
     take the host's depth-first first-visit order.
     """
-    return _induced_monomial(_index(_WORDS, word), mask, PlanarTree, PlanarWord)
+    return _induced_monomial(IndexedForest(word.trees), mask, PlanarWord)
 
 
 def planar_coproduct(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
@@ -255,17 +189,13 @@ def planar_coproduct_closed(a: PlanarElement, ctx: HopfContext) -> PlanarTensorE
     return _coproduct_closed(_WORDS, a, ctx)
 
 
-def planar_antipode(
-    a: PlanarElement,
-    ctx: HopfContext,
-    coproduct_fn: "Callable[[PlanarElement], PlanarTensorElement] | None" = None,
-) -> PlanarElement:
+def planar_antipode(a: PlanarElement, ctx: HopfContext) -> PlanarElement:
     """Antipode by the tree recursion S(t) = −t − Σ S(t′)·t″ over the
     reduced coproduct of each planar tree.
 
     Words do not commute, so S is anti-multiplicative: S(uv) = S(v)S(u).
     """
-    return _antipode(_WORDS, a, ctx, coproduct_fn)
+    return _antipode(_WORDS, a, ctx)
 
 
 def planar_bullet(
@@ -302,7 +232,7 @@ def verify_planar(
 
 def forget_tree(tree: PlanarTree) -> ColouredTree:
     """Collapse the sibling orders: the underlying coloured tree."""
-    return ColouredTree((c, forget_tree(t)) for c, t in tree.children())
+    return ColouredTree((c, forget_tree(t)) for c, t in tree.children)
 
 
 def forget_word(word: PlanarWord) -> Forest:
@@ -325,26 +255,9 @@ def forget_tensor(a: PlanarTensorElement) -> TensorElement:
 
 
 def parse_planar_tree(text: str, n: int | None = None) -> PlanarTree:
-    sc = Scanner(text)
-    tree = sc.tree(n, make=PlanarTree)
-    sc.check_done()
-    return tree
+    return _parse_all(text, lambda sc: sc.tree(n, PlanarTree))
 
 
 def parse_planar_word(text: str, n: int | None = None) -> PlanarWord:
     """Word grammar: ``1`` (empty) or '*'-joined planar trees, in order."""
-    sc = Scanner(text)
-    sc.skip_ws()
-    if sc.try_take("1"):
-        sc.check_done()
-        return EMPTY_WORD
-    trees = [sc.tree(n, make=PlanarTree)]
-    while True:
-        save = sc.pos
-        sc.skip_ws()
-        if not sc.try_take("*"):
-            sc.pos = save
-            break
-        trees.append(sc.tree(n, make=PlanarTree))
-    sc.check_done()
-    return PlanarWord(trees)
+    return _parse_all(text, lambda sc: sc.monomial(n, PlanarWord))

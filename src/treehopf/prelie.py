@@ -33,6 +33,10 @@ from .trees import (
     ColourMismatchError,
     Scanner,
     _Keyed,
+    _decompose,
+    _enumerate_trees,
+    _lam,
+    _parse_all,
     aut_order,
     enumerate_trees,
 )
@@ -81,11 +85,11 @@ def _dual_table(basis, n: int, m: int) -> dict:
     sym = HopfContext.symbolic(n)
     power = cache(lambda i, j, k: sym.qspec.q(i, j) ** k)
     table: dict = {}
-    for w in basis.enumerate_trees(n, m):
-        x = basis.decompose(w, n)
+    for w in _enumerate_trees(basis.monomial, n, m):
+        x = _decompose(basis.monomial, w, n)
         terms: dict = {}
         for j in range(1, n + 1):
-            swap = lambda leg: basis.lam(x[: j - 1] + (leg,) + x[j:], n)
+            swap = lambda leg: _lam(basis.monomial, x[: j - 1] + (leg,) + x[j:], n)
             for (l, r), c in _delta(basis, x[j - 1], sym).data.items():
                 if len(l.trees) == 1:
                     _acc(terms, (l.trees[0], swap(r)), c * power(1, j, l.size))
@@ -248,10 +252,7 @@ class LabelledTree(_Keyed):
 
 def parse_labelled_tree(text: str) -> LabelledTree:
     """Parse the ``(label)[child,child,…]`` grammar, e.g. ``(1)[(2)[]]``."""
-    sc = Scanner(text)
-    tree = _scan_labelled(sc)
-    sc.check_done()
-    return tree
+    return _parse_all(text, _scan_labelled)
 
 
 def _scan_labelled(sc: Scanner, depth: int = 1) -> LabelledTree:

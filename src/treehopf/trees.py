@@ -7,13 +7,20 @@ the recursive encoding of the subtree), so structural equality is
 isomorphism.  A *forest* is a multiset of trees; the empty forest is the
 algebra unit and prints as ``1``.
 
+The planar variant (``planar``) differs by one rule: a planar tree keeps
+the order of its children within each colour, and a word keeps its trees
+in product order.  So the value code (``_Tree``, ``_Monomial``), the root
+constructor ``_lam`` and its inverse, the enumerations and the grammar
+are written once here over the monomial class, whose ``_member`` and
+``_sorted`` carry that rule; the public forest functions wrap them.
+
 Text grammar (bit-exact, whitespace-tolerant on input)::
 
     tree    := "[" edges "]"
     edges   := <empty> | edge ("," edge)*
     edge    := colour ":" tree
     colour  := decimal integer >= 1
-    forest  := "1" | tree ("*" tree)*
+    forest  := "1" | tree ("*" tree)*      (a planar word alike)
 
 A vertex subset of a forest is a bitmask over its depth-first vertex
 ids (``IndexedForest``).  The induced forest of a subset assigns each
@@ -90,30 +97,39 @@ class _Keyed:
         return f"{type(self).__name__}({self})"
 
 
-class ColouredTree(_Keyed):
-    """An isomorphism class of n-coloured rooted trees.
+class _Tree(_Keyed):
+    """Value code shared by coloured and planar trees: a root whose
+    ``children`` are a tuple of ``(colour, subtree)`` pairs.
 
-    ``children`` is a tuple of ``(colour, subtree)`` pairs sorted by
-    ``(colour, subtree.key)``; ``key`` is the nested-tuple canonical
-    encoding, which doubles as the total order used everywhere.
+    A subclass names only its ordering rule: ``_order`` is the key of the
+    stable sort that puts the given pairs into stored order, and
+    ``_encode`` turns the stored ``(colour, subtree.key)`` pairs into the
+    nested-tuple ``key``, which doubles as the total order used
+    everywhere.  Children must be instances of the subclass itself.
     """
 
     __slots__ = ("children", "key", "size", "max_colour", "_hash")
 
-    def __init__(self, children: Iterable[tuple[int, "ColouredTree"]] = ()):
-        kids = sorted(children, key=lambda e: (e[0], e[1].key))
+    _order: Callable
+    _encode: Callable
+
+    def __init__(self, children: Iterable[tuple[int, "_Tree"]] = ()):
+        kids = tuple(sorted(children, key=self._order))
+        pairs = []
+        size = 1
+        top = 0
         for colour, child in kids:
             if not isinstance(colour, int) or colour < 1:
                 raise ColourMismatchError(f"edge colour must be an integer >= 1, got {colour!r}")
-            if not isinstance(child, ColouredTree):
-                raise TypeError("children must be ColouredTree instances")
-        self.children = tuple(kids)
-        self.key = tuple((c, t.key) for c, t in self.children)
-        self.size = 1 + sum(t.size for _, t in self.children)
-        self.max_colour = max(
-            [c for c, _ in self.children] + [t.max_colour for _, t in self.children],
-            default=0,
-        )
+            if not isinstance(child, type(self)):
+                raise TypeError(f"children must be {type(self).__name__} instances")
+            pairs.append((colour, child.key))
+            size += child.size
+            top = max(top, colour, child.max_colour)
+        self.children = kids
+        self.key = self._encode(pairs)
+        self.size = size
+        self.max_colour = top
         self._hash = hash(self.key)
 
     def __lt__(self, other):
@@ -125,9 +141,21 @@ class ColouredTree(_Keyed):
     def __str__(self):
         return "[" + ",".join(f"{c}:{t}" for c, t in self.children) + "]"
 
-    def recolour(self, mapping) -> "ColouredTree":
+    def recolour(self, mapping):
         """Rebuild the tree with every edge colour passed through ``mapping``."""
-        return ColouredTree((mapping(c), t.recolour(mapping)) for c, t in self.children)
+        return type(self)((mapping(c), t.recolour(mapping)) for c, t in self.children)
+
+
+class ColouredTree(_Tree):
+    """An isomorphism class of n-coloured rooted trees.
+
+    ``children`` are sorted by ``(colour, subtree.key)``, and ``key`` is
+    the tuple of those pairs with each subtree replaced by its key.
+    """
+
+    __slots__ = ()
+    _order = staticmethod(lambda edge: (edge[0], edge[1].key))
+    _encode = tuple
 
 
 LEAF = ColouredTree()
@@ -211,35 +239,46 @@ class Forest(_Monomial):
 EMPTY_FOREST = Forest()
 
 
-def add_root(slots: Sequence[Forest], n: int | None = None) -> ColouredTree:
-    """Join n forests under a fresh root; slot i is attached with colour i.
+def _lam(cls, slots: Sequence, n: int | None = None):
+    """The root constructor of the monomial class ``cls``: a fresh root
+    over n slot monomials, the trees of slot i becoming its colour-i
+    children in slot order.  ``n`` defaults to the number of slots.
 
     This is the structure map of the initial algebra: every tree arises
-    exactly once as ``add_root(decompose(t, n), n)``.
+    exactly once as ``_lam(cls, _decompose(cls, t, n), n)``.
     """
     if n is None:
         n = len(slots)
     if len(slots) != n:
         raise ColourMismatchError(f"expected {n} slots, got {len(slots)}")
     children = []
-    for i, forest in enumerate(slots, start=1):
-        if forest.max_colour > n:
-            raise ColourMismatchError(
-                f"slot {i} contains colour {forest.max_colour} > n = {n}"
-            )
-        for t in forest.trees:
+    for i, mono in enumerate(slots, start=1):
+        if mono.max_colour > n:
+            raise ColourMismatchError(f"slot {i} contains colour {mono.max_colour} > n = {n}")
+        for t in mono.trees:
             children.append((i, t))
-    return ColouredTree(children)
+    return cls._member(children)
+
+
+def _decompose(cls, tree, n: int) -> tuple:
+    """Inverse of :func:`_lam`: the colour-i children of a tree, in stored
+    order, as slot monomial i."""
+    if tree.max_colour > n:
+        raise ColourMismatchError(f"tree uses colour {tree.max_colour} > n = {n}")
+    slots: list[list] = [[] for _ in range(n)]
+    for colour, child in tree.children:
+        slots[colour - 1].append(child)
+    return tuple(map(cls, slots))
+
+
+def add_root(slots: Sequence[Forest], n: int | None = None) -> ColouredTree:
+    """Join n forests under a fresh root; slot i is attached with colour i."""
+    return _lam(Forest, slots, n)
 
 
 def decompose(tree: ColouredTree, n: int) -> tuple[Forest, ...]:
     """Inverse of :func:`add_root`: split a tree into its n colour slots."""
-    if tree.max_colour > n:
-        raise ColourMismatchError(f"tree uses colour {tree.max_colour} > n = {n}")
-    slots: list[list[ColouredTree]] = [[] for _ in range(n)]
-    for colour, child in tree.children:
-        slots[colour - 1].append(child)
-    return tuple(Forest(s) for s in slots)
+    return _decompose(Forest, tree, n)
 
 
 def canonicalize(
@@ -331,52 +370,62 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @cache
-def enumerate_trees(n: int, m: int) -> tuple[ColouredTree, ...]:
-    """All canonical n-coloured trees with exactly m vertices, sorted."""
+def _enumerate_trees(cls, n: int, m: int) -> tuple:
+    """All trees of the monomial class ``cls`` with n colours and m
+    vertices, sorted by key: the root constructor over every tuple of
+    slot monomials whose sizes sum to m - 1."""
     if m < 1:
         raise ValueError("trees have at least one vertex")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if m == 1:
-        return (LEAF,)
-    found = []
-    for split in _compositions(m - 1, n):
-        for combo in _iproduct(*(enumerate_forests(n, k) for k in split)):
-            found.append(add_root(combo, n))
+    found = [
+        _lam(cls, slots, n)
+        for split in _compositions(m - 1, n)
+        for slots in _iproduct(*(_enumerate_monomials(cls, n, k) for k in split))
+    ]
     return tuple(sorted(found))
 
 
 @cache
-def enumerate_forests(n: int, total: int) -> tuple[Forest, ...]:
-    """All forests (multisets of n-coloured trees) with ``total`` vertices."""
+def _enumerate_monomials(cls, n: int, total: int) -> tuple:
+    """All monomials of ``cls`` with ``total`` vertices, sorted.
+
+    Each is a head tree times a smaller monomial.  A word is every such
+    product; a forest is listed once, as the product whose head is its
+    least tree.
+    """
     if total < 0:
         raise ValueError("total must be >= 0")
     if total == 0:
-        return (EMPTY_FOREST,)
-
-    def multisets(remaining: int, bound: tuple[int, int]) -> Iterator[list[ColouredTree]]:
-        # pick trees with weakly decreasing (size, index) rank to avoid repeats
-        if remaining == 0:
-            yield []
-            return
-        max_size = min(remaining, bound[0])
-        for size in range(max_size, 0, -1):
-            pool = enumerate_trees(n, size)
-            start = bound[1] if size == bound[0] else len(pool) - 1
-            for idx in range(start, -1, -1):
-                for rest in multisets(remaining - size, (size, idx)):
-                    yield [pool[idx]] + rest
-
-    out = [Forest(ts) for ts in multisets(total, (total, len(enumerate_trees(n, total)) - 1))]
+        return (cls(),)
+    out = [
+        cls.single(head) * tail
+        for size in range(1, total + 1)
+        for head in _enumerate_trees(cls, n, size)
+        for tail in _enumerate_monomials(cls, n, total - size)
+        if not cls._sorted or not tail.trees or head <= tail.trees[0]
+    ]
     return tuple(sorted(out))
+
+
+def _enumerate_up_to(cls, n: int, max_total: int) -> tuple:
+    """All monomials of ``cls`` with at most ``max_total`` vertices."""
+    return tuple(m for d in range(max_total + 1) for m in _enumerate_monomials(cls, n, d))
+
+
+def enumerate_trees(n: int, m: int) -> tuple[ColouredTree, ...]:
+    """All canonical n-coloured trees with exactly m vertices, sorted."""
+    return _enumerate_trees(Forest, n, m)
+
+
+def enumerate_forests(n: int, total: int) -> tuple[Forest, ...]:
+    """All forests (multisets of n-coloured trees) with ``total`` vertices."""
+    return _enumerate_monomials(Forest, n, total)
 
 
 def enumerate_forests_up_to(n: int, max_total: int) -> tuple[Forest, ...]:
     """All forests with at most ``max_total`` vertices (the unit included)."""
-    out: list[Forest] = []
-    for d in range(max_total + 1):
-        out.extend(enumerate_forests(n, d))
-    return tuple(out)
+    return _enumerate_up_to(Forest, n, max_total)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +437,13 @@ class IndexedForest:
     """Flat vertex-array view of a forest or planar word (internal).
 
     Vertices are numbered in depth-first preorder over the trees in product
-    order, each vertex's edges in listing order, so vertex ids are a
+    order, each vertex's children in stored order, so vertex ids are a
     deterministic total order and a vertex subset is a bitmask over them.
     """
 
     __slots__ = ("parents", "colours")
 
-    def __init__(self, trees: Iterable, edges: Callable):
+    def __init__(self, trees: Iterable):
         self.parents: list[int | None] = []
         self.colours: list[int | None] = []
 
@@ -402,7 +451,7 @@ class IndexedForest:
             vid = len(self.parents)
             self.parents.append(parent)
             self.colours.append(colour)
-            for c, child in edges(tree):
+            for c, child in tree.children:
                 visit(child, vid, c)
 
         for tree in trees:
@@ -437,18 +486,13 @@ def induced_structure(
     return parent_of, colour_of
 
 
-def _induced_monomial(
-    idx: IndexedForest,
-    mask: int,
-    tree: Callable = ColouredTree,
-    monomial: Callable = Forest,
-):
-    """The forest (or, given planar constructors, the word) induced on a
+def _induced_monomial(idx: IndexedForest, mask: int, cls=Forest):
+    """The monomial of class ``cls`` (a forest, or a word) induced on a
     vertex subset.
 
     Component roots and each vertex's (colour, child) pairs are listed in
-    host vertex order, the host's depth-first first-visit order; ``tree``
-    and ``monomial`` build the result from them.
+    host vertex order, the host's depth-first first-visit order, and the
+    classes of ``cls`` and its trees put them into stored order.
     """
     parent_of, colour_of = induced_structure(idx, mask)
     kids: dict[int, list[tuple[int, int]]] = {v: [] for v in parent_of}
@@ -459,10 +503,12 @@ def _induced_monomial(
         else:
             kids[p].append((colour_of[v], v))
 
+    tree = cls._member
+
     def build(v: int):
         return tree((c, build(u)) for c, u in kids[v])
 
-    return monomial(build(r) for r in roots)
+    return cls(build(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +571,11 @@ class Scanner:
         if depth > MAX_NESTING_DEPTH:
             raise self.error(f"trees nested deeper than {MAX_NESTING_DEPTH} levels")
 
-    # -- tree / forest productions --
+    # -- tree / monomial productions --
 
-    def tree(self, n: int | None = None, depth: int = 1, make: Callable = ColouredTree):
-        """One bracket-grammar tree; ``make`` builds it from its (colour,
-        child) pairs in listed order (``PlanarTree`` keeps that order)."""
+    def tree(self, n: int | None = None, cls=ColouredTree, depth: int = 1):
+        """One bracket-grammar tree of class ``cls``, built from its
+        (colour, child) pairs in listed order."""
         self.check_depth(depth)
         self.skip_ws()
         self.expect("[")
@@ -544,42 +590,40 @@ class Scanner:
                     raise ColourMismatchError(f"colour {colour} exceeds n = {n}")
                 self.skip_ws()
                 self.expect(":")
-                children.append((colour, self.tree(n, depth + 1, make)))
+                children.append((colour, self.tree(n, cls, depth + 1)))
                 self.skip_ws()
                 if self.try_take("]"):
                     break
                 self.expect(",")
                 self.skip_ws()
-        return make(children)
+        return cls(children)
 
-    def forest(self, n: int | None = None) -> Forest:
+    def monomial(self, n: int | None = None, cls=Forest):
+        """``1`` (the unit) or '*'-joined trees: a monomial of class ``cls``."""
         self.skip_ws()
-        if self.peek() == "1":
-            self.pos += 1
-            return EMPTY_FOREST
-        trees = [self.tree(n)]
+        if self.try_take("1"):
+            return cls()
+        trees = [self.tree(n, cls._member)]
         while True:
             save = self.pos
             self.skip_ws()
-            if self.try_take("*") and self.peek() != "" :
-                self.skip_ws()
-                if self.peek() == "[":
-                    trees.append(self.tree(n))
-                    continue
-            self.pos = save
-            break
-        return Forest(trees)
+            if not self.try_take("*"):
+                self.pos = save
+                return cls(trees)
+            trees.append(self.tree(n, cls._member))
+
+
+def _parse_all(text: str, read: Callable):
+    """``read`` applied to a scanner over ``text``, which must consume it."""
+    sc = Scanner(text)
+    out = read(sc)
+    sc.check_done()
+    return out
 
 
 def parse_tree(text: str, n: int | None = None) -> ColouredTree:
-    sc = Scanner(text)
-    tree = sc.tree(n)
-    sc.check_done()
-    return tree
+    return _parse_all(text, lambda sc: sc.tree(n))
 
 
 def parse_forest(text: str, n: int | None = None) -> Forest:
-    sc = Scanner(text)
-    forest = sc.forest(n)
-    sc.check_done()
-    return forest
+    return _parse_all(text, lambda sc: sc.monomial(n))

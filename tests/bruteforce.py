@@ -14,7 +14,7 @@ with its own root-path counts and its own induced forests.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +263,64 @@ def q_exponents(parents, colours, n_colours: int, s) -> dict:
             if e:
                 exps[(row, c)] = exps.get((row, c), 0) + e
     return exps
+
+
+# ---------------------------------------------------------------------------
+# enumeration order
+# ---------------------------------------------------------------------------
+
+
+def _planar_encoding(parents, colours):
+    """Encoding of a raw tree whose children are ordered by vertex index:
+    per colour, in increasing colour, the tuple of child encodings."""
+    m = len(parents) + 1
+    kids = _children(parents, m)
+
+    def enc(v):
+        groups = {}
+        for c in kids[v]:
+            groups.setdefault(colours[c - 1], []).append(enc(c))
+        return tuple((colour, tuple(groups[colour])) for colour in sorted(groups))
+
+    return enc(0)
+
+
+def tree_keys(n_colours: int, m: int, planar: bool = False) -> list:
+    """The encodings of the n-coloured trees on m vertices, sorted.
+
+    A coloured tree is the sorted tuple of its (colour, child) pairs; a
+    planar tree groups its children per colour, in order.  Every planar
+    tree shows up among the raw trees, numbered in preorder.
+    """
+    encode = _planar_encoding if planar else raw_encoding
+    return sorted({encode(p, c) for p, c in raw_trees(n_colours, m)})
+
+
+def monomials_in_order(trees_by_size: dict, key, total: int, commutative: bool) -> list:
+    """The monomials with ``total`` vertices over the given trees, as
+    tuples of trees in stored order, sorted by key (the library sorts by
+    (size, key), and the size is fixed here).
+
+    ``trees_by_size`` maps a size to its trees.  Forests (``commutative``)
+    are the multisets of ``combinations_with_replacement`` within each
+    size, their trees sorted by ``key``; words are every sequence of
+    ``product``.  A monomial's key is the tuple of its trees' keys.
+    """
+    sizes = range(1, total + 1)
+    out = []
+    for k in range(total + 1):
+        if commutative:
+            for parts in combinations_with_replacement(sizes, k):
+                if sum(parts) != total:
+                    continue
+                per_size = [
+                    combinations_with_replacement(trees_by_size[s], parts.count(s))
+                    for s in sorted(set(parts))
+                ]
+                for picks in product(*per_size):
+                    out.append(tuple(sorted((t for pick in picks for t in pick), key=key)))
+        else:
+            for parts in product(sizes, repeat=k):
+                if sum(parts) == total:
+                    out.extend(product(*(trees_by_size[s] for s in parts)))
+    return sorted(out, key=lambda mono: tuple(key(t) for t in mono))

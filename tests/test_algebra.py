@@ -138,6 +138,17 @@ def test_exponent_limit():
     assert info.value.pos == len("2*q11^")
 
 
+def test_a_zero_denominator_is_a_parse_error_at_the_denominator():
+    for text, pos in [("1/0", 2), ("3 / 00*q11", 4)]:
+        with pytest.raises(ParseError, match="zero denominator") as info:
+            parse_coeff(text)
+        assert info.value.pos == pos
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_element("1/0 []", 1)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_tensor("[] ⊗ 1 + 2/0 1 ⊗ []", 1)
+
+
 coeffs = st.builds(
     lambda pairs: sum(
         (Coeff.rational(r) * Q11 ** a * Q21 ** b for r, a, b in pairs), ZERO

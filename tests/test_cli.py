@@ -165,6 +165,31 @@ def test_zero_denominator_in_qspec_exits_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["coproduct", "antipode"])
+def test_zero_denominator_in_an_expression_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--n", "1", "1/0 []")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "zero denominator" in err and err.count("\n") == 1
+    assert "position 2" in err
+
+
+def test_an_entry_too_long_to_print_is_named(capsys):
+    code, out, err = run(capsys, "coproduct", "--n", "1", "--q", "1e999999,0", "[]")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "q11 = '1e999999'" in err and err.count("\n") == 1
+
+
+def test_symbolic_entries_past_the_colour_limit_name_n(capsys):
+    code, out, err = run(capsys, "coproduct", "--n", "1025", "[]")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--n 1025" in err and "1024-colour limit" in err
+    assert err.count("\n") == 1
+    # rational entries have no such limit
+    q = ",".join(["1"] * 2050)
+    code, out, _ = run(capsys, "coproduct", "--n", "1025", "--q", q, "[]")
+    assert code == 0 and out == "1 ⊗ [] + [] ⊗ 1\n"
+
+
 @pytest.mark.parametrize("variant", ["symmetric", "planar"])
 def test_deep_nesting_exits_2(capsys, variant):
     chain = "[1:" * 1199 + "[]" + "]" * 1199

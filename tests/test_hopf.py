@@ -28,7 +28,6 @@ from treehopf.hopf import (
     coproduct,
     coproduct_closed,
     coproduct_of_slots,
-    _index,
     _split_table,
     _walk,
     simplicial_d,
@@ -39,6 +38,7 @@ from treehopf.planar import verify_planar
 from treehopf.trees import (
     ColourMismatchError,
     Forest,
+    IndexedForest,
     MAX_NESTING_DEPTH,
     canonicalize,
     enumerate_forests_up_to,
@@ -69,7 +69,7 @@ ROOT, MID, TOP = 1 << 0, 1 << 1, 1 << 2
 def q_of(forest, mask, host_mask=None, ctx=SYM1):
     """q(s, host) of the vertex subset ``mask``, the host being the
     subset ``host_mask`` (by default every vertex)."""
-    idx = _index(_FORESTS, forest)
+    idx = IndexedForest(forest.trees)
     if host_mask is None:
         host_mask = (1 << idx.nverts) - 1
     return evaluate_exponents(ctx.qspec, _walk(induced_structure(idx, host_mask), mask, host_mask))
@@ -105,7 +105,7 @@ def test_split_exponents_match_the_literal_counts(n, mmax):
     for m in range(1, mmax + 1):
         for tree in enumerate_trees(n, m):
             host = Forest.single(tree)
-            idx = _index(_FORESTS, host)
+            idx = IndexedForest(host.trees)
             parents, colours = tuple(idx.parents[1:]), tuple(idx.colours[1:])
             for mask, (_, _, exps) in enumerate(_split_table(_FORESTS, host)):
                 s = frozenset(v for v in range(m) if mask >> v & 1)
@@ -424,6 +424,20 @@ def _ungraded(ctx):
 def test_antipode_rejects_an_ungraded_coproduct():
     with pytest.raises(ValueError, match="not graded"):
         antipode_recursive(elt("[1:[]]"), SYM1, coproduct_fn=_ungraded(SYM1))
+
+
+def test_a_warm_memo_lookup_hashes_no_coefficient(monkeypatch):
+    # the memos of Δ and S are keyed on the parameter point; its hash is
+    # computed once, not from its 2n entries on every lookup
+    ctx = HopfContext.symbolic(2)
+    a = parse_element("[1:[],2:[1:[]]] * []", 2)
+    delta, s = coproduct(a, ctx), antipode_recursive(a, ctx)
+    calls = []
+    unpatched = Coeff.__hash__
+    monkeypatch.setattr(Coeff, "__hash__", lambda c: calls.append(c) or unpatched(c))
+    assert coproduct(a, ctx) == delta and antipode_recursive(a, ctx) == s
+    assert calls == []
+    assert hash(Coeff.rational(3)) == unpatched(Coeff.rational(3)) and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

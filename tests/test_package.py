@@ -97,6 +97,30 @@ def test_library_modules_bind_no_module_level_memo_table():
     assert not tables
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_only_trees_defines_tree_and_monomial_value_code():
+    # the planar variant differs from the symmetric one by its ordering
+    # rule only; a constructor, printer or product of its own would be a
+    # second implementation of the shared value classes
+    from treehopf.trees import _Monomial, _Tree
+
+    subclasses = list(_subclasses(_Tree)) + list(_subclasses(_Monomial))
+    assert {"PlanarTree", "PlanarWord"} <= {cls.__name__ for cls in subclasses}
+    defined = [
+        f"{cls.__module__}.{cls.__qualname__}.{name}"
+        for cls in subclasses
+        if cls.__module__ != "treehopf.trees"
+        for name in ("__init__", "__str__", "__mul__")
+        if name in vars(cls)
+    ]
+    assert not defined
+
+
 def test_bruteforce_oracle_imports_nothing_from_the_library():
     # the oracle is only independent while it shares no code with treehopf
     path = pathlib.Path(__file__).with_name("bruteforce.py")

@@ -1,7 +1,5 @@
 """Core combinatorics: canonical trees, forests, vertex subsets, grammar."""
 
-from operator import attrgetter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +12,7 @@ from treehopf.planar import (
     PLANAR_LEAF,
     PlanarWord,
     enumerate_planar_trees,
+    enumerate_planar_words,
     parse_planar_tree,
 )
 from treehopf.prelie import parse_labelled_tree
@@ -48,7 +47,7 @@ ROOT, MID, TOP = 1 << 0, 1 << 1, 1 << 2
 
 
 def index(forest):
-    return IndexedForest(forest.trees, attrgetter("children"))
+    return IndexedForest(forest.trees)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +69,29 @@ def test_two_colour_tree_counts_frozen():
 def test_tree_counts_match_bruteforce(n, mmax):
     for m in range(1, mmax + 1):
         assert len(enumerate_trees(n, m)) == bruteforce.count_trees(n, m)
+
+
+@pytest.mark.parametrize("n,mmax", [(1, 6), (2, 4)])
+def test_tree_enumeration_order_matches_the_reference(n, mmax):
+    # both listings are sorted by key; the planar key groups the children
+    # per colour, so a flat key would reorder planar output
+    for m in range(1, mmax + 1):
+        assert [t.key for t in enumerate_trees(n, m)] == bruteforce.tree_keys(n, m)
+        assert [t.key for t in enumerate_planar_trees(n, m)] == bruteforce.tree_keys(
+            n, m, planar=True
+        )
+
+
+@pytest.mark.parametrize("n,mmax", [(1, 6), (2, 4)])
+def test_monomial_enumeration_order_matches_the_reference(n, mmax):
+    forest_trees = {m: enumerate_trees(n, m) for m in range(1, mmax + 1)}
+    word_trees = {m: enumerate_planar_trees(n, m) for m in range(1, mmax + 1)}
+    key = lambda t: t.key
+    for total in range(mmax + 1):
+        forests = bruteforce.monomials_in_order(forest_trees, key, total, commutative=True)
+        words = bruteforce.monomials_in_order(word_trees, key, total, commutative=False)
+        assert [f.trees for f in enumerate_forests(n, total)] == forests
+        assert [w.trees for w in enumerate_planar_words(n, total)] == words
 
 
 def test_compositions_follow_the_recursive_order():
