@@ -14,7 +14,6 @@ import argparse
 import itertools
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,15 +23,7 @@ from treehopf.hopf import HopfContext, verify_bialgebra
 from treehopf.planar import verify_planar
 
 
-@dataclass
-class Config:
-    n: int = 1
-    max_degree: int = 4
-    planar_max_degree: int = 3
-    grid: list = field(default_factory=lambda: [Fraction(0), Fraction(1)])
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=1, help="number of colours")
     parser.add_argument("--max-degree", type=int, default=4)
@@ -40,22 +31,17 @@ def parse_args(argv=None) -> Config:
     parser.add_argument(
         "--grid",
         nargs="+",
-        default=["0", "1"],
+        type=Fraction,
+        default=[Fraction(0), Fraction(1)],
         help="rational values each parameter ranges over, e.g. --grid -1 0 1/2",
     )
-    args = parser.parse_args(argv)
-    return Config(
-        n=args.n,
-        max_degree=args.max_degree,
-        planar_max_degree=args.planar_max_degree,
-        grid=[Fraction(v) for v in args.grid],
-    )
+    return parser.parse_args(argv)
 
 
-def run_member(label, ctx, cfg) -> bool:
+def run_member(label, ctx, args) -> bool:
     start = time.perf_counter()
-    sym = verify_bialgebra(ctx, cfg.max_degree)
-    pla = verify_planar(ctx, cfg.planar_max_degree)
+    sym = verify_bialgebra(ctx, args.max_degree)
+    pla = verify_planar(ctx, args.planar_max_degree)
     elapsed = time.perf_counter() - start
     ok = sym.passed and pla.passed
     status = "ok" if ok else "FAILED"
@@ -67,18 +53,18 @@ def run_member(label, ctx, cfg) -> bool:
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     print(
-        f"axiom sweep: n={cfg.n}, forests <= {cfg.max_degree} vertices, "
-        f"planar words <= {cfg.planar_max_degree}"
+        f"axiom sweep: n={args.n}, forests <= {args.max_degree} vertices, "
+        f"planar words <= {args.planar_max_degree}"
     )
-    all_ok = run_member("symbolic (generic member)", HopfContext.symbolic(cfg.n), cfg)
+    all_ok = run_member("symbolic (generic member)", HopfContext.symbolic(args.n), args)
 
-    points = list(itertools.product(cfg.grid, repeat=2 * cfg.n))
+    points = list(itertools.product(args.grid, repeat=2 * args.n))
     print(f"rational grid: {len(points)} parameter points")
     for values in points:
         label = "q = (" + ", ".join(str(v) for v in values) + ")"
-        all_ok &= run_member(label, HopfContext.rational(cfg.n, values), cfg)
+        all_ok &= run_member(label, HopfContext.rational(args.n, values), args)
 
     print("all members passed" if all_ok else "FAILURES FOUND")
     return 0 if all_ok else 1

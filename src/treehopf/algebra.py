@@ -16,12 +16,14 @@ only when printed, so equal coefficients always print identically.
 
 from __future__ import annotations
 
+import re
+import sys
 import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import product as _iproduct
+from functools import cache, reduce
+from operator import mul
 
 from .trees import ColourMismatchError, EMPTY_FOREST, Forest, Scanner
 
@@ -72,8 +74,12 @@ def _unpack(mono: int) -> tuple:
         exp = mono & _FIELD
         if exp:
             pairs.append((((field & 1) + 1, (field >> 1) + 1), exp))
-        mono >>= _WIDTH
-        field += 1
+            mono >>= _WIDTH
+            field += 1
+        else:  # jump to the lowest set field, so a sparse monomial costs its length
+            skip = ((mono & -mono).bit_length() - 1) // _WIDTH
+            mono >>= _WIDTH * skip
+            field += skip
     pairs.sort()
     return tuple(pairs)
 
@@ -389,6 +395,24 @@ def parse_coeff(text: str) -> Coeff:
 # coefficient specifications
 # ---------------------------------------------------------------------------
 
+def _rational_entry(word: str) -> Fraction:
+    """``Fraction(word)``, but a zero mantissa reads as 0 and a nonzero one
+    is refused when its exponent passes the digit limit of int printing by
+    more than its digit count, before ten is raised to the exponent."""
+    m = re.fullmatch(r"(.*)e([-+]?\d+(?:_\d+)*)", word, re.IGNORECASE)  # Fraction's exponent
+    try:
+        mantissa = m and Fraction(m[1] + "e0")
+    except ValueError:  # not a decimal: Fraction(word) names the fault
+        return Fraction(word)
+    if m:
+        exponent = int(m[2])
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit (before 3.10.7)
+        if not mantissa:
+            return mantissa
+        if limit and abs(exponent) > limit + sum(map(str.isdecimal, m[1])):
+            raise ValueError(f"the decimal exponent would print over {limit} digits")
+    return Fraction(word)
+
 
 @dataclass(frozen=True)
 class QSpec:
@@ -459,7 +483,7 @@ class QSpec:
                 entries.append(Coeff.variable(i + 1, j + 1))
                 continue
             try:
-                value = Fraction(word)
+                value = _rational_entry(word)
                 str(value)  # the output prints every entry
             except ZeroDivisionError:
                 raise ValueError(f"{name} has a zero denominator") from None
@@ -747,12 +771,25 @@ def _format_terms(terms, key_str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _graded(a, q: Coeff):
+    """``a`` with each term multiplied by ``q`` to the term's size; the size
+    of a monomial pair is the total size of its two legs."""
+    power = cache(q.__pow__)
+    pairs = isinstance(a, TensorElement)
+    out = {}
+    for key, c in a.data.items():
+        w = c * power(key[0].size + key[1].size if pairs else key.size)
+        if not w.is_zero():
+            out[key] = w
+    return a._adopt(a.n, out)
+
+
 def sigma(side: int, qspec: QSpec, slots: Sequence[Element]) -> Element:
     """The q-scaled product map for the given row (1 or 2).
 
-    On basis forests: multiply all slots together and weight by the
-    product over colours j of ``q(side, j)`` to the size of slot j.
-    Extended multilinearly, one graded component at a time.
+    The product of the slots in slot order, slot j graded by
+    ``q(side, j)``: on basis forests, their product weighted by
+    Π_j q(side, j)^{|slot j|}, extended multilinearly.
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
@@ -762,18 +799,8 @@ def sigma(side: int, qspec: QSpec, slots: Sequence[Element]) -> Element:
     for s in slots:
         if s.n != n:
             raise ValueError("slot elements must live over the same n")
-    out: dict[Forest, Coeff] = {}
-    items = [list(s.data.items()) for s in slots]
-    powers = [cache(qspec.q(side, j).__pow__) for j in range(1, n + 1)]
-    for combo in _iproduct(*items):
-        coeff = ONE
-        forest = EMPTY_FOREST
-        for power, (f, c) in zip(powers, combo):
-            coeff = coeff * c * power(f.size)
-            forest = forest * f
-        if not coeff.is_zero():
-            _acc(out, forest, coeff)
-    return Element._adopt(n, out)
+    graded = (_graded(s, qspec.q(side, j)) for j, s in enumerate(slots, start=1))
+    return reduce(mul, graded, Element.unit(n))
 
 
 # ---------------------------------------------------------------------------

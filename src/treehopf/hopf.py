@@ -21,9 +21,10 @@ oracle ``ck_coproduct_oracle`` at the Connes–Kreimer point.
 The antipode is the tree recursion S(t) = −t − Σ S(t′)·t″; the
 ordered-partition sum ``antipode_partitions`` is kept as its oracle.
 
-The engine (``_delta``, ``_monomial_maps``, ``_coproduct_closed``,
-``_verify``) is written once over a basis record ``algebra._Basis``: the
-public functions here run it on forests, those in ``planar`` on words.
+The engine (``_delta``, ``_monomial_maps``, ``_coproduct_closed``, and
+``_verify``, one list of named checks that ``_check`` runs case by case)
+is written once over a basis record ``algebra._Basis``: the public
+functions here run it on forests, those in ``planar`` on words.
 
 Everything here is a pure function of immutable values.  A value is
 memoised only where a later call reads it again, and always by
@@ -51,6 +52,7 @@ from .algebra import (
     ZERO,
     _FORESTS,
     _acc,
+    _graded,
     evaluate_exponents,
     sigma,
 )
@@ -258,25 +260,6 @@ def coproduct_closed(a: Element, ctx: HopfContext) -> TensorElement:
     no Δ memo with it.
     """
     return _coproduct_closed(_FORESTS, a, ctx)
-
-
-def coproduct_of_slots(
-    slots: Sequence[Element],
-    ctx: HopfContext,
-    delta: "Callable[[Element], TensorElement] | None" = None,
-) -> TensorElement:
-    """Comultiplication of a root-adjoined element, from its slot contents.
-
-    Computes Δ(λ(x_1..x_n)) as Σ σ_1(x')⊗λ(x'') + λ(x')⊗σ_2(x''),
-    where x' ⊗ x'' ranges over the slotwise coproduct terms.  ``delta``
-    overrides the coproduct applied to the slots (used by the verifier).
-    """
-    n = ctx.n
-    if len(slots) != n:
-        raise ValueError(f"expected {n} slot elements, got {len(slots)}")
-    if delta is None:
-        delta = lambda e: coproduct(e, ctx)
-    return _root_square(_FORESTS, [delta(s) for s in slots], ctx)
 
 
 def _check_n(a, ctx: HopfContext):
@@ -548,10 +531,7 @@ class VerificationReport:
 
     @property
     def first_failure(self) -> CheckOutcome | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.checks if not c.passed), None)
 
     def summary(self) -> str:
         head = f"axiom checks (n={self.n}, degrees <= {self.max_degree})"
@@ -566,11 +546,17 @@ def _sample(cases: list, max_cases: int | None, seed: int) -> list:
     return random.Random(seed).sample(cases, max_cases)
 
 
-def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=None):
-    """The axiom checks shared by both bases, on every basis monomial (or
-    pair of monomials) within ``max_degree``: coassociativity, the counit
-    laws, multiplicativity of Δ, then ``extra_checks(monomials, delta)``
-    when given, then both antipode convolution laws.
+def _check(name: str, cases: list, fails) -> CheckOutcome:
+    """Run ``fails`` on the cases in order; it returns a failure message or
+    None, and the first message is the check's failure."""
+    return CheckOutcome(name, len(cases), next(filter(None, map(fails, cases)), None))
+
+
+def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed):
+    """The axiom checks on every basis monomial (or pair or slot tuple of
+    monomials) within ``max_degree``: coassociativity, the counit laws,
+    multiplicativity of Δ, then, on forests, σ compatibility and the
+    root-constructor square, then both antipode convolution laws.
 
     Commuting monomials are paired once per unordered pair, words in
     both orders.  ``coproduct_fn`` replaces the production Δ, and the
@@ -583,16 +569,20 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     if max_cases is not None and max_cases < 1:
         raise ValueError(f"max_cases must be at least 1, got {max_cases}")
-    n = ctx.n
-    element = basis.element
-    report = VerificationReport(n=n, max_degree=max_degree)
+    n, qspec = ctx.n, ctx.qspec
+    monomial, element, tensor = basis.monomial, basis.element, basis.tensor
     delta, antipode = _monomial_maps(basis, ctx, coproduct_fn)
-    monos = list(_enumerate_up_to(basis.monomial, n, max_degree))
-
-    # 1. coassociativity
+    monos = list(_enumerate_up_to(monomial, n, max_degree))
     cases = _sample(monos, max_cases, seed)
-    failure = None
-    for f in cases:
+    pairs = [
+        (f, g)
+        for i, f in enumerate(monos)
+        for g in (monos[i:] if monomial._sorted else monos)
+        if f.size + g.size <= max_degree
+    ]
+    pairs = _sample(pairs, max_cases, seed + 1)
+
+    def coassociative(f):
         left: dict = {}
         right: dict = {}
         for (l, r), c in delta(f).data.items():
@@ -601,58 +591,74 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed, extra_checks=
             for (a, b), d in delta(r).data.items():
                 _acc(right, (l, a, b), c * d)
         if left != right:
-            failure = f"(Δ⊗id)Δ ≠ (id⊗Δ)Δ on {f}"
-            break
-    report.checks.append(CheckOutcome("coassociativity", len(cases), failure))
+            return f"(Δ⊗id)Δ ≠ (id⊗Δ)Δ on {f}"
 
-    # 2. counit laws
-    failure = None
-    for f in cases:
+    def counital(f):
         d = delta(f)
         ident = element.basis(f, n)
         if d.left_counit() != ident or d.right_counit() != ident:
-            failure = f"counit law fails on {f}"
-            break
-    report.checks.append(CheckOutcome("counit laws", len(cases), failure))
+            return f"counit law fails on {f}"
 
-    # 3. Δ is an algebra morphism
-    pairs = [
-        (f, g)
-        for i, f in enumerate(monos)
-        for g in (monos[i:] if basis.monomial._sorted else monos)
-        if f.size + g.size <= max_degree
-    ]
-    pairs = _sample(pairs, max_cases, seed + 1)
-    failure = None
-    for f, g in pairs:
+    def multiplicative(pair):
+        f, g = pair
         if delta(f * g) != delta(f) * delta(g):
-            failure = f"Δ({f}·{g}) ≠ Δ({f})·Δ({g})"
-            break
-    report.checks.append(CheckOutcome("Δ multiplicative", len(pairs), failure))
+            return f"Δ({f}·{g}) ≠ Δ({f})·Δ({g})"
 
-    if extra_checks is not None:
-        report.checks += extra_checks(monos, delta)
+    def sigma_compatible(combo):
+        slots = [element.basis(f, n) for f in combo]
+        unit = ONE if all(f.is_empty() for f in combo) else ZERO
+        for side in (1, 2):
+            s = sigma(side, qspec, slots)
+            if s.counit() != unit:
+                return f"ε∘σ_{side} ≠ ε^⊗n on {tuple(map(str, combo))}"
+            # (σ⊗σ)(Δ^{⊗n}): the slot coproducts graded and multiplied
+            graded = (_graded(delta(f), qspec.q(side, j)) for j, f in enumerate(combo, start=1))
+            if _extend_linearly(s, delta, tensor) != reduce(mul, graded, tensor.unit(n)):
+                return f"Δ∘σ_{side} condition fails on {tuple(map(str, combo))}"
 
-    # last: antipode convolution laws, summed in place
-    failure = None
-    try:
-        for f in cases:
-            lhs: dict = {}
-            rhs: dict = {}
+    def square(combo):
+        lam = monomial.single(_lam(monomial, combo, n))
+        if delta(lam) != _root_square(basis, [delta(f) for f in combo], ctx):
+            return f"Δ∘λ square fails on {tuple(map(str, combo))}"
+
+    def convolution(f):
+        lhs: dict = {}
+        rhs: dict = {}
+        try:
             for (l, r), c in delta(f).data.items():
                 for k, d in antipode(l).data.items():
                     _acc(lhs, k * r, d * c)
                 for k, d in antipode(r).data.items():
                     _acc(rhs, l * k, d * c)
-            expect = {basis.monomial(): ONE} if f.is_empty() else {}
-            if lhs != expect or rhs != expect:
-                failure = f"S*id = id*S = uε fails on {f}"
-                break
-    except ValueError as exc:
-        failure = str(exc)
-    report.checks.append(CheckOutcome("antipode convolution", len(cases), failure))
+        except ValueError as exc:
+            return str(exc)
+        expect = {monomial(): ONE} if f.is_empty() else {}
+        if lhs != expect or rhs != expect:
+            return f"S*id = id*S = uε fails on {f}"
 
-    return report
+    checks = [
+        ("coassociativity", cases, coassociative),
+        ("counit laws", cases, counital),
+        ("Δ multiplicative", pairs, multiplicative),
+    ]
+    if basis is _FORESTS:
+        # slot-monomial tuples of total size < max_degree in product order,
+        # grown slot by slot (a loop: n may pass the recursion limit)
+        grown = [((), 0)] if max_degree >= 1 else []
+        for _ in range(n):
+            grown = [
+                (combo + (f,), size + f.size)
+                for combo, size in grown
+                for f in monos
+                if size + f.size < max_degree
+            ]
+        tuples = _sample([combo for combo, _ in grown], max_cases, seed + 2)
+        checks += [
+            ("σ compatibility", tuples, sigma_compatible),
+            ("root-constructor square", tuples, square),
+        ]
+    checks.append(("antipode convolution", cases, convolution))
+    return VerificationReport(n, max_degree, [_check(*check) for check in checks])
 
 
 def verify_bialgebra(
@@ -665,84 +671,13 @@ def verify_bialgebra(
     """Exhaustively check the bialgebra/Hopf axioms up to a degree bound.
 
     Runs coassociativity, the counit laws, multiplicativity of Δ, the
-    two sigma compatibility conditions, the defining square for the
-    root constructor, and both antipode convolution laws, on every
-    basis forest (or tuple/pair of forests) within ``max_degree``.
+    two σ compatibility conditions ε∘σ_i = ε^⊗n and Δ∘σ_i = (σ_i⊗σ_i)Δ^⊗n,
+    the defining square for the root constructor, and both antipode
+    convolution laws, on every basis forest (or pair or slot tuple of
+    forests) within ``max_degree``.
     ``coproduct_fn`` lets callers verify a modified coproduct; the
     antipode used in the convolution check is rebuilt from it, so a
     corrupt Δ is judged by its own axioms.  ``max_cases`` caps each
     check's case list by seeded sampling (exhaustive when ``None``).
     """
-    n = ctx.n
-
-    def root_checks(forests, delta) -> list[CheckOutcome]:
-        # slot-forest tuples of total size < max_degree in product order,
-        # grown slot by slot (a loop: n may pass the recursion limit)
-        grown = [((), 0)] if max_degree >= 1 else []
-        for _ in range(n):
-            grown = [
-                (combo + (f,), size + f.size)
-                for combo, size in grown
-                for f in forests
-                if size + f.size < max_degree
-            ]
-        tuples = _sample([combo for combo, _ in grown], max_cases, seed + 2)
-        powers = {
-            (side, j): cache(ctx.qspec.q(side, j).__pow__)
-            for side in (1, 2)
-            for j in range(1, n + 1)
-        }
-        outcomes = []
-
-        # 4. sigma compatibility (counit and coproduct conditions)
-        failure = None
-        for combo in tuples:
-            slot_elems = [Element.basis(f, n) for f in combo]
-            for side in (1, 2):
-                s_elem = sigma(side, ctx.qspec, slot_elems)
-                # counit condition
-                eps = s_elem.counit()
-                expect = ONE if all(f.is_empty() for f in combo) else ZERO
-                if eps != expect:
-                    failure = f"ε∘σ_{side} ≠ ε^⊗n on {tuple(map(str, combo))}"
-                    break
-                # coproduct condition
-                lhs = _extend_linearly(s_elem, delta, TensorElement)
-                rhs: dict[tuple[Forest, Forest], Coeff] = {}
-                for cross in _iproduct(*(delta(f).data.items() for f in combo)):
-                    coeff = ONE
-                    for _, c in cross:
-                        coeff = coeff * c
-                    lefts = EMPTY_FOREST
-                    rights = EMPTY_FOREST
-                    for j, (key, _) in enumerate(cross, start=1):
-                        power = powers[side, j]
-                        coeff = coeff * power(key[0].size) * power(key[1].size)
-                        lefts = lefts * key[0]
-                        rights = rights * key[1]
-                    if not coeff.is_zero():
-                        _acc(rhs, (lefts, rights), coeff)
-                if lhs != TensorElement(n, rhs):
-                    failure = f"Δ∘σ_{side} condition fails on {tuple(map(str, combo))}"
-                    break
-            if failure:
-                break
-        outcomes.append(CheckOutcome("σ compatibility", len(tuples), failure))
-
-        # 5. defining square for the root constructor
-        failure = None
-        for combo in tuples:
-            tree = add_root(combo, n)
-            lhs = delta(Forest.single(tree))
-            rhs = coproduct_of_slots(
-                [Element.basis(f, n) for f in combo],
-                ctx,
-                delta=lambda e: _extend_linearly(e, delta, TensorElement),
-            )
-            if lhs != rhs:
-                failure = f"Δ∘λ square fails on {tuple(map(str, combo))}"
-                break
-        outcomes.append(CheckOutcome("root-constructor square", len(tuples), failure))
-        return outcomes
-
-    return _verify(_FORESTS, ctx, max_degree, coproduct_fn, max_cases, seed, root_checks)
+    return _verify(_FORESTS, ctx, max_degree, coproduct_fn, max_cases, seed)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import combinations, product as _iproduct
+from itertools import combinations, groupby, product as _iproduct
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -338,16 +338,9 @@ def aut_order(tree: ColouredTree) -> int:
     """Order of the automorphism group: product over (colour, child-class)
     groups of multiplicity! times each child's own count, multiplicity-fold."""
     total = 1
-    run: tuple[int, ColouredTree] | None = None
-    mult = 0
-    for colour, child in list(tree.children) + [(0, None)]:  # sentinel flush
-        if run is not None and (colour, child) == run:
-            mult += 1
-            continue
-        if run is not None:
-            total *= math.factorial(mult) * aut_order(run[1]) ** mult
-        run = (colour, child) if child is not None else None
-        mult = 1
+    for (_, child), run in groupby(tree.children):  # the children are sorted
+        mult = len(list(run))
+        total *= math.factorial(mult) * aut_order(child) ** mult
     return total
 
 

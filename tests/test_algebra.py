@@ -182,6 +182,16 @@ def test_coeff_print_parse_roundtrip(a):
     assert parse_coeff(str(a)) == a
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["q11*q21000^3", "q21024", "q1512^2*q2513", "q11024 - 3/4*q2700 + 2*q11^5*q21"],
+)
+def test_sparse_high_colour_monomials_print_and_parse_back(text):
+    c = parse_coeff(text)
+    assert str(c) == text
+    assert parse_coeff(str(c)) == c
+
+
 # every symbol over n = 3, so fields above the first two and gaps between
 # the fields a monomial uses both occur
 SYMBOLS3 = [(i, j) for j in (1, 2, 3) for i in (1, 2)]
@@ -253,6 +263,15 @@ def test_qspec_from_strings():
         QSpec.from_strings(2, ["1", "0"])
     with pytest.raises(ValueError):
         QSpec.indicator(2, {5})
+
+
+def test_qspec_decimal_exponents():
+    # a zero mantissa is 0 without raising ten to its exponent
+    assert QSpec.from_strings(1, ["0e999999999", "0e999999"]).entries == (ZERO, ZERO)
+    assert QSpec.from_strings(1, ["1e-4000", "1"]).q(1, 1) == Fraction(1, 10**4000)
+    # 10^4300 has one digit more than int printing allows
+    with pytest.raises(ValueError, match="q11 = '1e4300'"):
+        QSpec.from_strings(1, ["1e4300", "1"])
 
 
 def test_qspec_is_rational():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +120,28 @@ def test_verify_many_slots_at_low_degree(capsys):
     assert "root-constructor square (9 cases)" in out
 
 
+@pytest.mark.parametrize(
+    "variant, degree, cases",
+    [
+        ("symmetric", 0, [1, 1, 1, 0, 0, 1]),
+        ("symmetric", 1, [2, 2, 2, 1, 1, 2]),
+        ("symmetric", 2, [3, 3, 4, 1, 1, 3]),
+        ("planar", 0, [1, 1, 1, 1]),
+        ("planar", 1, [2, 2, 3, 2]),
+        ("planar", 2, [3, 3, 6, 3]),
+    ],
+)
+def test_verify_with_no_colours(capsys, variant, degree, cases):
+    # over n = 0 the σ products are empty: each must be the unit of its kind
+    code, out, _ = run(
+        capsys, "verify", "--n", "0", "--variant", variant,
+        "--max-degree", str(degree), "--format", "json",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"]
+    assert [c["cases"] for c in payload["checks"]] == cases
+
+
 def test_verify_planar(capsys):
     code, out, _ = run(
         capsys, "verify", "--n", "1", "--variant", "planar", "--max-degree", "3"
@@ -177,6 +200,15 @@ def test_an_entry_too_long_to_print_is_named(capsys):
     code, out, err = run(capsys, "coproduct", "--n", "1", "--q", "1e999999,0", "[]")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "q11 = '1e999999'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["1e999999999", "1e-999999999"])
+def test_a_huge_decimal_exponent_is_refused_before_the_power(capsys, entry):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coproduct", "--n", "1", "--q", f"{entry},0", "[]")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"q11 = '{entry}'" in err and err.count("\n") == 1
 
 
 def test_symbolic_entries_past_the_colour_limit_name_n(capsys):

@@ -1,6 +1,8 @@
 """The coproduct family: closed and inductive forms, antipodes, the
 Connes-Kreimer specialization, simplicial operators, axiom verification."""
 
+import importlib.util
+import pathlib
 from math import comb
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from treehopf import hopf
 from treehopf.algebra import (
     _FORESTS,
     Coeff,
@@ -27,7 +30,6 @@ from treehopf.hopf import (
     ck_coproduct_oracle,
     coproduct,
     coproduct_closed,
-    coproduct_of_slots,
     _split_table,
     _walk,
     simplicial_d,
@@ -273,13 +275,6 @@ def draw_point(draw, n):
 def test_coproduct_equals_closed_on_random_forests(case):
     e, ctx = case
     assert coproduct(e, ctx) == coproduct_closed(e, ctx)
-
-
-def test_coproduct_of_slots_square():
-    # building blocks: the defining square on the root constructor
-    f = Element(1, {parse_forest("[]"): 1})
-    out = coproduct_of_slots([f], SYM1)
-    assert out == coproduct(elt("[1:[]]"), SYM1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +549,28 @@ def test_verify_detects_a_broken_coproduct():
     assert failed is not None and failed.name == "coassociativity"
 
 
+def test_verify_pins_every_outcome_of_a_doubled_coproduct():
+    # 2Δ is still coassociative; every other check fails, on its first case
+    ctx = HopfContext.symbolic(2)
+    report = verify_bialgebra(ctx, 2, coproduct_fn=lambda e: coproduct(e, ctx).scale(2))
+    assert report.checks == [
+        CheckOutcome("coassociativity", 5, None),
+        CheckOutcome("counit laws", 5, "counit law fails on 1"),
+        CheckOutcome("Δ multiplicative", 6, "Δ(1·1) ≠ Δ(1)·Δ(1)"),
+        CheckOutcome("σ compatibility", 3, "Δ∘σ_1 condition fails on ('1', '1')"),
+        CheckOutcome("root-constructor square", 3, "Δ∘λ square fails on ('1', '1')"),
+        CheckOutcome("antipode convolution", 5, "S*id = id*S = uε fails on 1"),
+    ]
+
+
+def test_verify_reports_a_sigma_off_the_counit(monkeypatch):
+    # a σ that sends every slot tuple to the unit breaks ε∘σ = ε^⊗n on the
+    # first nonempty tuple
+    monkeypatch.setattr(hopf, "sigma", lambda side, qspec, slots: Element.unit(qspec.n))
+    outcome = {c.name: c for c in verify_bialgebra(SYM1, 2).checks}["σ compatibility"]
+    assert outcome == CheckOutcome("σ compatibility", 2, "ε∘σ_1 ≠ ε^⊗n on ('[]',)")
+
+
 def test_verify_samples_the_slot_tuples_in_product_order():
     # Δ at other parameter values is a bialgebra, but not the root square
     # of these; the sampled tuple it fails on pins the order of the list
@@ -599,6 +616,15 @@ def test_verify_refuses_a_negative_max_degree():
             verify(SYM1, -1)
         report = verify(SYM1, 0)
         assert report.passed and report.checks[0].cases == 1
+
+
+def test_verify_family_script_sweeps_a_small_grid():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "verify_family.py"
+    spec = importlib.util.spec_from_file_location("verify_family", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--n", "1", "--max-degree", "2", "--planar-max-degree", "2", "--grid", "0", "1"]
+    assert script.main(argv) == 0
 
 
 # ---------------------------------------------------------------------------
