@@ -8,7 +8,6 @@ Example:
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -17,14 +16,7 @@ from treehopf.planar import enumerate_planar_trees, enumerate_planar_words
 from treehopf.trees import enumerate_forests, enumerate_trees
 
 
-@dataclass
-class Config:
-    max_n: int = 2
-    max_size: int = 6
-    planar_max_size: int = 5
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=2, help="largest colour count")
     parser.add_argument("--max-size", type=int, default=6, help="largest vertex count")
@@ -34,8 +26,7 @@ def parse_args(argv=None) -> Config:
         default=5,
         help="largest vertex count for the ordered variant (grows fast)",
     )
-    args = parser.parse_args(argv)
-    return Config(args.max_n, args.max_size, args.planar_max_size)
+    return parser.parse_args(argv)
 
 
 def table(title, row_label, counts_for, max_n, max_size):
@@ -51,34 +42,34 @@ def table(title, row_label, counts_for, max_n, max_size):
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     table(
         "trees (isomorphism classes)",
         "vertices",
         lambda n, m: len(enumerate_trees(n, m)),
-        cfg.max_n,
-        cfg.max_size,
+        args.max_n,
+        args.max_size,
     )
     table(
         "forests (multisets of trees)",
         "total vertices",
         lambda n, m: len(enumerate_forests(n, m)),
-        cfg.max_n,
-        cfg.max_size,
+        args.max_n,
+        args.max_size,
     )
     table(
         "planar trees (sibling order is data)",
         "vertices",
         lambda n, m: len(enumerate_planar_trees(n, m)),
-        cfg.max_n,
-        cfg.planar_max_size,
+        args.max_n,
+        args.planar_max_size,
     )
     table(
         "planar words (ordered sequences of planar trees)",
         "total vertices",
         lambda n, m: len(enumerate_planar_words(n, m)),
-        cfg.max_n,
-        cfg.planar_max_size,
+        args.max_n,
+        args.planar_max_size,
     )
     return 0
 

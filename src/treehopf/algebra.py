@@ -618,12 +618,6 @@ class Combination:
     def support(self):
         return [k for k, _ in self.terms()]
 
-    def map_coefficients(self, fn):
-        return type(self)(self.n, ((k, fn(c)) for k, c in self.data.items()))
-
-    def substitute(self, values):
-        return self.map_coefficients(lambda c: c.substitute(values))
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -704,19 +698,6 @@ class TensorElement(Combination):
     def unit(cls, n: int):
         empty = cls._element._key_type()
         return cls(n, {(empty, empty): ONE})
-
-    @classmethod
-    def of(cls, left: Element, right: Element):
-        if left.n != right.n:
-            raise ValueError("tensor factors must share n")
-        return cls(
-            left.n,
-            {
-                (fl, fr): cl * cr
-                for fl, cl in left.data.items()
-                for fr, cr in right.data.items()
-            },
-        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Coeff)):

@@ -1,13 +1,21 @@
 """Command-line front door.
 
-Every subcommand computes one thing, prints it deterministically (text or
-JSON built from the same term list), and exits with a coded status:
+Every subcommand computes one thing and exits with a coded status:
 
     0  success
-    2  malformed input: flags, coefficient spec, or expression grammar
+    2  malformed input: flags (including a negative --n), coefficient
+       spec, or expression grammar
     3  verification failure (``verify`` found a broken axiom)
     4  work exceeds the requested budget
     5  an edge colour exceeds the declared colour count n
+
+All eight subcommands share one result path.  ``main`` checks ``--n``,
+builds the ``HopfContext`` once for every subcommand that takes ``--q``
+(reading ``--q`` before the expression), and calls the subcommand's
+handler, which returns its JSON fields, its text lines and its exit code;
+``main`` alone prints them, as JSON or as text, and turns the library's
+errors into exit codes.  One term printer, ``_terms``, picks the JSON
+shape of a result's terms from its type.
 
 The argument parser is built once per process and reused: each parse
 makes a fresh namespace and leaves the parser unchanged.
@@ -20,7 +28,7 @@ import json
 import sys
 from functools import cache
 
-from .algebra import QSpec, parse_element
+from .algebra import QSpec, TensorElement, parse_element
 from .hopf import (
     HopfContext,
     antipode_recursive,
@@ -50,7 +58,6 @@ from .prelie import (
 from .trees import (
     BudgetError,
     ColourMismatchError,
-    ParseError,
     enumerate_trees,
     parse_tree,
 )
@@ -139,169 +146,93 @@ def _qspec(args) -> QSpec:
     return QSpec.from_strings(args.n, words)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _terms(result) -> list[dict]:
+    """The JSON terms of a result: a tensor names both legs, a dual
+    functional prints its basis tree with the ``D`` prefix."""
+    if isinstance(result, TensorElement):
+        return [
+            {"coefficient": str(c), "left": str(k[0]), "right": str(k[1])}
+            for k, c in result.terms()
+        ]
+    prefix = "D" if isinstance(result, DualElement) else ""
+    return [{"coefficient": str(c), "basis": f"{prefix}{k}"} for k, c in result.terms()]
 
 
-def _element_terms(e) -> list[dict]:
-    return [{"coefficient": str(c), "basis": str(k)} for k, c in e.terms()]
+def _result(fields: dict, result):
+    """A computed result: its terms close the JSON fields, and the text
+    form is the result on one line."""
+    fields["terms"] = _terms(result)
+    return fields, [str(result)], EXIT_OK
 
 
-def _tensor_terms(e) -> list[dict]:
-    return [
-        {"coefficient": str(c), "left": str(k[0]), "right": str(k[1])}
-        for k, c in e.terms()
-    ]
+# Each handler takes the parsed arguments and the context (None for a
+# subcommand without --q) and returns (JSON fields, text lines, exit code).
 
 
-def _dual_terms(e) -> list[dict]:
-    return [{"coefficient": str(c), "basis": f"D{k}"} for k, c in e.terms()]
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, ctx):
     if args.vertices < 1:
         raise ValueError("--vertices must be >= 1")
-    if args.variant == "planar":
-        trees = enumerate_planar_trees(args.n, args.vertices)
-    else:
-        trees = enumerate_trees(args.n, args.vertices)
-    payload = {
-        "command": "enumerate",
-        "variant": args.variant,
-        "n": args.n,
-        "vertices": args.vertices,
-        "count": len(trees),
-    }
+    enumerate_ = enumerate_planar_trees if args.variant == "planar" else enumerate_trees
+    trees = enumerate_(args.n, args.vertices)
+    fields = {"variant": args.variant, "n": args.n, "vertices": args.vertices, "count": len(trees)}
     if args.count:
-        return _finish(args, payload, [str(len(trees))])
-    payload["trees"] = [str(t) for t in trees]
-    return _finish(args, payload, [str(t) for t in trees])
+        return fields, [str(len(trees))], EXIT_OK
+    fields["trees"] = [str(t) for t in trees]
+    return fields, fields["trees"], EXIT_OK
 
 
-def _cmd_coproduct(args) -> int:
-    ctx = HopfContext(_qspec(args))
+def _cmd_coproduct_antipode(args, ctx):
     if args.variant == "planar":
-        word = parse_planar_word(args.expr, args.n)
-        result = planar_coproduct(PlanarElement.basis(word, args.n), ctx)
+        element = PlanarElement.basis(parse_planar_word(args.expr, args.n), args.n)
+        apply = planar_coproduct if args.command == "coproduct" else planar_antipode
     else:
-        result = coproduct(parse_element(args.expr, args.n), ctx)
-    payload = _result_payload(args, ctx, {"input": args.expr, "terms": _tensor_terms(result)})
-    return _finish(args, payload, [str(result)])
+        element = parse_element(args.expr, args.n)
+        apply = coproduct if args.command == "coproduct" else antipode_recursive
+    return _result({"input": args.expr}, apply(element, ctx))
 
 
-def _cmd_antipode(args) -> int:
-    ctx = HopfContext(_qspec(args))
-    if args.variant == "planar":
-        word = parse_planar_word(args.expr, args.n)
-        result = planar_antipode(PlanarElement.basis(word, args.n), ctx)
+def _cmd_bullet_bracket(args, ctx):
+    if getattr(args, "variant", "symmetric") == "planar":
+        a, b = (
+            PlanarDualElement.basis(parse_planar_tree(t, args.n), args.n)
+            for t in (args.left, args.right)
+        )
+        product = planar_bullet
     else:
-        result = antipode_recursive(parse_element(args.expr, args.n), ctx)
-    payload = _result_payload(args, ctx, {"input": args.expr, "terms": _element_terms(result)})
-    return _finish(args, payload, [str(result)])
+        a, b = (DualElement.basis(parse_tree(t, args.n), args.n) for t in (args.left, args.right))
+        product = bullet if args.command == "bullet" else lie_bracket
+    return _result({"input": [args.left, args.right]}, product(a, b, ctx, budget=args.budget))
 
 
-def _cmd_bullet(args) -> int:
-    ctx = HopfContext(_qspec(args))
-    if args.variant == "planar":
-        a = PlanarDualElement.basis(parse_planar_tree(args.left, args.n), args.n)
-        b = PlanarDualElement.basis(parse_planar_tree(args.right, args.n), args.n)
-        result = planar_bullet(a, b, ctx, budget=args.budget)
-    else:
-        a = DualElement.basis(parse_tree(args.left, args.n), args.n)
-        b = DualElement.basis(parse_tree(args.right, args.n), args.n)
-        result = bullet(a, b, ctx, budget=args.budget)
-    payload = _result_payload(
-        args, ctx, {"input": [args.left, args.right], "terms": _dual_terms(result)}
-    )
-    return _finish(args, payload, [str(result)])
-
-
-def _cmd_bracket(args) -> int:
-    ctx = HopfContext(_qspec(args))
-    a = DualElement.basis(parse_tree(args.left, args.n), args.n)
-    b = DualElement.basis(parse_tree(args.right, args.n), args.n)
-    result = lie_bracket(a, b, ctx, budget=args.budget)
-    payload = _result_payload(
-        args, ctx, {"input": [args.left, args.right], "terms": _dual_terms(result)}
-    )
-    return _finish(args, payload, [str(result)])
-
-
-def _cmd_simplicial(args) -> int:
+def _cmd_simplicial(args, ctx):
     element = parse_element(args.expr, args.n)
-    if args.map == "d":
-        result = simplicial_d(args.index, element)
-    else:
-        result = simplicial_s(args.index, element)
-    payload = {
-        "command": args.command,
-        "n": args.n,
-        "map": f"{args.map}_{args.index}",
-        "result_n": result.n,
-        "input": args.expr,
-        "terms": _element_terms(result),
-    }
-    return _finish(args, payload, [str(result)])
+    result = (simplicial_d if args.map == "d" else simplicial_s)(args.index, element)
+    map_ = f"{args.map}_{args.index}"
+    return _result({"n": args.n, "map": map_, "result_n": result.n, "input": args.expr}, result)
 
 
-def _cmd_phi(args) -> int:
-    tree = parse_tree(args.tree, args.n)
-    result = phi(DualElement.basis(tree, args.n))
-    payload = {
-        "command": args.command,
-        "n": args.n,
-        "input": args.tree,
-        "terms": _element_terms(result),
-    }
-    return _finish(args, payload, [str(result)])
+def _cmd_phi(args, ctx):
+    result = phi(DualElement.basis(parse_tree(args.tree, args.n), args.n))
+    return _result({"n": args.n, "input": args.tree}, result)
 
 
-def _cmd_verify(args) -> int:
-    ctx = HopfContext(_qspec(args))
-    if args.variant == "planar":
-        report = verify_planar(ctx, args.max_degree, max_cases=args.max_cases, seed=args.seed)
-    else:
-        report = verify_bialgebra(ctx, args.max_degree, max_cases=args.max_cases, seed=args.seed)
-    payload = _result_payload(
-        args,
-        ctx,
-        {
-            "max_degree": args.max_degree,
-            "checks": [
-                {"name": c.name, "cases": c.cases, "passed": c.passed, "failure": c.failure}
-                for c in report.checks
-            ],
-            "passed": report.passed,
-        },
-    )
-    _emit(args, payload, report.summary().splitlines())
-    return EXIT_OK if report.passed else EXIT_VERIFY
-
-
-def _result_payload(args, ctx: HopfContext, extra: dict) -> dict:
-    payload = {"command": args.command, "n": args.n}
-    if hasattr(args, "variant"):
-        payload["variant"] = args.variant
-    payload["qspec"] = [str(e) for e in ctx.qspec.entries]
-    payload.update(extra)
-    return payload
-
-
-def _finish(args, payload: dict, text_lines: list[str]) -> int:
-    _emit(args, payload, text_lines)
-    return EXIT_OK
+def _cmd_verify(args, ctx):
+    verify = verify_planar if args.variant == "planar" else verify_bialgebra
+    report = verify(ctx, args.max_degree, max_cases=args.max_cases, seed=args.seed)
+    checks = [
+        {"name": c.name, "cases": c.cases, "passed": c.passed, "failure": c.failure}
+        for c in report.checks
+    ]
+    fields = {"max_degree": args.max_degree, "checks": checks, "passed": report.passed}
+    return fields, report.summary().splitlines(), EXIT_OK if report.passed else EXIT_VERIFY
 
 
 _HANDLERS = {
     "enumerate": _cmd_enumerate,
-    "coproduct": _cmd_coproduct,
-    "antipode": _cmd_antipode,
-    "bullet": _cmd_bullet,
-    "bracket": _cmd_bracket,
+    "coproduct": _cmd_coproduct_antipode,
+    "antipode": _cmd_coproduct_antipode,
+    "bullet": _cmd_bullet_bracket,
+    "bracket": _cmd_bullet_bracket,
     "simplicial": _cmd_simplicial,
     "phi": _cmd_phi,
     "verify": _cmd_verify,
@@ -311,19 +242,29 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if args.n < 0:
+            raise ValueError("--n must be >= 0")
+        payload, ctx = {"command": args.command}, None
+        if hasattr(args, "q"):
+            # a subcommand with --q prints its parameters before its result
+            ctx = HopfContext(_qspec(args))
+            payload["n"] = args.n
+            if hasattr(args, "variant"):
+                payload["variant"] = args.variant
+            payload["qspec"] = [str(e) for e in ctx.qspec.entries]
+        fields, lines, code = _HANDLERS[args.command](args, ctx)
+        if args.format == "json":
+            print(json.dumps(payload | fields, ensure_ascii=False, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ColourMismatchError as exc:
+    except ValueError as exc:  # ParseError and ColourMismatchError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLOUR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_COLOUR if isinstance(exc, ColourMismatchError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -264,6 +264,25 @@ def test_negative_max_degree_exits_2(capsys, variant):
     assert err.startswith("error:") and "max_degree" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--vertices", "2"],
+        ["coproduct", "[]"],
+        ["antipode", "[]"],
+        ["bullet", "[]", "[]"],
+        ["bracket", "[]", "[]"],
+        ["simplicial", "--map", "s", "--index", "0", "[]"],
+        ["phi", "[]"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_n_exits_2_and_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--n=-1", *argv[1:])
+    assert (code, out, err) == (2, "", "error: --n must be >= 0\n")
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     # no honest parameter choice breaks the axioms, so force a failing
     # report to pin the exit-code contract
@@ -312,6 +331,41 @@ def test_json_text_parity_antipode(capsys):
             1, {parse_forest(term["basis"], 1): parse_coeff(term["coefficient"])}
         )
     assert rebuilt == parse_element(text_out.strip(), 1)
+
+
+COMMON = ["command", "n", "variant", "qspec"]
+TENSOR_TERM = ["coefficient", "left", "right"]
+BASIS_TERM = ["coefficient", "basis"]
+JSON_KEYS = [
+    ("enumerate --vertices 2", ["command", "variant", "n", "vertices", "count", "trees"], None),
+    ("enumerate --vertices 2 --count", ["command", "variant", "n", "vertices", "count"], None),
+    ("coproduct [1:[]]", COMMON + ["input", "terms"], TENSOR_TERM),
+    ("coproduct --variant planar [1:[]]", COMMON + ["input", "terms"], TENSOR_TERM),
+    ("antipode [1:[]]", COMMON + ["input", "terms"], BASIS_TERM),
+    ("antipode --variant planar [1:[]]", COMMON + ["input", "terms"], BASIS_TERM),
+    ("bullet [] []", COMMON + ["input", "terms"], BASIS_TERM),
+    ("bullet --variant planar [] []", COMMON + ["input", "terms"], BASIS_TERM),
+    ("bracket [] [1:[]]", ["command", "n", "qspec", "input", "terms"], BASIS_TERM),
+    ("simplicial --map d --index 1 [1:[]]",
+     ["command", "n", "map", "result_n", "input", "terms"], BASIS_TERM),
+    ("phi [1:[]]", ["command", "n", "input", "terms"], BASIS_TERM),
+    ("verify --max-degree 1", COMMON + ["max_degree", "checks", "passed"], None),
+    ("verify --variant planar --max-degree 1", COMMON + ["max_degree", "checks", "passed"], None),
+]
+
+
+@pytest.mark.parametrize("cmdline, keys, term_keys", JSON_KEYS, ids=[c[0] for c in JSON_KEYS])
+def test_json_key_order(capsys, cmdline, keys, term_keys):
+    argv = cmdline.split()
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and list(payload) == keys
+    if term_keys is not None:
+        assert payload["terms"] and all(list(t) == term_keys for t in payload["terms"])
+    if argv[0] in ("bullet", "bracket"):
+        assert all(t["basis"].startswith("D[") for t in payload["terms"])
+    if argv[0] == "verify":
+        assert all(list(c) == ["name", "cases", "passed", "failure"] for c in payload["checks"])
 
 
 def test_json_verify_shape(capsys):
