@@ -126,11 +126,15 @@ def measure(src: str) -> dict:
     return {"micro_us": micro, "seconds": seconds}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def append_row(argv, doc: str, out: str, measure) -> int:
+    """The command line shared by the ``bench_*`` scripts: measure the
+    ``--src`` checkout with ``measure(src)`` and append the row, headed by
+    the label, commit, date and machine, to ``--out`` (default: ``out``
+    at the root of this checkout)."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the measured side, e.g. parent")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding treehopf")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_coeff.json"))
+    parser.add_argument("--out", default=os.path.join(ROOT, out))
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
     row = {
@@ -152,6 +156,10 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(json.dumps(row, indent=2))
     return 0
+
+
+def main(argv=None) -> int:
+    return append_row(argv, __doc__, "BENCH_coeff.json", measure)
 
 
 if __name__ == "__main__":

@@ -228,15 +228,19 @@ class Coeff:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = ONE
+        if not exponent:
+            return ONE
+        # square up to the lowest set bit, which starts the product
         base = self
-        while True:
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        out = base
+        while exponent := exponent >> 1:
+            base = base * base
             if exponent & 1:
                 out = out * base
-            exponent >>= 1
-            if not exponent:
-                return out
-            base = base * base
+        return out
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -752,14 +756,20 @@ def _format_terms(terms, key_str) -> str:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _power(q: Coeff, k: int) -> Coeff:
+    """``q ** k``, memoised: the q-weights of σ, of the root-constructor
+    square and of the dual table all read this one memo."""
+    return q ** k
+
+
 def _graded(a, q: Coeff):
     """``a`` with each term multiplied by ``q`` to the term's size; the size
     of a monomial pair is the total size of its two legs."""
-    power = cache(q.__pow__)
     pairs = isinstance(a, TensorElement)
     out = {}
     for key, c in a.data.items():
-        w = c * power(key[0].size + key[1].size if pairs else key.size)
+        w = c * _power(q, key[0].size + key[1].size if pairs else key.size)
         if not w.is_zero():
             out[key] = w
     return a._adopt(a.n, out)

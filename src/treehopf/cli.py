@@ -18,7 +18,10 @@ errors into exit codes.  One term printer, ``_terms``, picks the JSON
 shape of a result's terms from its type.
 
 The argument parser is built once per process and reused: each parse
-makes a fresh namespace and leaves the parser unchanged.
+makes a fresh namespace and leaves the parser unchanged.  An argument
+that starts with ``-`` and then ``[``, ``q`` or a digit is a value, not
+an option, so an expression may begin with its sign (``-[1:[]]``) and
+``--q`` may begin with a negative entry (``--q -1,0``).
 """
 
 from __future__ import annotations
@@ -69,9 +72,26 @@ EXIT_BUDGET = 4
 EXIT_COLOUR = 5
 
 
+# what may follow the sign of an expression's first term: a tree, a
+# coefficient symbol or a rational
+_TERM_STARTS = frozenset("[q0123456789")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-[1:[]]`` or ``-q11[]`` as a
+    signed expression, not as an unknown option: no option of the CLI
+    starts with ``-`` and one of ``_TERM_STARTS``.  The subcommand parsers
+    are of this class too."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] in _TERM_STARTS:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="treehopf",
         description="coloured rooted trees, their coproduct family, and friends",
     )

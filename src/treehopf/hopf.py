@@ -29,9 +29,12 @@ functions here run it on forests, those in ``planar`` on words.
 Everything here is a pure function of immutable values.  A value is
 memoised only where a later call reads it again, and always by
 ``functools.cache`` on the function that computes it: Δ per (basis,
-monomial, parameters), and S per tree inside the maps that
-``_production_maps`` keeps per (basis, parameters).  The split table and
-the oracles build their vertex indexes and induced monomials per call.
+monomial, parameters), S per tree inside the maps that
+``_production_maps`` keeps per (basis, parameters), and the q-powers
+that weight the root-constructor square per (parameter, exponent) in
+``algebra._power``, which σ and the dual table read too.  The split
+table and the oracles build their vertex indexes and induced monomials
+per call.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .algebra import (
     _FORESTS,
     _acc,
     _graded,
+    _power,
     evaluate_exponents,
     sigma,
 )
@@ -173,18 +177,20 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
         # fold the σ_side weight into each slot term and drop the terms it kills
         weighted = []
         for j, delta in enumerate(slot_deltas, start=1):
-            power = cache(qspec.q(side, j).__pow__)
+            q = qspec.q(side, j)
             slot = []
             for (l, r), c in delta.data.items():
-                w = c * power((l if side == 1 else r).size)
+                size = (l if side == 1 else r).size
+                w = c * _power(q, size) if size else c
                 if not w.is_zero():
                     slot.append((l, r, w))
             weighted.append(slot)
         for combo in _iproduct(*weighted):
+            # the first slot's weight seeds the product (n = 0: the empty one)
             coeff = ONE
             lefts, rights = [], []
             for l, r, w in combo:
-                coeff = coeff * w
+                coeff = w if coeff is ONE else coeff * w
                 lefts.append(l)
                 rights.append(r)
             if side == 1:
@@ -204,18 +210,18 @@ def _delta(basis, mono, ctx: HopfContext):
     if len(trees) == 1:
         slots = [_delta(basis, x, ctx) for x in _decompose(basis.monomial, trees[0], ctx.n)]
         return _root_square(basis, slots, ctx)
-    out = basis.tensor.unit(ctx.n)
-    for tree in trees:
-        out = out * _delta(basis, basis.monomial.single(tree), ctx)
-    return out
+    if not trees:
+        return basis.tensor.unit(ctx.n)
+    return reduce(mul, (_delta(basis, basis.monomial.single(t), ctx) for t in trees))
 
 
 def _extend_linearly(a, basis_fn, cls):
     """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``."""
     out: dict = {}
     for key, coeff in a.data.items():
+        one = coeff == ONE
         for k, c in basis_fn(key).data.items():
-            _acc(out, k, c * coeff)
+            _acc(out, k, c if one else c * coeff)
     return cls._adopt(a.n, out)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable
 
-from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms
+from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms, _power
 from .hopf import HopfContext, _delta
 from .trees import (
     BudgetError,
@@ -83,18 +83,18 @@ def _dual_table(basis, n: int, m: int) -> dict:
     forests share the code.
     """
     sym = HopfContext.symbolic(n)
-    power = cache(lambda i, j, k: sym.qspec.q(i, j) ** k)
     table: dict = {}
     for w in _enumerate_trees(basis.monomial, n, m):
         x = _decompose(basis.monomial, w, n)
         terms: dict = {}
         for j in range(1, n + 1):
             swap = lambda leg: _lam(basis.monomial, x[: j - 1] + (leg,) + x[j:], n)
+            q1, q2 = sym.qspec.q(1, j), sym.qspec.q(2, j)
             for (l, r), c in _delta(basis, x[j - 1], sym).data.items():
                 if len(l.trees) == 1:
-                    _acc(terms, (l.trees[0], swap(r)), c * power(1, j, l.size))
+                    _acc(terms, (l.trees[0], swap(r)), c * _power(q1, l.size))
                 if len(r.trees) == 1:
-                    _acc(terms, (swap(l), r.trees[0]), c * power(2, j, r.size))
+                    _acc(terms, (swap(l), r.trees[0]), c * _power(q2, r.size))
         for key, c in terms.items():
             table.setdefault(key, []).append((w, c))
     return {k: tuple(v) for k, v in table.items()}

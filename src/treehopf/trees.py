@@ -14,6 +14,14 @@ constructor ``_lam`` and its inverse, the enumerations and the grammar
 are written once here over the monomial class, whose ``_member`` and
 ``_sorted`` carry that rule; the public forest functions wrap them.
 
+Both value classes check their input in ``__init__`` and then call a
+trusted ``_fill``, which takes its input as already in stored order and
+checks nothing.  Only code that builds from values it knows to be valid
+calls ``_fill`` directly: the root constructor ``_lam`` (slot i's trees
+are already in stored order as colour-i children), ``_Monomial.single``
+and the monomial product (whose fields come from the factors).  Parsing
+and every public constructor go through the checks.
+
 Text grammar (bit-exact, whitespace-tolerant on input)::
 
     tree    := "[" edges "]"
@@ -115,17 +123,27 @@ class _Tree(_Keyed):
 
     def __init__(self, children: Iterable[tuple[int, "_Tree"]] = ()):
         kids = tuple(sorted(children, key=self._order))
-        pairs = []
-        size = 1
-        top = 0
         for colour, child in kids:
             if not isinstance(colour, int) or colour < 1:
                 raise ColourMismatchError(f"edge colour must be an integer >= 1, got {colour!r}")
             if not isinstance(child, type(self)):
                 raise TypeError(f"children must be {type(self).__name__} instances")
+        self._fill(kids)
+
+    def _fill(self, kids: tuple):
+        """Trusted constructor body: ``kids`` are (colour, child) pairs
+        already in stored order, each colour an int >= 1 and each child an
+        instance of this class."""
+        pairs = []
+        size = 1
+        top = 0
+        for colour, child in kids:
             pairs.append((colour, child.key))
             size += child.size
-            top = max(top, colour, child.max_colour)
+            if colour > top:
+                top = colour
+            if child.max_colour > top:
+                top = child.max_colour
         self.children = kids
         self.key = self._encode(pairs)
         self.size = size
@@ -188,33 +206,53 @@ class _Monomial(_Keyed):
                 raise TypeError(
                     f"{self._noun} members must be {self._member.__name__} instances"
                 )
-        self._fill(trees)
-
-    def _fill(self, trees: tuple):
         if self._sorted:
             trees = tuple(sorted(trees, key=_KEY))
+        self._fill(
+            trees,
+            tuple(map(_KEY, trees)),
+            sum(t.size for t in trees),
+            max((t.max_colour for t in trees), default=0),
+        )
+
+    def _fill(self, trees: tuple, key: tuple, size: int, max_colour: int):
+        """Trusted constructor body: ``trees`` are members in stored order,
+        and ``key``, ``size`` and ``max_colour`` are read off them."""
         self.trees = trees
-        self.key = tuple(map(_KEY, trees))
-        self.size = sum(t.size for t in trees)
-        self.max_colour = max((t.max_colour for t in trees), default=0)
-        self._hash = hash(self.key)
+        self.key = key
+        self.size = size
+        self.max_colour = max_colour
+        self._hash = hash(key)
 
     @classmethod
     def single(cls, tree):
-        return cls((tree,))
+        if not isinstance(tree, cls._member):
+            raise TypeError(f"{cls._noun} members must be {cls._member.__name__} instances")
+        out = object.__new__(cls)
+        out._fill((tree,), (tree.key,), tree.size, tree.max_colour)
+        return out
 
     def is_empty(self) -> bool:
         return not self.trees
 
     def __mul__(self, other):
+        """The product, read off the two factors' fields: two sorted
+        factors concatenate unless their keys interleave, and only then
+        is the concatenation re-sorted."""
         if type(other) is not type(self):
             return NotImplemented
         if not other.trees:
             return self
         if not self.trees:
             return other
+        trees = self.trees + other.trees
+        if self._sorted and other.key[0] < self.key[-1]:
+            trees = tuple(sorted(trees, key=_KEY))
+            key = tuple(map(_KEY, trees))
+        else:
+            key = self.key + other.key
         out = object.__new__(type(self))
-        out._fill(self.trees + other.trees)
+        out._fill(trees, key, self.size + other.size, max(self.max_colour, other.max_colour))
         return out
 
     def __lt__(self, other):
@@ -251,13 +289,19 @@ def _lam(cls, slots: Sequence, n: int | None = None):
         n = len(slots)
     if len(slots) != n:
         raise ColourMismatchError(f"expected {n} slots, got {len(slots)}")
+    # slot i's trees are in stored order and colour i follows colour i - 1,
+    # so the children are listed in stored order: one check per slot
     children = []
     for i, mono in enumerate(slots, start=1):
+        if not isinstance(mono, cls):
+            raise TypeError(f"slots must be {cls.__name__} instances, got {mono!r}")
         if mono.max_colour > n:
             raise ColourMismatchError(f"slot {i} contains colour {mono.max_colour} > n = {n}")
         for t in mono.trees:
             children.append((i, t))
-    return cls._member(children)
+    tree = object.__new__(cls._member)
+    tree._fill(tuple(children))
+    return tree
 
 
 def _decompose(cls, tree, n: int) -> tuple:

@@ -176,6 +176,23 @@ def test_ring_axioms(a, b, c):
     assert a - a == ZERO
 
 
+@given(
+    st.one_of(
+        coeffs,
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).map(Coeff.rational),
+        st.just(ZERO),
+    )
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_power_is_repeated_multiplication(a):
+    # __pow__ seeds its product with a square of the base, not with ONE
+    product = ONE
+    for k in range(10):
+        assert a ** k == product
+        product = product * a
+    assert ZERO ** 0 == ONE
+
+
 @given(coeffs)
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_coeff_print_parse_roundtrip(a):

@@ -283,6 +283,45 @@ def test_negative_n_exits_2_and_names_the_flag(capsys, argv):
     assert (code, out, err) == (2, "", "error: --n must be >= 0\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["antipode", "--n", "1"],
+        ["coproduct", "--n", "1"],
+        ["simplicial", "--n", "1", "--map", "d", "--index", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("expr", ["-[1:[]]", "-q11[1:[]]", "-2[]"])
+def test_an_expression_may_begin_with_its_sign(capsys, argv, fmt, expr):
+    # argparse took such an expression for an unknown option; it must read
+    # as the positional, as it does after "--"
+    signed = run(capsys, *argv, "--format", fmt, expr)
+    escaped = run(capsys, *argv, "--format", fmt, "--", expr)
+    assert signed == escaped
+    assert signed[0] == 0 and signed[1] and not signed[2]
+
+
+def test_a_negative_q_entry_may_follow_the_flag(capsys):
+    spaced = run(capsys, "coproduct", "--n", "1", "--q", "-1/2,3", "[1:[]]")
+    joined = run(capsys, "coproduct", "--n", "1", "--q=-1/2,3", "[1:[]]")
+    assert spaced == joined and spaced[0] == 0
+
+
+@pytest.mark.parametrize("command", ["antipode", "coproduct", "simplicial"])
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_an_unknown_option_still_exits_2(capsys, command, where):
+    argv = [command, "--n", "1"]
+    if command == "simplicial":
+        argv += ["--map", "d", "--index", "0"]
+    argv += ["-x", "[]"] if where == "before" else ["[]", "-x"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     # no honest parameter choice breaks the axioms, so force a failing
     # report to pin the exit-code contract

@@ -17,6 +17,7 @@ from treehopf.planar import (
     enumerate_planar_trees,
     enumerate_planar_words,
     parse_planar_tree,
+    planar_lambda,
 )
 from treehopf.prelie import parse_labelled_tree
 from treehopf.trees import (
@@ -29,7 +30,10 @@ from treehopf.trees import (
     IndexedForest,
     ParseError,
     _compositions,
+    _enumerate_monomials,
+    _enumerate_trees,
     _induced_monomial,
+    _lam,
     add_root,
     aut_order,
     canonicalize,
@@ -218,6 +222,13 @@ def test_every_tree_decomposes():
 def test_add_root_colour_check():
     with pytest.raises(ColourMismatchError):
         add_root([Forest.single(parse_tree("[2:[]]"))], 1)
+
+
+def test_root_constructor_slots_are_type_checked():
+    with pytest.raises(TypeError, match="slots must be Forest instances"):
+        add_root([EMPTY_FOREST, PlanarWord.single(PLANAR_LEAF)], 2)
+    with pytest.raises(TypeError, match="slots must be PlanarWord instances"):
+        planar_lambda([Forest.single(LEAF)], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +442,65 @@ def test_planar_word_product_concatenates_in_order(xs, ys):
     assert (u * v).trees == tuple(xs + ys)
     assert u * v == PlanarWord(xs + ys)
     assert u * EMPTY_WORD == u and EMPTY_WORD * u == u
+
+
+# The trusted paths (the root constructor, ``single`` and the product)
+# fill their fields without the checked constructors; they must agree with
+# those constructors field for field.
+def _same_fields(a, b, members):
+    """``a`` and ``b`` agree on their members (``children`` or ``trees``),
+    key, size, maximum colour and hash."""
+    assert getattr(a, members) == getattr(b, members)
+    fields = ("key", "size", "max_colour")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    assert hash(a) == hash(b)
+
+
+@st.composite
+def slot_tuples(draw, cls):
+    n = draw(st.integers(min_value=0, max_value=3))
+    return n, tuple(
+        draw(st.sampled_from(_enumerate_monomials(cls, n, draw(st.integers(0, 3)))))
+        for _ in range(n)
+    )
+
+
+@pytest.mark.parametrize("cls", [Forest, PlanarWord])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_root_constructor_matches_the_checked_constructor(cls, data):
+    n, slots = data.draw(slot_tuples(cls))
+    children = [(i, t) for i, mono in enumerate(slots, start=1) for t in mono.trees]
+    # listed colour-major in reverse, so the checked constructor has to sort
+    children.sort(key=lambda edge: -edge[0])
+    _same_fields(_lam(cls, slots, n), cls._member(children), "children")
+
+
+@st.composite
+def factor_lists(draw, cls):
+    """Two member lists whose keys interleave, touch at one equal key, or
+    lie apart (every key of the second above those of the first)."""
+    pool = sorted(t for m in range(1, 4) for t in _enumerate_trees(cls, 2, m))
+    xs = draw(st.lists(st.sampled_from(pool), max_size=4))
+    ys = draw(st.lists(st.sampled_from(pool), max_size=4))
+    how = draw(st.sampled_from(["any", "touching", "apart"]))
+    if xs and how != "any":
+        top = max(xs)
+        ys = [t for t in ys if t > top]
+        if how == "touching":
+            ys.insert(0, top)
+    return xs, ys
+
+
+@pytest.mark.parametrize("cls", [Forest, PlanarWord])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_product_matches_the_checked_constructor(cls, data):
+    xs, ys = data.draw(factor_lists(cls))
+    a, b = cls(xs), cls(ys)
+    _same_fields(a * b, cls(a.trees + b.trees), "trees")
+    for t in xs:
+        _same_fields(cls.single(t), cls([t]), "trees")
 
 
 def test_monomial_members_are_type_checked():
