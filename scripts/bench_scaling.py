@@ -17,7 +17,9 @@ of the result, so two rows can be checked to agree.  The probes:
 * ``antipode_recursive`` of the 10- and 12-vertex bushy trees (the tree
   at index ⌊N/3⌋ of ``enumerate_trees(1, m)``), at the rational point
   q = (2, 3) and symbolically;
-* cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices.
+* cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices, and
+  with 6 and 5 vertices;
+* cold symbolic ``planar_bullet`` of the n=2 pair ``[2:[1:[]]]``, ``[2:[]]``.
 
 Each probe also records the peak RSS of its process.
 
@@ -40,14 +42,16 @@ import json, resource, sys
 from time import perf_counter
 from treehopf.algebra import Element
 from treehopf.hopf import HopfContext, antipode_recursive, coproduct
+from treehopf.planar import PlanarDualElement, parse_planar_tree, planar_bullet
 from treehopf.prelie import DualElement, bullet
 from treehopf.trees import enumerate_trees, parse_forest, parse_tree
 
 kind, size, point = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+n = 2 if kind == "planar" else 1
 ctx = {
     "ck": HopfContext.connes_kreimer(),
     "rational": HopfContext.rational(1, (2, 3)),
-    "symbolic": HopfContext.symbolic(1),
+    "symbolic": HopfContext.symbolic(n),
 }[point]
 chain = lambda m: "[1:" * (m - 1) + "[]" + "]" * (m - 1)
 if kind == "leaves":
@@ -60,9 +64,14 @@ elif kind == "bushy":
     trees = enumerate_trees(1, size)
     a = Element.basis(parse_forest(str(trees[len(trees) // 3]), 1), 1)
     run = lambda: antipode_recursive(a, ctx)
-else:  # chains: the size is the left factor's vertex count
+elif kind == "chains":  # the size is the left factor's vertex count
     left, right = (DualElement.basis(parse_tree(chain(m), 1), 1) for m in (size, size - 1))
     run = lambda: bullet(left, right, ctx, budget=2 * size - 1)
+else:  # planar: one fixed pair, over n = 2
+    left, right = (
+        PlanarDualElement.basis(parse_planar_tree(t, 2), 2) for t in ("[2:[1:[]]]", "[2:[]]")
+    )
+    run = lambda: planar_bullet(left, right, ctx)
 t0 = perf_counter()
 result = run()
 elapsed = perf_counter() - t0
@@ -84,6 +93,8 @@ PROBES = [
         for point in ("rational", "symbolic")
     ),
     ("bullet_chains5+4_cold_symbolic", "chains", 5, "symbolic"),
+    ("bullet_chains6+5_cold_symbolic", "chains", 6, "symbolic"),
+    ("planar_bullet_n2_cold_symbolic", "planar", 3, "symbolic"),
 ]
 
 

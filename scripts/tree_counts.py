@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Tabulate basis sizes: coloured trees, forests, planar trees and words.
 
+The counts come from ``treehopf.trees.basis_counts``, which counts without
+listing, so large sizes cost no enumeration.
+
 Example:
 
     python3 scripts/tree_counts.py --max-n 3 --max-size 6
@@ -12,8 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from treehopf.planar import enumerate_planar_trees, enumerate_planar_words
-from treehopf.trees import enumerate_forests, enumerate_trees
+from treehopf.planar import PlanarWord
+from treehopf.trees import Forest, basis_counts
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -43,34 +46,21 @@ def table(title, row_label, counts_for, max_n, max_size):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    table(
-        "trees (isomorphism classes)",
-        "vertices",
-        lambda n, m: len(enumerate_trees(n, m)),
-        args.max_n,
-        args.max_size,
-    )
-    table(
-        "forests (multisets of trees)",
-        "total vertices",
-        lambda n, m: len(enumerate_forests(n, m)),
-        args.max_n,
-        args.max_size,
-    )
-    table(
-        "planar trees (sibling order is data)",
-        "vertices",
-        lambda n, m: len(enumerate_planar_trees(n, m)),
-        args.max_n,
-        args.planar_max_size,
-    )
-    table(
-        "planar words (ordered sequences of planar trees)",
-        "total vertices",
-        lambda n, m: len(enumerate_planar_words(n, m)),
-        args.max_n,
-        args.planar_max_size,
-    )
+    # (title, column label, monomial class, 0 for trees or 1 for monomials, largest size)
+    for title, label, monomial, which, max_size in (
+        ("trees (isomorphism classes)", "vertices", Forest, 0, args.max_size),
+        ("forests (multisets of trees)", "total vertices", Forest, 1, args.max_size),
+        ("planar trees (sibling order is data)", "vertices", PlanarWord, 0, args.planar_max_size),
+        (
+            "planar words (ordered sequences of planar trees)",
+            "total vertices",
+            PlanarWord,
+            1,
+            args.planar_max_size,
+        ),
+    ):
+        counts = lambda n, m: basis_counts(monomial, n, m)[which][m]
+        table(title, label, counts, args.max_n, max_size)
     return 0
 
 

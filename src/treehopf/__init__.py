@@ -72,6 +72,7 @@ from .trees import (
     ParseError,
     add_root,
     aut_order,
+    basis_counts,
     canonicalize,
     decompose,
     enumerate_forests,

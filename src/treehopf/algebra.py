@@ -247,16 +247,31 @@ class Coeff:
         return self * Coeff.rational(1 / other.as_fraction())
 
     def substitute(self, values: Mapping[tuple[int, int], "Coeff | Fraction | int"]) -> "Coeff":
-        """Replace the listed symbols; symbols not mentioned stay symbolic."""
+        """Replace the listed symbols; symbols not mentioned stay symbolic.
+
+        Each term keeps the fields of its unlisted symbols and is
+        multiplied by the memoised powers of the listed values; the terms
+        are summed in one dict.
+        """
+        if not values:
+            return self
         table = {sym: self._coerce(v) for sym, v in values.items()}
-        out = ZERO
-        for mono, value in self.terms:
-            part = Coeff.rational(value)
-            for sym, exp in mono:
+        acc: dict = {}
+        for mono, value in self._t.items():
+            kept = 0
+            part = _make({0: value})
+            for sym, exp in _unpack(mono):
                 factor = table.get(sym)
-                part = part * (factor if factor is not None else Coeff.variable(*sym)) ** exp
-            out = out + part
-        return out
+                if factor is None:
+                    kept += exp << _shift(*sym)
+                else:
+                    part = part * _power(factor, exp)
+            for m, v in part._t.items():
+                m += kept
+                if m & _GUARD:  # a listed value shares a symbol with the kept fields
+                    _overflow()
+                acc[m] = acc[m] + v if m in acc else v
+        return _make({m: _norm(v) for m, v in acc.items() if v})
 
     # -- ordering / hashing / printing --------------------------------------
 
@@ -759,7 +774,7 @@ def _format_terms(terms, key_str) -> str:
 @cache
 def _power(q: Coeff, k: int) -> Coeff:
     """``q ** k``, memoised: the q-weights of σ, of the root-constructor
-    square and of the dual table all read this one memo."""
+    square and of the dual product all read this one memo."""
     return q ** k
 
 

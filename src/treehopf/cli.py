@@ -3,8 +3,8 @@
 Every subcommand computes one thing and exits with a coded status:
 
     0  success
-    2  malformed input: flags (including a negative --n), coefficient
-       spec, or expression grammar
+    2  malformed input: flags (including a negative --n or --budget),
+       coefficient spec, or expression grammar
     3  verification failure (``verify`` found a broken axiom)
     4  work exceeds the requested budget
     5  an edge colour exceeds the declared colour count n
@@ -43,6 +43,7 @@ from .hopf import (
 from .planar import (
     PlanarDualElement,
     PlanarElement,
+    PlanarWord,
     enumerate_planar_trees,
     parse_planar_tree,
     parse_planar_word,
@@ -61,6 +62,8 @@ from .prelie import (
 from .trees import (
     BudgetError,
     ColourMismatchError,
+    Forest,
+    basis_counts,
     enumerate_trees,
     parse_tree,
 )
@@ -192,11 +195,15 @@ def _result(fields: dict, result):
 def _cmd_enumerate(args, ctx):
     if args.vertices < 1:
         raise ValueError("--vertices must be >= 1")
+    fields = {"variant": args.variant, "n": args.n, "vertices": args.vertices}
+    if args.count:
+        # counted, not listed: the count outgrows any listing
+        monomial = PlanarWord if args.variant == "planar" else Forest
+        fields["count"] = basis_counts(monomial, args.n, args.vertices)[0][args.vertices]
+        return fields, [str(fields["count"])], EXIT_OK
     enumerate_ = enumerate_planar_trees if args.variant == "planar" else enumerate_trees
     trees = enumerate_(args.n, args.vertices)
-    fields = {"variant": args.variant, "n": args.n, "vertices": args.vertices, "count": len(trees)}
-    if args.count:
-        return fields, [str(len(trees))], EXIT_OK
+    fields["count"] = len(trees)
     fields["trees"] = [str(t) for t in trees]
     return fields, fields["trees"], EXIT_OK
 
@@ -212,6 +219,8 @@ def _cmd_coproduct_antipode(args, ctx):
 
 
 def _cmd_bullet_bracket(args, ctx):
+    if args.budget < 0:
+        raise ValueError("--budget must be >= 0")
     if getattr(args, "variant", "symmetric") == "planar":
         a, b = (
             PlanarDualElement.basis(parse_planar_tree(t, args.n), args.n)

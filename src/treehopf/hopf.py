@@ -32,7 +32,7 @@ memoised only where a later call reads it again, and always by
 monomial, parameters), S per tree inside the maps that
 ``_production_maps`` keeps per (basis, parameters), and the q-powers
 that weight the root-constructor square per (parameter, exponent) in
-``algebra._power``, which σ and the dual table read too.  The split
+``algebra._power``, which σ and the dual product read too.  The split
 table and the oracles build their vertex indexes and induced monomials
 per call.
 """

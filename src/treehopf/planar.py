@@ -210,6 +210,9 @@ def planar_bullet(
 
     (Note the argument roles are mirrored relative to the symmetric
     ``bullet``, matching how the two products are usually displayed.)
+    The trees w are built from s and t by the shared constructive
+    product of ``prelie``; pairs beyond ``budget`` total vertices raise
+    :class:`~treehopf.trees.BudgetError`.
     """
     return _dual_product(_WORDS, "planar_bullet", a, b, ctx, budget, lambda s, t: (s, t))
 

@@ -5,12 +5,13 @@ functionals D_t, one per tree.  Two products act on these:
 
 * ``bullet`` — the convolution-induced product, whose structure
   constants are coproduct coefficients: the D_w coefficient of D_t • D_s
-  is the s ⊗ t coefficient of Δ(w), read off the tree ⊗ tree terms of
-  the root-constructor square of every candidate tree w of the right
-  size, built from the memoised slot Δs.  Uniformly correct for any
-  parameter values, but enumeration-bounded: it raises
-  :class:`~treehopf.trees.BudgetError` beyond its declared degree budget
-  instead of silently truncating.
+  is the s ⊗ t coefficient of Δ(w).  The trees w with a nonzero
+  coefficient are built from s and t by running the root-constructor
+  square backwards, with symbolic coefficients memoised per pair, so no
+  tree of the target size is listed and no Δ is computed.  Uniformly
+  correct for any parameter values; a pair beyond its declared degree
+  budget raises :class:`~treehopf.trees.BudgetError` instead of being
+  computed.
 * ``bullet_prime`` — the grafting product: attach the second factor
   below each vertex of the first by a new edge, one colour from the
   allowed set at a time.  Constructive, no enumeration.
@@ -23,18 +24,19 @@ n generators, modelled on vertex-labelled trees.
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby, product as _iproduct
 from typing import Iterable
 
-from .algebra import Coeff, Combination, _FORESTS, _acc, _format_terms, _power
-from .hopf import HopfContext, _delta
+from .algebra import Coeff, Combination, ONE, _FORESTS, _acc, _format_terms, _power
+from .hopf import HopfContext
 from .trees import (
     BudgetError,
     ColouredTree,
     ColourMismatchError,
     Scanner,
     _Keyed,
+    _compositions,
     _decompose,
-    _enumerate_trees,
     _lam,
     _parse_all,
     aut_order,
@@ -58,70 +60,132 @@ class DualElement(Combination):
 
 
 # ---------------------------------------------------------------------------
-# the enumeration product
+# the dual product, by the root square run backwards
 # ---------------------------------------------------------------------------
 
-@cache
-def _dual_table(basis, n: int, m: int) -> dict:
-    """Map (left tree, right tree) -> ((w, c), ...) over the trees w with
-    m vertices, where c is the coefficient of that tree ⊗ tree term in the
-    symbolic Δ(w); one table serves every QSpec.
 
-    Only the tree ⊗ tree terms of the root square are formed.  Write
-    w = λ(x) with slots x_1..x_n.  In Δ(w) = Σ σ_1(x′)⊗λ(x″) + λ(x′)⊗σ_2(x″)
-    the σ_1 leg is one tree only when one slot j gives a one-tree leg
-    and every other slot k its term ∅ ⊗ x_k, of coefficient 1 by the
-    counit law; likewise for the σ_2 leg.  So each term c·l ⊗ r of
-    Δ(x_j) gives
+def _splits(cls, mono, parts: int):
+    """Every ``parts``-tuple of monomials of class ``cls`` whose product is
+    ``mono``, each once.
 
-        c·q_{1j}^{|l|} at (l, λ(x with x_j → r))   when l is one tree,
-        c·q_{2j}^{|r|} at (λ(x with x_j → l), r)   when r is one tree.
-
-    A candidate costs Σ_j |Δ(x_j)| rather than Π_j |Δ(x_j)|, with the slot
-    Δs from the memo, and its full Δ(w) is never formed.  A one-tree leg
-    involves one slot only, so slot order never matters: words and
-    forests share the code.
+    A word is cut into consecutive pieces.  A forest deals each run of
+    equal trees out over the parts, so two deals that differ only by
+    which copy of a repeated tree goes where are one split.
     """
-    sym = HopfContext.symbolic(n)
-    table: dict = {}
-    for w in _enumerate_trees(basis.monomial, n, m):
-        x = _decompose(basis.monomial, w, n)
-        terms: dict = {}
-        for j in range(1, n + 1):
-            swap = lambda leg: _lam(basis.monomial, x[: j - 1] + (leg,) + x[j:], n)
-            q1, q2 = sym.qspec.q(1, j), sym.qspec.q(2, j)
-            for (l, r), c in _delta(basis, x[j - 1], sym).data.items():
-                if len(l.trees) == 1:
-                    _acc(terms, (l.trees[0], swap(r)), c * _power(q1, l.size))
-                if len(r.trees) == 1:
-                    _acc(terms, (swap(l), r.trees[0]), c * _power(q2, r.size))
-        for key, c in terms.items():
-            table.setdefault(key, []).append((w, c))
-    return {k: tuple(v) for k, v in table.items()}
+    trees = mono.trees
+    runs = [tuple(run) for _, run in groupby(trees)] if cls._sorted else [trees]
+    for deal in _iproduct(*(_compositions(len(run), parts) for run in runs)):
+        pieces: list[list] = [[] for _ in range(parts)]
+        for run, counts in zip(runs, deal):
+            start = 0
+            for piece, k in zip(pieces, counts):
+                piece.extend(run[start : start + k])
+                start += k
+        yield tuple(map(cls, pieces))
+
+
+@cache
+def _tree_terms(basis, n: int, a, b) -> tuple:
+    """The (w, c) pairs over the trees w whose symbolic Δ(w) has the term
+    c·a ⊗ b, for monomials a and b.
+
+    Every term of Δ(w) has a one-tree leg, from the root square
+    Δλ(x) = Σ σ_1(x′) ⊗ λ(x″) + λ(x′) ⊗ σ_2(x″).  When b = λ(y) is one
+    tree, the σ_1 side gives a ⊗ b from x″ = y and x′ any split
+    (a_1..a_n) of a, so w = λ(X_1..X_n) with Δ(X_j) having the term
+    a_j ⊗ y_j, weighted by Π_j q_{1j}^{|a_j|}.  When a = λ(z) is one
+    tree, the σ_2 side is the mirror image.
+    """
+    cls = basis.monomial
+    out: dict = {}
+    for side, whole, rest in ((1, b, a), (2, a, b)):
+        if len(whole.trees) != 1:
+            continue
+        slots = _decompose(cls, whole.trees[0], n)
+        qs = [Coeff.variable(side, j) for j in range(1, n + 1)]
+        for split in _splits(cls, rest, n):
+            weight = ONE
+            options = []
+            for piece, slot, q in zip(split, slots, qs):
+                legs = (piece, slot) if side == 1 else (slot, piece)
+                found = _monomial_terms(basis, n, *legs)
+                if not found:
+                    break
+                options.append(found)
+                if piece.size:
+                    weight = weight * _power(q, piece.size)
+            else:
+                for combo in _iproduct(*options):
+                    coeff = weight
+                    for _, c in combo:
+                        coeff = coeff * c
+                    _acc(out, _lam(cls, [x for x, _ in combo], n), coeff)
+    return tuple(out.items())
+
+
+@cache
+def _monomial_terms(basis, n: int, a, b) -> tuple:
+    """The (X, c) pairs over the monomials X whose symbolic Δ(X) has the
+    term c·a ⊗ b.
+
+    Δ is multiplicative, so X = t·x with t its first tree in stored
+    order (the least tree of a forest) takes a term a_1 ⊗ b_1 of Δ(t)
+    and a term a_2 ⊗ b_2 of Δ(x) over every split a = a_1·a_2,
+    b = b_1·b_2.  On forests a tail x with a tree below t is skipped: it
+    is counted with its own least tree first.
+    """
+    cls = basis.monomial
+    if not a.trees and not b.trees:
+        return ((cls(), ONE),)
+    out: dict = {}
+    b_splits = list(_splits(cls, b, 2))
+    for a1, a2 in _splits(cls, a, 2):
+        for b1, b2 in b_splits:
+            if not a1.trees and not b1.trees:
+                continue
+            heads = _tree_terms(basis, n, a1, b1)
+            if not heads:
+                continue
+            tails = _monomial_terms(basis, n, a2, b2)
+            for t, c in heads:
+                head = cls.single(t)
+                for x, d in tails:
+                    if cls._sorted and x.trees and x.trees[0] < t:
+                        continue
+                    _acc(out, head * x, c * d)
+    return tuple(out.items())
 
 
 def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):
-    """The enumeration product shared by ``bullet`` and ``planar_bullet``.
+    """The dual product shared by ``bullet`` and ``planar_bullet``.
 
     For each basis pair (x, y) of ``a`` and ``b``, ``split(x, y)`` names
     the (left, right) pair of trees, and the product sums c·D_w over the
-    trees w whose Δ(w) has the term c·left ⊗ right.  A pair beyond
-    ``budget`` total vertices raises :class:`BudgetError`, naming the
-    product ``name``, rather than degrade silently.
+    trees w whose Δ(w) has the term c·left ⊗ right; ``_tree_terms``
+    builds those w with symbolic c, and ``ctx`` is substituted into them.
+    A pair beyond ``budget`` total vertices raises :class:`BudgetError`,
+    naming the product ``name``, rather than degrade silently.
     """
     n = _common_n(a, b, ctx)
-    values = {(i, j): ctx.qspec.q(i, j) for i in (1, 2) for j in range(1, n + 1)}
+    single = basis.monomial.single
+    # the symbols the point does not leave symbolic
+    values = {
+        (i, j): q
+        for i in (1, 2)
+        for j in range(1, n + 1)
+        if (q := ctx.qspec.q(i, j)) != Coeff.variable(i, j)
+    }
     out: dict = {}
     for x, cx in a.data.items():
         for y, cy in b.data.items():
-            m = x.size + y.size
-            if m > budget:
+            if x.size + y.size > budget:
                 raise BudgetError(
                     f"{name} on degree {x.size}+{y.size} exceeds its budget of "
                     f"{budget} total vertices (raise the budget to proceed)"
                 )
             scale = cx * cy
-            for w, c in _dual_table(basis, n, m).get(split(x, y), ()):
+            left, right = split(x, y)
+            for w, c in _tree_terms(basis, n, single(left), single(right)):
                 coeff = c.substitute(values) * scale
                 if not coeff.is_zero():
                     _acc(out, w, coeff)
@@ -137,10 +201,10 @@ def bullet(
     """The dual product: D_t • D_s sums c·D_w over the trees w whose
     coproduct Δ(w) has the term c·s ⊗ t.
 
-    Extended bilinearly.  Every basis pair costs an exhaustive sweep of
-    the trees of size |t|+|s|, reading only the tree ⊗ tree terms of
-    their root squares; pairs beyond ``budget`` total vertices raise
-    :class:`BudgetError` rather than degrade silently.
+    Extended bilinearly.  The trees w of each basis pair are built from
+    s and t by the root square run backwards (``_tree_terms``); pairs
+    beyond ``budget`` total vertices raise :class:`BudgetError` rather
+    than degrade silently.
     """
     return _dual_product(_FORESTS, "bullet", a, b, ctx, budget, lambda t, s: (s, t))
 
@@ -196,7 +260,7 @@ def bullet_prime(
 
 def aut_rescale(a: DualElement) -> DualElement:
     """D_t ↦ |Aut(t)|·D_t, the invertible change of basis that turns the
-    grafting product into the enumeration product:
+    grafting product into the dual product ``bullet``:
     aut_rescale(x •′ y) = bullet(aut_rescale(x), aut_rescale(y)) when the
     parameters are the indicator of the grafting colour set on row 1 and
     zero on row 2."""

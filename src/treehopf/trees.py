@@ -450,6 +450,33 @@ def _enumerate_up_to(cls, n: int, max_total: int) -> tuple:
     return tuple(m for d in range(max_total + 1) for m in _enumerate_monomials(cls, n, d))
 
 
+def basis_counts(cls, n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The number of trees and the number of monomials of the monomial
+    class ``cls`` (forests or words) with k vertices, k = 0..m, as two
+    tuples, counted without listing them.
+
+    A tree with k + 1 vertices is the root constructor over n slot
+    monomials of total size k, so the trees number [x^k] M(x)^n, where
+    M(x) counts the monomials: the Euler transform of the tree counts
+    for forests (multisets) and their sequence transform for words.
+    M(x)^n is read off M by the power rule for series.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    trees, monos, power = [0], [1], [1]  # power[k] = [x^k] M(x)^n
+    divisor_sums = [0]  # Σ_{d | k} d·trees[d], for the Euler transform
+    for k in range(1, m + 1):
+        trees.append(power[k - 1])
+        if cls._sorted:
+            divisor_sums.append(sum(d * trees[d] for d in range(1, k + 1) if k % d == 0))
+            monos.append(sum(divisor_sums[j] * monos[k - j] for j in range(1, k + 1)) // k)
+        else:
+            monos.append(sum(trees[j] * monos[k - j] for j in range(1, k + 1)))
+        # k·P_k = Σ_j ((n + 1)·j − k)·M_j·P_{k−j} for P = M^n, as M_0 = 1
+        power.append(sum(((n + 1) * j - k) * monos[j] * power[k - j] for j in range(1, k + 1)) // k)
+    return tuple(trees), tuple(monos)
+
+
 def enumerate_trees(n: int, m: int) -> tuple[ColouredTree, ...]:
     """All canonical n-coloured trees with exactly m vertices, sorted."""
     return _enumerate_trees(Forest, n, m)

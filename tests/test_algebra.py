@@ -86,6 +86,17 @@ def test_substitute():
     assert poly.substitute({(1, 1): 2}) == 4 * Q22 + Q21
     # substituting a polynomial works too
     assert (Q11 ** 2).substitute({(1, 1): Q21 + 1}) == Q21 ** 2 + 2 * Q21 + ONE
+    # a value in a symbol the term keeps multiplies into that symbol
+    assert (Q11 * Q21 ** 2).substitute({(1, 1): Q21 - Q22}) == Q21 ** 3 - Q21 ** 2 * Q22
+    assert (Q11 + Q12).substitute({}) == Q11 + Q12
+    half = Coeff.rational(Fraction(1, 2))
+    assert (half * Q11 + half * Q12).substitute({(1, 1): 1, (1, 2): 1}) == ONE
+
+
+def test_substitute_refuses_an_overflowing_exponent():
+    big = Q21 ** (EXPONENT_LIMIT - 1)
+    with pytest.raises(ValueError, match=str(EXPONENT_LIMIT)):
+        (Q11 * big).substitute({(1, 1): Q21})
 
 
 def test_as_fraction_guards():

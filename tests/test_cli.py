@@ -250,6 +250,23 @@ def test_budget_exits_4(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [["bullet"], ["bullet", "--variant", "planar"], ["bracket"]])
+def test_negative_budget_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", "1", "--budget", "-1", "[]", "[]")
+    assert (code, out, err) == (2, "", "error: --budget must be >= 0\n")
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "planar"])
+def test_enumerate_count_counts_without_listing(capsys, variant):
+    # 13.5 million trees: counted by the series, never listed
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "enumerate", "--n", "3000", "--variant", variant, "--vertices", "3", "--count"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out == "13501500\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_max_cases_below_one_exits_2(capsys, value):
     code, out, err = run(capsys, "verify", "--n", "1", "--max-degree", "2", "--max-cases", value)

@@ -1,9 +1,12 @@
-"""Dual functionals on trees: the enumeration product, grafting products,
+"""Dual functionals on trees: the dual product, grafting products,
 rescaling, and the embedding into labelled trees."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treehopf.algebra import Coeff, parse_coeff
 from treehopf.hopf import HopfContext, _delta, coproduct_closed
@@ -12,6 +15,8 @@ from treehopf.prelie import (
     PreLieElement,
     _free_graft_everywhere,
     _graft_everywhere,
+    _monomial_terms,
+    _tree_terms,
     aut_rescale,
     bullet,
     bullet_prime,
@@ -30,6 +35,7 @@ from treehopf.planar import (
     PlanarElement,
     PlanarWord,
     enumerate_planar_trees,
+    parse_planar_tree,
     planar_bullet,
     planar_coproduct_closed,
 )
@@ -37,6 +43,7 @@ from treehopf.trees import (
     BudgetError,
     ColourMismatchError,
     Forest,
+    _enumerate_trees,
     enumerate_trees,
     parse_tree,
 )
@@ -54,8 +61,13 @@ def dual(tree, n=1):
     return DualElement.basis(tree, n)
 
 
+def duals(n, terms, cls=DualElement, parse=parse_tree):
+    """The dual element Σ c·D_t of ``{tree text: coefficient text}``."""
+    return cls(n, {parse(t, n): parse_coeff(c) for t, c in terms.items()})
+
+
 # ---------------------------------------------------------------------------
-# the enumeration product
+# the dual product
 # ---------------------------------------------------------------------------
 
 
@@ -162,7 +174,7 @@ def test_bullet_at_indicator_is_pre_lie():
 
 
 def test_rescale_intertwines_the_two_products():
-    # |Aut|-rescaling carries the grafting product to the enumeration
+    # |Aut|-rescaling carries the grafting product to the dual
     # product taken at the indicator parameters of the colour set
     ctx = HopfContext.indicator(1, {1})
     for total in range(2, 6):
@@ -175,7 +187,7 @@ def test_rescale_intertwines_the_two_products():
 
 
 def test_rescale_opposite_direction_fails():
-    # rescaling the *enumeration* product does not give the grafting
+    # rescaling the *dual* product does not give the grafting
     # product: the cherry coefficients disagree already at degree 3
     ctx = HopfContext.indicator(1, {1})
     lhs = aut_rescale(bullet(dual(CHAIN2), dual(LEAF), ctx))
@@ -243,6 +255,135 @@ def test_dual_products_leave_the_delta_memo_alone():
     assert not bullet(x, y, ctx).is_zero()
     assert not planar_bullet(px, py, ctx).is_zero()
     assert _delta.cache_info().currsize == size
+
+
+def test_a_cold_product_builds_no_enumeration_and_no_delta():
+    # the product builds its trees from the two factors: it lists no
+    # trees of the target size and computes no Δ
+    _tree_terms.cache_clear()
+    _monomial_terms.cache_clear()
+    sizes = _enumerate_trees.cache_info().currsize, _delta.cache_info().currsize
+    two = HopfContext.symbolic(2)
+    x, y = dual(parse_tree("[2:[1:[]]]", 2), 2), dual(parse_tree("[1:[],1:[]]", 2), 2)
+    px, py = (PlanarDualElement.basis(parse_planar_tree(t, 2), 2) for t in ("[2:[1:[]]]", "[2:[]]"))
+    assert not bullet(x, y, two).is_zero()
+    assert not lie_bracket(x, y, two).is_zero()
+    assert not planar_bullet(px, py, two).is_zero()
+    assert _tree_terms.cache_info().currsize > 0
+    assert (_enumerate_trees.cache_info().currsize, _delta.cache_info().currsize) == sizes
+
+
+# Pins where a forest of the product's recursion repeats a tree: the
+# leaves of a star and the halves of a cherry.  Each was checked against
+# the vertex-subset oracle.
+
+
+def test_bullet_pins_on_repeated_leaves_at_ck():
+    # cutting one leaf off a 3-star leaves the cherry in three ways
+    assert bullet(dual(CHERRY), dual(LEAF), CK) == duals(
+        1, {"[1:[],1:[],1:[]]": "3", "[1:[],1:[1:[]]]": "1"}
+    )
+    assert bullet(dual(CHERRY), dual(CHERRY), CK) == duals(
+        1, {"[1:[],1:[],1:[1:[],1:[]]]": "1", "[1:[],1:[1:[1:[],1:[]]]]": "1"}
+    )
+
+
+def test_bullet_pins_on_repeated_leaves_symbolic():
+    assert bullet(dual(CHERRY), dual(LEAF), SYM1) == duals(
+        1,
+        {
+            "[1:[],1:[],1:[]]": "3*q11",
+            "[1:[],1:[1:[]]]": "q11*q21 + q11^2",
+            "[1:[1:[],1:[]]]": "q11*q21^2 + q21^3",
+        },
+    )
+    star3 = dual(parse_tree("[1:[],1:[],1:[]]"))
+    assert bullet(star3, dual(LEAF), SYM1) == duals(
+        1,
+        {
+            "[1:[],1:[],1:[],1:[]]": "4*q11",
+            "[1:[],1:[],1:[1:[]]]": "q11*q21 + q11^2",
+            "[1:[],1:[1:[],1:[]]]": "q11*q21^2",
+            "[1:[1:[],1:[],1:[]]]": "q11*q21^3 + q21^4",
+        },
+    )
+    # two colours: the repeated leaves hang on colour 2
+    two = HopfContext.symbolic(2)
+    out = bullet(dual(parse_tree("[2:[],2:[]]", 2), 2), dual(parse_tree("[1:[]]", 2), 2), two)
+    assert out.coefficient(parse_tree("[1:[2:[],2:[],2:[]]]", 2)) == parse_coeff("3*q12*q21^3")
+    assert out.coefficient(parse_tree("[1:[1:[]],2:[],2:[]]", 2)) == parse_coeff("q11^2")
+
+
+def test_planar_bullet_pins_on_repeated_leaves():
+    # a word keeps its leaves apart: the two places of the chain in a
+    # 3-vertex row are two trees
+    cherry = PlanarDualElement.basis(parse_planar_tree("[1:[],1:[]]"), 1)
+    leaf = PlanarDualElement.basis(parse_planar_tree("[]"), 1)
+    assert planar_bullet(cherry, leaf, SYM1) == duals(
+        1,
+        {
+            "[1:[],1:[],1:[]]": "3*q21",
+            "[1:[],1:[1:[]]]": "q11*q21 + q21^2",
+            "[1:[1:[]],1:[]]": "q11*q21 + q21^2",
+            "[1:[1:[],1:[]]]": "q11^2*q21 + q11^3",
+        },
+        PlanarDualElement,
+        parse_planar_tree,
+    )
+
+
+# Beyond the exhaustive ranges of test_duality_pairing_symbolic: seeded
+# draws of (variant, n, product sizes), biased to stars and to equal
+# factors, whose trees repeat.
+BEYOND = [(SYMMETRIC, 1, (8,)), (SYMMETRIC, 3, (4, 5)), (PLANAR, 1, (7,)), (PLANAR, 3, (4, 5))]
+
+
+@cache
+def _oracle_column(variant: int, n: int, m: int) -> dict:
+    """Δ(w) by the vertex-subset oracle, for every tree w with m vertices."""
+    trees, single, _, element, delta, _, _ = BEYOND[variant][0]
+    ctx = HopfContext.symbolic(n)
+    return {w: delta(element.basis(single(w), n), ctx) for w in trees(n, m)}
+
+
+@st.composite
+def dual_pairs(draw):
+    variant = draw(st.integers(0, len(BEYOND) - 1))
+    n, sizes = BEYOND[variant][1:]
+    trees = BEYOND[variant][0][0]
+    m = draw(st.sampled_from(sizes))
+    k = draw(st.integers(1, m - 1))
+
+    def tree(size):
+        if draw(st.booleans()):  # a star: a root over repeated leaves
+            leaf = trees(n, 1)[0]
+            colours = draw(st.lists(st.integers(1, n), min_size=size - 1, max_size=size - 1))
+            return type(leaf)((c, leaf) for c in colours)
+        return draw(st.sampled_from(trees(n, size)))
+
+    t = tree(k)
+    s = t if 2 * k == m and draw(st.booleans()) else tree(m - k)
+    return variant, n, t, s
+
+
+@given(dual_pairs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_dual_products_match_the_oracle_beyond_the_exhaustive_range(case):
+    variant, n, t, s = case
+    _, single, dual_cls, _, _, product, legs = BEYOND[variant][0]
+    ctx = HopfContext.symbolic(n)
+    m = t.size + s.size
+    x, y = dual_cls.basis(t, n), dual_cls.basis(s, n)
+    prod = product(x, y, ctx, m)
+    key, swapped = (tuple(map(single, legs(*pair))) for pair in ((t, s), (s, t)))
+    # the bracket [D_t, D_s] = D_s • D_t − D_t • D_s of the symmetric side
+    bracket = lie_bracket(x, y, ctx, m) if product is bullet else None
+    column = _oracle_column(variant, n, m)
+    assert set(prod.data) <= set(column)
+    for w, d in column.items():
+        assert prod.coefficient(w) == d.coefficient(key), (n, w, t, s)
+        if bracket is not None:
+            assert bracket.coefficient(w) == d.coefficient(swapped) - d.coefficient(key)
 
 
 # ---------------------------------------------------------------------------

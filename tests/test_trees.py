@@ -36,6 +36,7 @@ from treehopf.trees import (
     _lam,
     add_root,
     aut_order,
+    basis_counts,
     canonicalize,
     decompose,
     enumerate_forests,
@@ -76,6 +77,23 @@ def test_two_colour_tree_counts_frozen():
 def test_tree_counts_match_bruteforce(n, mmax):
     for m in range(1, mmax + 1):
         assert len(enumerate_trees(n, m)) == bruteforce.count_trees(n, m)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_basis_counts_match_the_enumerations(n):
+    # counted without listing, for both variants, up to 7 vertices
+    for monomial, trees, monomials in (
+        (Forest, enumerate_trees, enumerate_forests),
+        (PlanarWord, enumerate_planar_trees, enumerate_planar_words),
+    ):
+        tree_counts, monomial_counts = basis_counts(monomial, n, 7)
+        assert tree_counts == (0,) + tuple(len(trees(n, m)) for m in range(1, 8))
+        assert monomial_counts == tuple(len(monomials(n, k)) for k in range(8))
+
+
+def test_basis_counts_rejects_a_negative_n():
+    with pytest.raises(ValueError):
+        basis_counts(Forest, -1, 3)
 
 
 def test_tree_counts_script_tabulates_the_four_bases(capsys):
