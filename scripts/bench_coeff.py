@@ -126,16 +126,21 @@ def measure(src: str) -> dict:
     return {"micro_us": micro, "seconds": seconds}
 
 
-def append_row(argv, doc: str, out: str, measure) -> int:
+def append_row(argv, doc: str, out: str, measure, repeatable: bool = False) -> int:
     """The command line shared by the ``bench_*`` scripts: measure the
     ``--src`` checkout with ``measure(src)`` and append the row, headed by
     the label, commit, date and machine, to ``--out`` (default: ``out``
-    at the root of this checkout)."""
+    at the root of this checkout).  A ``repeatable`` script also takes
+    ``--repeat k`` and is measured by ``measure(src, k)``."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the measured side, e.g. parent")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding treehopf")
     parser.add_argument("--out", default=os.path.join(ROOT, out))
+    if repeatable:
+        parser.add_argument("--repeat", type=int, default=1, help="fresh-interpreter runs per probe")
     args = parser.parse_args(argv)
+    if repeatable and args.repeat < 1:
+        parser.error("--repeat must be >= 1")
     src = os.path.abspath(args.src)
     row = {
         "label": args.label,
@@ -144,7 +149,7 @@ def append_row(argv, doc: str, out: str, measure) -> int:
         "python": platform.python_version(),
         "cpu": _cpu(),
         "nproc": os.cpu_count(),
-        **measure(src),
+        **(measure(src, args.repeat) if repeatable else measure(src)),
     }
     rows = []
     if os.path.exists(args.out):

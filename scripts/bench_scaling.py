@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time Δ, S and the dual product at the sizes the workloads never reach;
-append one row.
+"""Time Δ, S and the dual product at the sizes the workloads never reach,
+and small CLI requests; append one row.
 
-    python3 scripts/bench_scaling.py --label change
-    python3 scripts/bench_scaling.py --label parent --src ../parent/src
+    python3 scripts/bench_scaling.py --label change --repeat 5
+    python3 scripts/bench_scaling.py --label parent --src ../parent/src --repeat 5
 
 Every probe runs in a fresh interpreter that imports ``treehopf`` from
 ``--src`` (default: this checkout's ``src``), so one copy of this script
 measures any checkout on the same machine, and every memo starts cold.
 Each probe times its one call in-process and reports the number of terms
-of the result, so two rows can be checked to agree.  The probes:
+of the result, so two rows can be checked to agree.  With ``--repeat k``
+each probe runs k times, each time in a fresh interpreter; the row holds
+the median seconds and peak RSS of the k runs, and ``spread`` holds the
+least and the greatest seconds.  The probes:
 
 * ``coproduct`` of the forest ``[]``^k for k = 100, 200, 400, at the
   Connes–Kreimer point and symbolically (repeated trees);
@@ -19,7 +22,11 @@ of the result, so two rows can be checked to agree.  The probes:
   q = (2, 3) and symbolically;
 * cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices, and
   with 6 and 5 vertices;
-* cold symbolic ``planar_bullet`` of the n=2 pair ``[2:[1:[]]]``, ``[2:[]]``.
+* cold symbolic ``planar_bullet`` of the n=2 pair ``[2:[1:[]]]``, ``[2:[]]``;
+* ``cli_requests``: the median seconds of one in-process ``cli.main``
+  call over ``CLI_ROUNDS`` rounds of ``CLI_REQUESTS`` (all eight
+  subcommands, text and JSON, repeated ``--q`` texts), output discarded;
+  its "terms" are the bytes one round prints.
 
 Each probe also records the peak RSS of its process.
 
@@ -32,10 +39,55 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 
 from bench_coeff import append_row
+
+# small requests, one per line: all eight subcommands, text and JSON, and
+# repeated --q texts; no tree holds a space
+CLI_REQUESTS = """\
+enumerate --n 1 --vertices 4
+enumerate --n 2 --vertices 3 --count --format json
+coproduct --n 1 --q 1,0 [1:[]]*[]
+coproduct --n 2 --variant planar --format json [2:[1:[]]]
+antipode --n 1 --q 1,0 --format json [1:[1:[]]]
+antipode --n 1 [1:[],1:[]]
+bullet --n 1 --q 1,0 [] [1:[]]
+bullet --n 2 --q 1,1,0,0 --variant planar --format json [2:[]] [1:[]]
+bracket --n 1 [] [1:[]]
+bracket --n 2 --q 1,1,0,0 --format json [] [2:[]]
+simplicial --n 2 --map d --index 1 [1:[],2:[]]
+simplicial --n 1 --map s --index 0 --format json [1:[]]
+phi --n 2 [1:[2:[]]]
+phi --n 1 --format json [1:[]]
+verify --n 1 --q 1,0 --max-degree 1
+verify --n 1 --variant planar --max-degree 1 --format json
+"""
+CLI_ROUNDS = 50
+
+CLI_PROBE = r"""
+import contextlib, io, json, resource, statistics, sys
+from time import perf_counter
+from treehopf.cli import main
+
+rounds, requests = int(sys.argv[1]), [line.split() for line in sys.argv[2].splitlines()]
+calls, sink = [], io.StringIO()
+with contextlib.redirect_stdout(sink):
+    for _ in range(rounds):
+        sink.seek(0)
+        sink.truncate()
+        for argv in requests:
+            t0 = perf_counter()
+            code = main(argv)
+            calls.append(perf_counter() - t0)
+            if code:
+                raise SystemExit(f"{argv} exited {code}")
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+terms = len(sink.getvalue().encode())  # the bytes of one round
+print(json.dumps({"seconds": statistics.median(calls), "terms": terms, "peak_rss_mb": rss}))
+"""
 
 PROBE = r"""
 import json, resource, sys
@@ -79,48 +131,55 @@ rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"seconds": elapsed, "terms": len(result), "peak_rss_mb": rss}))
 """
 
-# (name, kind, size, point)
+# (name, probe code, its arguments)
 PROBES = [
     *(
-        (f"coproduct_leaves{k}_{point}", "leaves", k, point)
+        (f"coproduct_leaves{k}_{point}", PROBE, ("leaves", k, point))
         for k in (100, 200, 400)
         for point in ("ck", "symbolic")
     ),
-    ("coproduct_edges50_ck", "edges", 50, "ck"),
+    ("coproduct_edges50_ck", PROBE, ("edges", 50, "ck")),
     *(
-        (f"antipode_bushy{m}_{point}", "bushy", m, point)
+        (f"antipode_bushy{m}_{point}", PROBE, ("bushy", m, point))
         for m in (10, 12)
         for point in ("rational", "symbolic")
     ),
-    ("bullet_chains5+4_cold_symbolic", "chains", 5, "symbolic"),
-    ("bullet_chains6+5_cold_symbolic", "chains", 6, "symbolic"),
-    ("planar_bullet_n2_cold_symbolic", "planar", 3, "symbolic"),
+    ("bullet_chains5+4_cold_symbolic", PROBE, ("chains", 5, "symbolic")),
+    ("bullet_chains6+5_cold_symbolic", PROBE, ("chains", 6, "symbolic")),
+    ("planar_bullet_n2_cold_symbolic", PROBE, ("planar", 3, "symbolic")),
+    ("cli_requests", CLI_PROBE, (CLI_ROUNDS, CLI_REQUESTS)),
 ]
 
 
-def _run(src: str, *argv: str) -> dict:
+def _run(src: str, name: str, code: str, argv: tuple) -> dict:
     """Run the probe in a fresh interpreter; its JSON report."""
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True, text=True
     )
     if done.returncode != 0:
-        raise SystemExit(f"probe {argv} failed:\n{done.stderr}")
+        raise SystemExit(f"probe {name} failed:\n{done.stderr}")
     return json.loads(done.stdout)
 
 
-def measure(src: str) -> dict:
-    seconds, terms, rss = {}, {}, {}
-    for name, kind, size, point in PROBES:
-        report = _run(src, kind, str(size), point)
-        seconds[name] = report["seconds"]
-        terms[name] = report["terms"]
-        rss[name] = report["peak_rss_mb"]
-    return {"seconds": seconds, "terms": terms, "peak_rss_mb": rss}
+def measure(src: str, repeat: int) -> dict:
+    """The median of ``repeat`` runs of every probe, with the least and
+    greatest seconds; every run must agree on the result's size."""
+    seconds, spread, terms, rss = {}, {}, {}, {}
+    for name, code, argv in PROBES:
+        reports = [_run(src, name, code, argv) for _ in range(repeat)]
+        if len({r["terms"] for r in reports}) != 1:
+            raise SystemExit(f"probe {name} gave different results across runs")
+        runs = [r["seconds"] for r in reports]
+        seconds[name] = statistics.median(runs)
+        spread[name] = [min(runs), max(runs)]
+        terms[name] = reports[0]["terms"]
+        rss[name] = statistics.median(r["peak_rss_mb"] for r in reports)
+    return {"repeat": repeat, "seconds": seconds, "spread": spread, "terms": terms, "peak_rss_mb": rss}
 
 
 def main(argv=None) -> int:
-    return append_row(argv, __doc__, "BENCH_scaling.json", measure)
+    return append_row(argv, __doc__, "BENCH_scaling.json", measure, repeatable=True)
 
 
 if __name__ == "__main__":

@@ -287,10 +287,11 @@ class Coeff:
         return tuple((pairs, value) for _, pairs, value in keyed)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the class test first: Fraction's ABC check costs a third of the call
+        if other.__class__ is not Coeff:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Coeff.rational(other)
-        if not isinstance(other, Coeff):
-            return NotImplemented
         return self._t == other._t
 
     def __hash__(self):
@@ -301,8 +302,11 @@ class Coeff:
             return self._hash
 
     def __str__(self):
-        if not self._t:
+        t = self._t
+        if not t:
             return "0"
+        if len(t) == 1 and 0 in t:  # a constant prints as its value
+            return str(t[0])
         chunks: list[str] = []
         for mono, value in self.terms:
             body = _format_monomial(mono, value)
@@ -671,7 +675,8 @@ class Element(Combination):
         return cls(n, {cls._key_type(): ONE})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Coeff)):
+        # the class test first: Fraction's ABC check is the slow one
+        if other.__class__ is not self.__class__ and isinstance(other, (int, Fraction, Coeff)):
             return self.scale(other)
         self._require_compatible(other)
         acc: dict = {}
@@ -719,7 +724,7 @@ class TensorElement(Combination):
         return cls(n, {(empty, empty): ONE})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Coeff)):
+        if other.__class__ is not self.__class__ and isinstance(other, (int, Fraction, Coeff)):
             return self.scale(other)
         self._require_compatible(other)
         acc: dict = {}
@@ -754,7 +759,12 @@ def _format_terms(terms, key_str) -> str:
         return "0"
     chunks: list[str] = []
     for key, coeff in terms:
-        for mono, value in coeff.terms:
+        t = coeff._t
+        if len(t) == 1 and 0 in t:  # a constant: nothing to unpack or sort
+            pairs = (((), t[0]),)
+        else:
+            pairs = coeff.terms
+        for mono, value in pairs:
             body = _format_monomial(mono, value)
             if body == "1":
                 body = ""

@@ -9,19 +9,30 @@ Every subcommand computes one thing and exits with a coded status:
     4  work exceeds the requested budget
     5  an edge colour exceeds the declared colour count n
 
-All eight subcommands share one result path.  ``main`` checks ``--n``,
-builds the ``HopfContext`` once for every subcommand that takes ``--q``
-(reading ``--q`` before the expression), and calls the subcommand's
-handler, which returns its JSON fields, its text lines and its exit code;
-``main`` alone prints them, as JSON or as text, and turns the library's
-errors into exit codes.  One term printer, ``_terms``, picks the JSON
-shape of a result's terms from its type.
+All eight subcommands share one result path.  ``main`` parses the
+arguments, checks ``--n``, takes the ``HopfContext`` of every subcommand
+that takes ``--q`` (reading ``--q`` before the expression), and calls
+the subcommand's handler, which returns its JSON fields, its result and
+its exit code; ``main`` alone prints the result, as JSON or as text, and
+turns the library's errors into exit codes.  A computed result is printed
+once, in the one form ``--format`` asks for: its terms for JSON (one term
+printer, ``_terms``, picks their shape from the result's type), the
+result itself on one line for text.  ``enumerate`` and ``verify`` return
+text lines whose data their JSON fields already hold.
 
 The argument parser is built once per process and reused: each parse
-makes a fresh namespace and leaves the parser unchanged.  An argument
-that starts with ``-`` and then ``[``, ``q`` or a digit is a value, not
-an option, so an expression may begin with its sign (``-[1:[]]``) and
+makes a fresh namespace and leaves the parser unchanged.  A request that
+names a subcommand first is parsed by that subcommand's parser alone, as
+the top parser would hand it on; only a request that does not (``-h``, an
+unknown word, nothing at all) is parsed by the top parser, and leftover
+arguments are reported by the top parser either way.  An argument that
+starts with ``-`` and then ``[``, ``q`` or a digit is a value, not an
+option, so an expression may begin with its sign (``-[1:[]]``) and
 ``--q`` may begin with a negative entry (``--q -1,0``).
+
+Each (``--n``, ``--q`` text) pair is read once per process: its context
+and the printed q-entries are memoised, and a refused ``--q`` raises
+before anything is stored.
 """
 
 from __future__ import annotations
@@ -84,7 +95,8 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that reads ``-[1:[]]`` or ``-q11[]`` as a
     signed expression, not as an unknown option: no option of the CLI
     starts with ``-`` and one of ``_TERM_STARTS``.  The subcommand parsers
-    are of this class too."""
+    are of this class too; the top parser's ``commands`` maps each
+    subcommand's name to its parser."""
 
     def _parse_optional(self, arg_string):
         if arg_string[:1] == "-" and arg_string[1:2] in _TERM_STARTS:
@@ -99,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="coloured rooted trees, their coproduct family, and friends",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices
 
     def common(p, qspec=True, variant=True):
         p.add_argument("--n", type=int, default=1, help="number of edge colours")
@@ -163,10 +176,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _qspec(args) -> QSpec:
-    text = args.q.strip()
-    words = ["sym"] * (2 * args.n) if text == "sym" else text.split(",")
-    return QSpec.from_strings(args.n, words)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the subcommand's parser
+    reading its own arguments once instead of after the top parser."""
+    top = _build_parser()
+    sub = top.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+@cache
+def _context(n: int, q: str) -> tuple[HopfContext, tuple[str, ...]]:
+    """The context of ``--n`` and the ``--q`` text, and its printed
+    entries; a refused ``--q`` raises, so only accepted texts are kept."""
+    text = q.strip()
+    words = ["sym"] * (2 * n) if text == "sym" else text.split(",")
+    ctx = HopfContext(QSpec.from_strings(n, words))
+    return ctx, tuple(str(e) for e in ctx.qspec.entries)
 
 
 def _terms(result) -> list[dict]:
@@ -181,15 +211,10 @@ def _terms(result) -> list[dict]:
     return [{"coefficient": str(c), "basis": f"{prefix}{k}"} for k, c in result.terms()]
 
 
-def _result(fields: dict, result):
-    """A computed result: its terms close the JSON fields, and the text
-    form is the result on one line."""
-    fields["terms"] = _terms(result)
-    return fields, [str(result)], EXIT_OK
-
-
 # Each handler takes the parsed arguments and the context (None for a
-# subcommand without --q) and returns (JSON fields, text lines, exit code).
+# subcommand without --q) and returns (JSON fields, result, exit code).  The
+# result is a list of text lines (enumerate, verify) or a computed element,
+# whose terms close the JSON fields and whose text is itself on one line.
 
 
 def _cmd_enumerate(args, ctx):
@@ -215,7 +240,7 @@ def _cmd_coproduct_antipode(args, ctx):
     else:
         element = parse_element(args.expr, args.n)
         apply = coproduct if args.command == "coproduct" else antipode_recursive
-    return _result({"input": args.expr}, apply(element, ctx))
+    return {"input": args.expr}, apply(element, ctx), EXIT_OK
 
 
 def _cmd_bullet_bracket(args, ctx):
@@ -230,19 +255,19 @@ def _cmd_bullet_bracket(args, ctx):
     else:
         a, b = (DualElement.basis(parse_tree(t, args.n), args.n) for t in (args.left, args.right))
         product = bullet if args.command == "bullet" else lie_bracket
-    return _result({"input": [args.left, args.right]}, product(a, b, ctx, budget=args.budget))
+    return {"input": [args.left, args.right]}, product(a, b, ctx, budget=args.budget), EXIT_OK
 
 
 def _cmd_simplicial(args, ctx):
     element = parse_element(args.expr, args.n)
     result = (simplicial_d if args.map == "d" else simplicial_s)(args.index, element)
     map_ = f"{args.map}_{args.index}"
-    return _result({"n": args.n, "map": map_, "result_n": result.n, "input": args.expr}, result)
+    return {"n": args.n, "map": map_, "result_n": result.n, "input": args.expr}, result, EXIT_OK
 
 
 def _cmd_phi(args, ctx):
     result = phi(DualElement.basis(parse_tree(args.tree, args.n), args.n))
-    return _result({"n": args.n, "input": args.tree}, result)
+    return {"n": args.n, "input": args.tree}, result, EXIT_OK
 
 
 def _cmd_verify(args, ctx):
@@ -269,23 +294,26 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.n < 0:
             raise ValueError("--n must be >= 0")
         payload, ctx = {"command": args.command}, None
         if hasattr(args, "q"):
             # a subcommand with --q prints its parameters before its result
-            ctx = HopfContext(_qspec(args))
+            ctx, entries = _context(args.n, args.q)
             payload["n"] = args.n
             if hasattr(args, "variant"):
                 payload["variant"] = args.variant
-            payload["qspec"] = [str(e) for e in ctx.qspec.entries]
-        fields, lines, code = _HANDLERS[args.command](args, ctx)
+            payload["qspec"] = entries
+        fields, result, code = _HANDLERS[args.command](args, ctx)
+        computed = not isinstance(result, list)
         if args.format == "json":
+            if computed:
+                fields["terms"] = _terms(result)
             print(json.dumps(payload | fields, ensure_ascii=False, indent=2))
         else:
-            for line in lines:
+            for line in [result] if computed else result:
                 print(line)
         return code
     except BudgetError as exc:

@@ -10,6 +10,7 @@ import pytest
 from treehopf import cli
 from treehopf.algebra import (
     EXPONENT_LIMIT,
+    Combination,
     Element,
     TensorElement,
     parse_coeff,
@@ -17,6 +18,7 @@ from treehopf.algebra import (
     parse_tensor,
 )
 from treehopf.hopf import CheckOutcome, VerificationReport
+from treehopf.prelie import DualElement
 from treehopf.trees import parse_forest
 
 
@@ -454,6 +456,87 @@ def test_the_parser_is_built_once_and_keeps_no_request_state(capsys):
     code, out, _ = run(capsys, "bullet", "--n", "1", "[1:[]]", "[1:[]]")
     assert code == 0 and out.strip()
     assert cli._build_parser.cache_info().currsize == 1
+
+
+PARSE_CASES = [
+    ["enumerate", "--n", "2", "--vertices", "3", "--count"],
+    ["coproduct", "--n", "1", "--q", "1,0", "--format", "json", "[1:[]]"],
+    ["antipode", "--variant", "planar", "--q=-1/2,3", "[1:[]]"],
+    ["bullet", "--budget", "7", "[]", "[1:[]]"],
+    ["bracket", "--n", "2", "[2:[]]", "[]"],
+    ["simplicial", "--map", "d", "--index", "1", "-[1:[]]"],
+    ["phi", "--n", "2", "[1:[]]"],
+    ["verify", "--max-degree", "2", "--max-cases", "3", "--seed", "4"],
+    ["coproduct", "--n", "1", "--", "-[1:[]]"],
+    ["coproduct", "--n", "1", "-x", "[]"],
+    ["coproduct", "--n", "1", "[]", "-x"],
+    ["bullet", "[]", "[]", "[]"],
+    ["coproduct", "--n", "1"],
+    ["coproduct", "--n", "x", "[]"],
+    ["coproduct", "--variant", "bogus", "[]"],
+    ["transpose", "[]"],
+    ["--n", "1", "coproduct", "[]"],
+    [],
+    ["-h"],
+    ["verify", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_the_subcommand_route_parses_as_the_top_parser(capsys, argv):
+    def parsed(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, *capsys.readouterr()
+
+    assert parsed(cli._parse) == parsed(cli._build_parser().parse_args)
+
+
+COMPUTED = [
+    ["coproduct", "[1:[]]"],
+    ["coproduct", "--variant", "planar", "[1:[]]"],
+    ["antipode", "[1:[]]"],
+    ["antipode", "--variant", "planar", "[1:[]]"],
+    ["bullet", "[]", "[]"],
+    ["bullet", "--variant", "planar", "[]", "[]"],
+    ["bracket", "[]", "[1:[]]"],
+    ["simplicial", "--map", "d", "--index", "0", "[1:[]]"],
+    ["phi", "[1:[]]"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", COMPUTED, ids=" ".join)
+def test_a_request_builds_only_the_form_it_prints(capsys, monkeypatch, argv, fmt):
+    calls = {"terms": 0, "str": 0}
+    terms = cli._terms
+
+    def counted_terms(result):
+        calls["terms"] += 1
+        return terms(result)
+
+    monkeypatch.setattr(cli, "_terms", counted_terms)
+    for cls in (Combination, TensorElement, DualElement):
+        def counted_str(self, printer=cls.__str__):
+            calls["str"] += 1
+            return printer(self)
+
+        monkeypatch.setattr(cls, "__str__", counted_str)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    assert calls == ({"terms": 1, "str": 0} if fmt == "json" else {"terms": 0, "str": 1})
+
+
+def test_a_refused_q_is_not_remembered(capsys):
+    refused = run(capsys, "coproduct", "--n", "1", "--q", "1/0,1", "[]")
+    assert refused[0] == 2 and refused[1] == ""
+    assert run(capsys, "coproduct", "--n", "1", "--q", "1/0,1", "[]") == refused
+    code, out, _ = run(capsys, "coproduct", "--n", "1", "--q", "1,1", "[]")
+    assert code == 0 and out == "1 ⊗ [] + [] ⊗ 1\n"
+    # an accepted text is read once: a repeat gets the same context
+    assert cli._context(1, "1,1")[0] is cli._context(1, "1,1")[0]
 
 
 def test_help_matches_a_freshly_built_parser(capsys):
