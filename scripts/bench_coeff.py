@@ -6,7 +6,8 @@
 
 Every probe runs in a fresh interpreter that imports ``treehopf`` from
 ``--src`` (default: this checkout's ``src``), so one copy of this script
-measures any checkout on the same machine.  The row holds:
+measures any checkout on the same machine; one ``--src`` per ``--label``
+measures several checkouts in turn, one row each.  The row holds:
 
 * ``micro_us``: ``Coeff`` microbenchmarks, microseconds per call, best of
   5 ``timeit`` repeats;
@@ -127,39 +128,54 @@ def measure(src: str) -> dict:
 
 
 def append_row(argv, doc: str, out: str, measure, repeatable: bool = False) -> int:
-    """The command line shared by the ``bench_*`` scripts: measure the
-    ``--src`` checkout with ``measure(src)`` and append the row, headed by
-    the label, commit, date and machine, to ``--out`` (default: ``out``
-    at the root of this checkout).  A ``repeatable`` script also takes
-    ``--repeat k`` and is measured by ``measure(src, k)``."""
+    """The command line shared by the ``bench_*`` scripts: measure each
+    labelled ``--src`` checkout and append one row per checkout, headed by
+    its label, commit, date and machine, to ``--out`` (default: ``out`` at
+    the root of this checkout).
+
+    ``--label`` and ``--src`` may each be given once per checkout, paired
+    in order; one label with no ``--src`` measures this checkout.  A plain
+    script measures the checkouts in turn with ``measure(src)``.  A
+    ``repeatable`` script also takes ``--repeat k`` and is handed all the
+    checkouts at once, ``measure(srcs, k)``, so that it can alternate
+    between them; it returns one result per checkout."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name of the measured side, e.g. parent")
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding treehopf")
+    parser.add_argument(
+        "--label", action="append", required=True, help="name of a measured side, e.g. parent"
+    )
+    parser.add_argument(
+        "--src", action="append", help="directory holding treehopf, one per --label"
+    )
     parser.add_argument("--out", default=os.path.join(ROOT, out))
     if repeatable:
         parser.add_argument("--repeat", type=int, default=1, help="fresh-interpreter runs per probe")
     args = parser.parse_args(argv)
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    if len(srcs) != len(args.label):
+        parser.error("give one --src per --label")
     if repeatable and args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    src = os.path.abspath(args.src)
-    row = {
-        "label": args.label,
-        "commit": _commit(src),
-        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "python": platform.python_version(),
-        "cpu": _cpu(),
-        "nproc": os.cpu_count(),
-        **(measure(src, args.repeat) if repeatable else measure(src)),
-    }
+    srcs = [os.path.abspath(src) for src in srcs]
+    results = measure(srcs, args.repeat) if repeatable else [measure(src) for src in srcs]
     rows = []
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             rows = json.load(fh)
-    rows.append(row)
+    for label, src, result in zip(args.label, srcs, results):
+        row = {
+            "label": label,
+            "commit": _commit(src),
+            "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "python": platform.python_version(),
+            "cpu": _cpu(),
+            "nproc": os.cpu_count(),
+            **result,
+        }
+        rows.append(row)
+        print(json.dumps(row, indent=2))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=2)
         fh.write("\n")
-    print(json.dumps(row, indent=2))
     return 0
 
 

@@ -3,7 +3,8 @@
 and small CLI requests; append one row.
 
     python3 scripts/bench_scaling.py --label change --repeat 5
-    python3 scripts/bench_scaling.py --label parent --src ../parent/src --repeat 5
+    python3 scripts/bench_scaling.py --label parent --src ../parent/src \
+        --label change --src src --repeat 3
 
 Every probe runs in a fresh interpreter that imports ``treehopf`` from
 ``--src`` (default: this checkout's ``src``), so one copy of this script
@@ -12,14 +13,19 @@ Each probe times its one call in-process and reports the number of terms
 of the result, so two rows can be checked to agree.  With ``--repeat k``
 each probe runs k times, each time in a fresh interpreter; the row holds
 the median seconds and peak RSS of the k runs, and ``spread`` holds the
-least and the greatest seconds.  The probes:
+least and the greatest seconds.  Given several labelled checkouts (one
+``--src`` per ``--label``), the script runs each probe on all of them
+before the next repeat, the first checkout first on even repeats and
+last on odd ones, so drift of the machine falls on every side alike; it
+appends one row per checkout, and the checkouts must agree on every
+probe's term count.  The probes:
 
 * ``coproduct`` of the forest ``[]``^k for k = 100, 200, 400, at the
   Connes–Kreimer point and symbolically (repeated trees);
 * ``coproduct`` of ``[1:[]]``^50 at the Connes–Kreimer point;
 * ``antipode_recursive`` of the 10- and 12-vertex bushy trees (the tree
   at index ⌊N/3⌋ of ``enumerate_trees(1, m)``), at the rational point
-  q = (2, 3) and symbolically;
+  q = (2, 3) and symbolically, and of the 14-vertex one at q = (2, 3);
 * cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices, and
   with 6 and 5 vertices;
 * cold symbolic ``planar_bullet`` of the n=2 pair ``[2:[1:[]]]``, ``[2:[]]``;
@@ -144,6 +150,7 @@ PROBES = [
         for m in (10, 12)
         for point in ("rational", "symbolic")
     ),
+    ("antipode_bushy14_rational", PROBE, ("bushy", 14, "rational")),
     ("bullet_chains5+4_cold_symbolic", PROBE, ("chains", 5, "symbolic")),
     ("bullet_chains6+5_cold_symbolic", PROBE, ("chains", 6, "symbolic")),
     ("planar_bullet_n2_cold_symbolic", PROBE, ("planar", 3, "symbolic")),
@@ -162,20 +169,32 @@ def _run(src: str, name: str, code: str, argv: tuple) -> dict:
     return json.loads(done.stdout)
 
 
-def measure(src: str, repeat: int) -> dict:
-    """The median of ``repeat`` runs of every probe, with the least and
-    greatest seconds; every run must agree on the result's size."""
-    seconds, spread, terms, rss = {}, {}, {}, {}
+def measure(srcs: list, repeat: int) -> list:
+    """For each checkout in ``srcs``, the median of ``repeat`` runs of
+    every probe, with the least and greatest seconds; the checkouts take
+    turns within each repeat, and every run must agree on the result's
+    size."""
+    reports = [{} for _ in srcs]  # per checkout, in order: probe name -> runs
+    sides = list(enumerate(srcs))
     for name, code, argv in PROBES:
-        reports = [_run(src, name, code, argv) for _ in range(repeat)]
-        if len({r["terms"] for r in reports}) != 1:
+        for r in range(repeat):
+            for i, src in sides if r % 2 == 0 else sides[::-1]:
+                reports[i].setdefault(name, []).append(_run(src, name, code, argv))
+        if len({rep["terms"] for side in reports for rep in side[name]}) != 1:
             raise SystemExit(f"probe {name} gave different results across runs")
-        runs = [r["seconds"] for r in reports]
-        seconds[name] = statistics.median(runs)
-        spread[name] = [min(runs), max(runs)]
-        terms[name] = reports[0]["terms"]
-        rss[name] = statistics.median(r["peak_rss_mb"] for r in reports)
-    return {"repeat": repeat, "seconds": seconds, "spread": spread, "terms": terms, "peak_rss_mb": rss}
+    rows = []
+    for side in reports:
+        seconds, spread, terms, rss = {}, {}, {}, {}
+        for name, runs in side.items():
+            times = [r["seconds"] for r in runs]
+            seconds[name] = statistics.median(times)
+            spread[name] = [min(times), max(times)]
+            terms[name] = runs[0]["terms"]
+            rss[name] = statistics.median(r["peak_rss_mb"] for r in runs)
+        rows.append(
+            {"repeat": repeat, "seconds": seconds, "spread": spread, "terms": terms, "peak_rss_mb": rss}
+        )
+    return rows
 
 
 def main(argv=None) -> int:

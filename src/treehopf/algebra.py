@@ -3,9 +3,13 @@
 Coefficients live in the polynomial ring over Q generated by the
 symbols ``q{i}{j}`` (``i`` in {1,2}, ``j`` a colour).  A coefficient
 specification (:class:`QSpec`) pins each of the 2n symbols to either a
-rational constant or a polynomial (usually the symbol itself); constants
-are substituted eagerly, so purely rational runs never touch polynomial
-arithmetic beyond the constant term.
+rational constant or a polynomial (usually the symbol itself).  The
+engine in ``hopf`` computes on plain numbers wherever a value is a
+constant: ``_power`` of a constant is an ``int`` or ``Fraction``, the
+term dicts of Δ and S hold such plain values beside ``Coeff`` ones, and
+Python's operators mix the two.  ``hopf._extend_linearly``, the one exit
+of Δ and S, boxes each plain value once into a canonical ``Coeff``, so
+every public combination holds ``Coeff`` values only.
 
 A monomial is one ``int`` packing the exponents of the 2n symbols in
 fixed-width fields, so multiplying monomials is an integer addition;
@@ -159,7 +163,16 @@ class Coeff:
 
     def __add__(self, other):
         if other.__class__ is not Coeff:
-            other = self._coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                other = self._coerce(other)
+            elif not other:
+                return self
+            else:  # a plain number: straight into the constant term
+                out = self._t.copy()
+                v = out.pop(0, 0) + other
+                if v:
+                    out[0] = v if v.__class__ is int else _norm(v)
+                return _make(out)
         a, b = self._t, other._t
         if not b:
             return self
@@ -194,7 +207,14 @@ class Coeff:
         if other.__class__ is not Coeff:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = Coeff.rational(other)
+            if not other:
+                return ZERO
+            # a plain number scales the values; the monomials stay
+            out = {}
+            for m, v in self._t.items():
+                v *= other
+                out[m] = v if v.__class__ is int else _norm(v)
+            return _make(out)
         a, b = self._t, other._t
         if len(a) == 1 and len(b) == 1:
             [(ma, va)] = a.items()
@@ -291,7 +311,8 @@ class Coeff:
         if other.__class__ is not Coeff:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = Coeff.rational(other)
+            t = self._t
+            return len(t) == 1 and t.get(0) == other if other else not t
         return self._t == other._t
 
     def __hash__(self):
@@ -535,14 +556,19 @@ def evaluate_exponents(qspec: QSpec, exponents: Mapping[tuple[int, int], int]) -
 # ---------------------------------------------------------------------------
 
 
-def _acc(store: dict, key, coeff: Coeff):
-    """Add ``coeff`` to the term ``key`` of a term dict, dropping it at zero."""
+def _acc(store: dict, key, coeff):
+    """Add ``coeff`` to the term ``key`` of a term dict, dropping it at zero.
+
+    The value is a ``Coeff`` or, in the engine of ``hopf``, a plain
+    ``int`` or ``Fraction``; the two add through Python's operators and
+    either is zero exactly when it is false.
+    """
     prev = store.get(key)
     total = coeff if prev is None else prev + coeff
-    if total.is_zero():
-        store.pop(key, None)
-    else:
+    if total:
         store[key] = total
+    else:
+        store.pop(key, None)
 
 
 class Combination:
@@ -782,10 +808,24 @@ def _format_terms(terms, key_str) -> str:
 
 
 @cache
-def _power(q: Coeff, k: int) -> Coeff:
+def _power(q: Coeff, k: int):
     """``q ** k``, memoised: the q-weights of σ, of the root-constructor
-    square and of the dual product all read this one memo."""
+    square and of the dual product all read this one memo.
+
+    A constant ``q`` gives a plain number, an ``int`` when integral, else
+    a ``Fraction``: this is where constants enter the engine, which
+    computes on them as plain numbers (0^0 = 1, as for ``Coeff``).
+    """
+    if q.is_rational():
+        v = q._t.get(0, 0) ** k
+        return v if v.__class__ is int else _norm(v)
     return q ** k
+
+
+def _box(c) -> Coeff:
+    """``c`` as a ``Coeff``: a plain ``int`` or ``Fraction`` of the engine
+    becomes the canonical constant, a ``Coeff`` is returned as it is."""
+    return c if c.__class__ is Coeff else _make({0: _norm(c)})
 
 
 def _graded(a, q: Coeff):
@@ -795,7 +835,7 @@ def _graded(a, q: Coeff):
     out = {}
     for key, c in a.data.items():
         w = c * _power(q, key[0].size + key[1].size if pairs else key.size)
-        if not w.is_zero():
+        if w:
             out[key] = w
     return a._adopt(a.n, out)
 

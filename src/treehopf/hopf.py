@@ -32,9 +32,17 @@ memoised only where a later call reads it again, and always by
 monomial, parameters), S per tree inside the maps that
 ``_production_maps`` keeps per (basis, parameters), and the q-powers
 that weight the root-constructor square per (parameter, exponent) in
-``algebra._power``, which σ and the dual product read too.  The split
-table and the oracles build their vertex indexes and induced monomials
-per call.
+``algebra._power``, which σ and the dual product read too.  The trees
+λ(legs) of one root-constructor square are kept in a table that lives
+for that one call.  The split table and the oracles build their vertex
+indexes and induced monomials per call.
+
+At a constant point the engine computes on plain numbers: ``_power``
+hands it ``int`` and ``Fraction`` weights, Δ(∅) is a plain 1 and S's
+seed a plain −1, and the memos of Δ and S hold such values beside
+``Coeff`` ones.  ``_extend_linearly`` is the one route by which Δ and S
+reach a caller, and it boxes every plain value into a canonical
+``Coeff``, so every public container holds ``Coeff`` values only.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ from .algebra import (
     ZERO,
     _FORESTS,
     _acc,
+    _box,
     _graded,
     _power,
     evaluate_exponents,
@@ -166,12 +175,22 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
     coproducts Δ(x_j) = ``slot_deltas[j-1]``.
 
     σ_i multiplies the slot legs in slot order with weight
-    Π_j q_{ij}^{|leg_j|}; λ is the basis's root constructor.
+    Π_j q_{ij}^{|leg_j|}; λ is the basis's root constructor.  Each
+    λ(legs) is built once per call: a table local to the call maps a leg
+    tuple to its single-tree monomial, for both sides.  The values are
+    plain numbers where the point is constant (see ``algebra._power``).
     """
     n, qspec = ctx.n, ctx.qspec
     monomial = basis.monomial
     unit = monomial()
-    lam = lambda legs: monomial.single(_lam(monomial, legs, n))
+    built: dict = {}
+
+    def lam(legs):
+        mono = built.get(legs)
+        if mono is None:
+            mono = built[legs] = monomial.single(_lam(monomial, legs, n))
+        return mono
+
     out: dict = {}
     for side in (1, 2):
         # fold the σ_side weight into each slot term and drop the terms it kills
@@ -182,22 +201,17 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
             for (l, r), c in delta.data.items():
                 size = (l if side == 1 else r).size
                 w = c * _power(q, size) if size else c
-                if not w.is_zero():
+                if w:
                     slot.append((l, r, w))
             weighted.append(slot)
         for combo in _iproduct(*weighted):
-            # the first slot's weight seeds the product (n = 0: the empty one)
-            coeff = ONE
-            lefts, rights = [], []
-            for l, r, w in combo:
-                coeff = w if coeff is ONE else coeff * w
-                lefts.append(l)
-                rights.append(r)
+            # the slot legs and weights (n = 0: the one empty combination)
+            lefts, rights, weights = zip(*combo) if combo else ((), (), (1,))
             if side == 1:
                 key = (reduce(mul, lefts, unit), lam(rights))
             else:
                 key = (lam(lefts), reduce(mul, rights, unit))
-            _acc(out, key, coeff)
+            _acc(out, key, reduce(mul, weights))
     return basis.tensor._adopt(n, out)
 
 
@@ -205,23 +219,32 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
 def _delta(basis, mono, ctx: HopfContext):
     """Memoised Δ of a basis monomial: the root-constructor square on a
     single tree, else the product over its trees in order (Δ is an
-    algebra map).  The oracles never read it."""
+    algebra map); Δ(∅) is 1 ⊗ 1 with a plain 1.  Its values may be plain
+    numbers, so callers read it through ``_extend_linearly``.  The
+    oracles never read it."""
     trees = mono.trees
     if len(trees) == 1:
         slots = [_delta(basis, x, ctx) for x in _decompose(basis.monomial, trees[0], ctx.n)]
         return _root_square(basis, slots, ctx)
     if not trees:
-        return basis.tensor.unit(ctx.n)
+        return basis.tensor._adopt(ctx.n, {(mono, mono): 1})
     return reduce(mul, (_delta(basis, basis.monomial.single(t), ctx) for t in trees))
 
 
 def _extend_linearly(a, basis_fn, cls):
-    """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``."""
+    """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``.
+
+    This is the one exit of Δ and S to callers: the engine's plain
+    values are boxed here, each once, by ``algebra._box`` into canonical
+    ``Coeff`` values.
+    """
     out: dict = {}
     for key, coeff in a.data.items():
         one = coeff == ONE
         for k, c in basis_fn(key).data.items():
             _acc(out, k, c if one else c * coeff)
+    for k, c in out.items():
+        out[k] = _box(c)
     return cls._adopt(a.n, out)
 
 
@@ -301,11 +324,11 @@ def _maps_over(basis, ctx: HopfContext, delta):
     """``delta`` and the S it determines.
 
     S is the recursion S(t) = −t − Σ S(t′)·t″ over the reduced coproduct
-    of a tree, which S ⋆ id = uε forces; it is memoised per tree.  S of a
-    monomial multiplies the S of its trees in reverse order:
-    multiplicative on forests, anti-multiplicative on words.  A reduced
-    term whose left leg is as large as the tree would recurse forever, so
-    it raises ``ValueError``.
+    of a tree, which S ⋆ id = uε forces, seeded with a plain −1; it is
+    memoised per tree.  S of a monomial multiplies the S of its trees in
+    reverse order: multiplicative on forests, anti-multiplicative on
+    words.  A reduced term whose left leg is as large as the tree would
+    recurse forever, so it raises ``ValueError``.
     """
     n = ctx.n
     element = basis.element
@@ -313,7 +336,7 @@ def _maps_over(basis, ctx: HopfContext, delta):
     @cache
     def s_tree(tree):
         mono = basis.monomial.single(tree)
-        out: dict = {mono: Coeff.rational(-1)}
+        out: dict = {mono: -1}
         for (l, r), c in delta(mono).data.items():
             if l.is_empty() or r.is_empty():
                 continue
@@ -570,6 +593,11 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed):
     fails the antipode check with the ``ValueError`` message);
     ``max_cases`` caps each case list by seeded sampling; below 1 it
     raises ``ValueError``, as does a ``max_degree`` below 0.
+
+    The checks compare the engine's own containers (``delta``, the
+    root-constructor square, the graded products), whose values may be
+    plain numbers beside ``Coeff`` ones; ``Coeff.__eq__`` and ``_acc``
+    take both, and nothing here is handed to a caller.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")

@@ -8,7 +8,8 @@ library's own canonical forms.  ``RefPoly`` is the coefficient ring in
 its first representation (sorted symbol tuples to ``Fraction``), with its
 own product, sum and printer.  ``closed_coproduct`` reads the closed
 formula for the coproduct family literally: a sum over vertex subsets,
-with its own root-path counts and its own induced forests.
+with its own root-path counts and its own induced forests; ``ck_antipode``
+sums the Connes–Kreimer antipode over edge cuts.
 """
 
 from __future__ import annotations
@@ -263,6 +264,33 @@ def q_exponents(parents, colours, n_colours: int, s) -> dict:
             if e:
                 exps[(row, c)] = exps.get((row, c), 0) + e
     return exps
+
+
+def ck_antipode(parents, colours) -> dict:
+    """The Connes–Kreimer antipode of one raw tree, free of cancellation.
+
+    S(t) = −Σ_{C ⊆ E(t)} (−1)^{|C|} t_C, where t_C is the forest left when
+    the edges C are cut: every vertex below a cut edge roots a tree of its
+    own.  Vertex v ≥ 1 names the edge to its parent.  Returns
+    {forest encoding: int}, a forest encoded as in ``induced_encoding``.
+    """
+    m = len(parents) + 1
+    out = {}
+    for cut in product((False, True), repeat=m - 1):
+        kids = [[] for _ in range(m)]
+        roots = [0]
+        for v in range(1, m):
+            if cut[v - 1]:
+                roots.append(v)
+            else:
+                kids[parents[v - 1]].append(v)
+
+        def enc(v):
+            return tuple(sorted((colours[u - 1], enc(u)) for u in kids[v]))
+
+        key = tuple(sorted(enc(r) for r in roots))
+        out[key] = out.get(key, 0) + (-1) ** len(roots)  # |C| + 1 roots
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
@@ -233,7 +233,16 @@ ref_terms = st.lists(
 )
 
 
+# a plain int or Fraction operand, which Coeff's operators take as it is
+plain_operands = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
 def _coeff_and_reference(terms):
+    if not isinstance(terms, list):  # a plain number
+        return terms, bruteforce.RefPoly.monomial(terms, {})
     coeff, ref = ZERO, bruteforce.RefPoly()
     for value, exps in terms:
         mono = Coeff.rational(value)
@@ -244,16 +253,23 @@ def _coeff_and_reference(terms):
     return coeff, ref
 
 
-@given(ref_terms, ref_terms)
-@settings(max_examples=80, deadline=None, derandomize=True)
+# each side is a Coeff in about half the draws, so four times the
+# examples of a Coeff-only draw keep the Coeff x Coeff products at 80
+@given(st.one_of(ref_terms, plain_operands), st.one_of(ref_terms, plain_operands))
+@settings(max_examples=320, deadline=None, derandomize=True)
 def test_packed_ring_matches_reference(x, y):
     a, ra = _coeff_and_reference(x)
     b, rb = _coeff_and_reference(y)
+    event(" x ".join("Coeff" if isinstance(s, list) else "plain" for s in (x, y)))
     assert str(a) == str(ra) and str(b) == str(rb)
+    if not isinstance(a, Coeff) and not isinstance(b, Coeff):
+        a = Coeff.rational(a)
     for got, want in ((a + b, ra + rb), (a - b, ra + -rb), (a * b, ra * rb)):
         assert str(got) == str(want)
         rebuilt = Coeff(want.terms)
         assert got == rebuilt and hash(got) == hash(rebuilt)
+        # canonical values: an int when integral, whichever side was plain
+        assert [type(v) for _, v in got.terms] == [type(v) for _, v in rebuilt.terms]
 
 
 @given(coeffs, coeffs)

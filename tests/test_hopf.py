@@ -3,6 +3,8 @@ Connes-Kreimer specialization, simplicial operators, axiom verification."""
 
 import importlib.util
 import pathlib
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -36,7 +38,14 @@ from treehopf.hopf import (
     simplicial_s,
     verify_bialgebra,
 )
-from treehopf.planar import verify_planar
+from treehopf.planar import (
+    PlanarElement,
+    parse_planar_tree,
+    parse_planar_word,
+    planar_antipode,
+    planar_coproduct,
+    verify_planar,
+)
 from treehopf.trees import (
     ColourMismatchError,
     Forest,
@@ -210,6 +219,46 @@ def test_coproduct_grading():
     for f in enumerate_forests_up_to(2, 4):
         for (l, r), c in coproduct(Element(2, {f: 1}), SYM2).data.items():
             assert l.size + r.size == f.size
+
+
+def _depth_sum(tree):
+    """The sum of the depths of the vertices of ``tree``, the root at 0."""
+    return sum(_depth_sum(child) + child.size for _, child in tree.children)
+
+
+def _random_tree_text(rng, m, n):
+    parents = [None] + [rng.randrange(v) for v in range(1, m)]
+    kids = [[] for _ in range(m)]
+    for v in range(1, m):
+        kids[parents[v]].append(v)
+
+    def text(v):
+        return "[" + ",".join(f"{rng.randint(1, n)}:{text(u)}" for u in kids[v]) + "]"
+
+    return text(0)
+
+
+@pytest.mark.parametrize(
+    "planar,n,sizes", [(False, 1, (9, 12)), (False, 2, (9, 11)), (True, 2, (8, 10))]
+)
+def test_coproduct_is_graded_by_depth(planar, n, sizes):
+    # a vertex's depth in t counts its ancestors: those on its side of the
+    # split make its depth in its leg, the others its share of the degree
+    # of q(s, t); so the coefficient of l ⊗ r is homogeneous of degree
+    # D(t) − D(l) − D(r), checked on random trees past the 2^|V| oracles
+    rng = random.Random(n + 2 * planar)
+    parse, route, element = (
+        (parse_planar_tree, planar_coproduct, PlanarElement)
+        if planar
+        else (parse_tree, coproduct, Element)
+    )
+    depth = lambda mono: sum(map(_depth_sum, mono.trees))
+    for m in [size for size in range(sizes[0], sizes[1] + 1) for _ in range(3)]:
+        tree = parse(_random_tree_text(rng, m, n), n)
+        mono = element._key_type.single(tree)
+        for (l, r), c in route(element.basis(mono, n), HopfContext.symbolic(n)).data.items():
+            degree = depth(mono) - depth(l) - depth(r)
+            assert {sum(e for _, e in pairs) for pairs, _ in c.terms} == {degree}, str(tree)
 
 
 def test_cocommutative_when_rows_tie():
@@ -408,6 +457,53 @@ def test_antipode_ck_chains_by_compositions(m):
     assert antipode_recursive(ladder[m], CK) == comps[m]
 
 
+# the tree at index ⌊N/3⌋ of enumerate_trees(1, m), for m = 8, 12, 14
+BUSHY = [
+    "[1:[],1:[1:[1:[]],1:[1:[1:[]]]]]",
+    "[1:[],1:[1:[1:[],1:[1:[],1:[],1:[1:[]],1:[1:[]]]]]]",
+    "[1:[],1:[1:[1:[],1:[1:[1:[],1:[1:[],1:[],1:[1:[],1:[]]]]]]]]",
+]
+
+
+def test_ck_antipode_matches_the_cut_formula():
+    # the cancellation-free sum over edge cuts, on raw parent arrays: every
+    # tree with up to 7 vertices, then bushy trees past the partition oracle
+    trees = [tree for m in range(1, 8) for tree in enumerate_trees(1, m)]
+    trees += [parse_tree(text) for text in BUSHY]
+    for tree in trees:
+        idx = IndexedForest((tree,))
+        expect = bruteforce.ck_antipode(tuple(idx.parents[1:]), tuple(idx.colours[1:]))
+        got = antipode_recursive(Element.basis(Forest.single(tree), 1), CK)
+        assert {f.key: c.as_fraction() for f, c in got.data.items()} == expect, str(tree)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [CK, HopfContext.rational(1, (2, -3)), HopfContext.rational(1, (Fraction(1, 2), Fraction(3, 2)))],
+    ids=["ck", "integer", "fraction"],
+)
+def test_numeric_points_hand_out_canonical_coefficients(ctx):
+    # the engine computes on plain numbers at a constant point; every
+    # container it hands out holds Coeff values in canonical form (at the
+    # fractional point some sums of Fractions are integers)
+    a = parse_element("[1:[1:[]],1:[]]*[] + [1:[],1:[],1:[]] + 2 [1:[]] - 3/2 [] + 1", 1)
+    word = PlanarElement.basis(parse_planar_word("[1:[],1:[1:[]]]*[]", 1), 1)
+    results = [
+        coproduct(a, ctx),
+        antipode_recursive(a, ctx),
+        antipode_recursive(a, ctx, coproduct_fn=lambda e: coproduct(e, ctx)),
+        planar_coproduct(word, ctx),
+        planar_antipode(word, ctx),
+        planar_coproduct(word.scale(Fraction(2, 3)), ctx),
+    ]
+    for result in results:
+        assert result.data
+        for key, c in result.data.items():
+            assert isinstance(c, Coeff) and result.coefficient(key) is c
+            [(mono, value)] = c.terms
+            assert mono == () and type(value) is (int if value.denominator == 1 else Fraction)
+
+
 def _ungraded(ctx):
     """Δ plus f ⊗ [] for every forest f with 2 vertices: not graded."""
     extra = {
@@ -550,17 +646,19 @@ def test_verify_detects_a_broken_coproduct():
 
 
 def test_verify_pins_every_outcome_of_a_doubled_coproduct():
-    # 2Δ is still coassociative; every other check fails, on its first case
-    ctx = HopfContext.symbolic(2)
-    report = verify_bialgebra(ctx, 2, coproduct_fn=lambda e: coproduct(e, ctx).scale(2))
-    assert report.checks == [
-        CheckOutcome("coassociativity", 5, None),
-        CheckOutcome("counit laws", 5, "counit law fails on 1"),
-        CheckOutcome("Δ multiplicative", 6, "Δ(1·1) ≠ Δ(1)·Δ(1)"),
-        CheckOutcome("σ compatibility", 3, "Δ∘σ_1 condition fails on ('1', '1')"),
-        CheckOutcome("root-constructor square", 3, "Δ∘λ square fails on ('1', '1')"),
-        CheckOutcome("antipode convolution", 5, "S*id = id*S = uε fails on 1"),
-    ]
+    # 2Δ is still coassociative; every other check fails, on its first case;
+    # at a rational point the substituted Δ's Coeff values meet the plain
+    # numbers of the engine's antipode and σ weights
+    for ctx in (HopfContext.symbolic(2), HopfContext.rational(2, (Fraction(1, 2), 2, -1, 3))):
+        report = verify_bialgebra(ctx, 2, coproduct_fn=lambda e: coproduct(e, ctx).scale(2))
+        assert report.checks == [
+            CheckOutcome("coassociativity", 5, None),
+            CheckOutcome("counit laws", 5, "counit law fails on 1"),
+            CheckOutcome("Δ multiplicative", 6, "Δ(1·1) ≠ Δ(1)·Δ(1)"),
+            CheckOutcome("σ compatibility", 3, "Δ∘σ_1 condition fails on ('1', '1')"),
+            CheckOutcome("root-constructor square", 3, "Δ∘λ square fails on ('1', '1')"),
+            CheckOutcome("antipode convolution", 5, "S*id = id*S = uε fails on 1"),
+        ]
 
 
 def test_verify_reports_a_sigma_off_the_counit(monkeypatch):
