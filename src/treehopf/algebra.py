@@ -7,8 +7,8 @@ rational constant or a polynomial (usually the symbol itself).  The
 engine in ``hopf`` computes on plain numbers wherever a value is a
 constant: ``_power`` of a constant is an ``int`` or ``Fraction``, the
 term dicts of Δ and S hold such plain values beside ``Coeff`` ones, and
-Python's operators mix the two.  ``hopf._extend_linearly``, the one exit
-of Δ and S, boxes each plain value once into a canonical ``Coeff``, so
+Python's operators mix the two.  ``_extend_linearly``, the one exit of
+Δ and S, boxes each plain value once into a canonical ``Coeff``, so
 every public combination holds ``Coeff`` values only.
 
 A monomial is one ``int`` packing the exponents of the 2n symbols in
@@ -540,17 +540,6 @@ class QSpec:
         return all(e.is_rational() for e in self.entries)
 
 
-def evaluate_exponents(qspec: QSpec, exponents: Mapping[tuple[int, int], int]) -> Coeff:
-    """Product of spec entries raised to the given powers (0^0 = 1)."""
-    out = ONE
-    for (i, j), exp in exponents.items():
-        if exp:
-            out = out * qspec.q(i, j) ** exp
-        if out.is_zero():
-            break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear combinations
 # ---------------------------------------------------------------------------
@@ -828,6 +817,30 @@ def _box(c) -> Coeff:
     return c if c.__class__ is Coeff else _make({0: _norm(c)})
 
 
+def _extend_linearly(a, basis_fn, cls):
+    """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``.
+
+    This is the one exit of Δ and S to callers: the engine's plain
+    values are boxed here, each once, by ``algebra._box`` into canonical
+    ``Coeff`` values.
+    """
+    out: dict = {}
+    for key, coeff in a.data.items():
+        one = coeff == ONE
+        for k, c in basis_fn(key).data.items():
+            _acc(out, k, c if one else c * coeff)
+    for k, c in out.items():
+        out[k] = _box(c)
+    return cls._adopt(a.n, out)
+
+
+def _check_n(a, ctx):
+    if a.n != ctx.n:
+        raise ColourMismatchError(
+            f"element over n={a.n} used with a context over n={ctx.n}"
+        )
+
+
 def _graded(a, q: Coeff):
     """``a`` with each term multiplied by ``q`` to the term's size; the size
     of a monomial pair is the total size of its two legs."""
@@ -867,7 +880,7 @@ def sigma(side: int, qspec: QSpec, slots: Sequence[Element]) -> Element:
 @dataclass(frozen=True, eq=False)
 class _Basis:
     """One basis of the free algebra on n-coloured trees, as the shared
-    engine in ``hopf`` and ``prelie`` reads it.
+    engine in ``hopf`` and ``prelie`` and the subset sum of ``oracles`` read it.
 
     Two instances: ``_FORESTS`` (commutative forests, below) and
     ``_WORDS`` (ordered planar words, in ``planar``).  Δ, S, the dual

@@ -8,23 +8,15 @@ recursion through the root-adjoining constructor λ: a tree is
 
 where x′ ⊗ x″ runs over the slotwise coproduct terms and σ_i multiplies
 the slots with weight Π_j q_{ij}^{|x_j|}; Δ is extended multiplicatively
-over forests.  Its cost follows the size of the output.
+over forests.  Its cost follows the size of the output.  The antipode
+is the tree recursion S(t) = −t − Σ S(t′)·t″.  The oracles the tests pin
+both against (``coproduct_closed``, ``antipode_partitions`` and
+``ck_coproduct_oracle``) live in ``oracles`` and are bound here by name.
 
-The closed formula is kept as an oracle, ``coproduct_closed``: the sum
-over all vertex subsets s of q(s,t)·(induced forest of s) ⊗ (induced
-forest of the complement), where q(s,t) is a monomial in the 2n
-parameters determined by colour counts along root paths (see
-``_walk``).  It costs 2^|V| per forest; the test-suite pins
-the production route against it, and against the admissible-cut
-oracle ``ck_coproduct_oracle`` at the Connes–Kreimer point.
-
-The antipode is the tree recursion S(t) = −t − Σ S(t′)·t″; the
-ordered-partition sum ``antipode_partitions`` is kept as its oracle.
-
-The engine (``_delta``, ``_monomial_maps``, ``_coproduct_closed``, and
-``_verify``, one list of named checks that ``_check`` runs case by case)
-is written once over a basis record ``algebra._Basis``: the public
-functions here run it on forests, those in ``planar`` on words.
+The engine (``_delta``, ``_monomial_maps`` and ``_verify``, one list of
+named checks that ``_check`` runs case by case) is written once over a
+basis record ``algebra._Basis``: the public functions here run it on
+forests, those in ``planar`` on words.
 
 Everything here is a pure function of immutable values.  A value is
 memoised only where a later call reads it again, and always by
@@ -34,14 +26,13 @@ monomial, parameters), S per tree inside the maps that
 that weight the root-constructor square per (parameter, exponent) in
 ``algebra._power``, which σ and the dual product read too.  The trees
 λ(legs) of one root-constructor square are kept in a table that lives
-for that one call.  The split table and the oracles build their vertex
-indexes and induced monomials per call.
+for that one call.
 
 At a constant point the engine computes on plain numbers: ``_power``
 hands it ``int`` and ``Fraction`` weights, Δ(∅) is a plain 1 and S's
 seed a plain −1, and the memos of Δ and S hold such values beside
-``Coeff`` ones.  ``_extend_linearly`` is the one route by which Δ and S
-reach a caller, and it boxes every plain value into a canonical
+``Coeff`` ones.  ``algebra._extend_linearly`` is the one route by which
+Δ and S reach a caller, and it boxes every plain value into a canonical
 ``Coeff``, so every public container holds ``Coeff`` values only.
 """
 
@@ -54,8 +45,8 @@ from itertools import product as _iproduct
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
+from . import oracles
 from .algebra import (
-    Coeff,
     Element,
     ONE,
     QSpec,
@@ -63,25 +54,21 @@ from .algebra import (
     ZERO,
     _FORESTS,
     _acc,
-    _box,
+    _check_n,
+    _extend_linearly,
     _graded,
     _power,
-    evaluate_exponents,
     sigma,
 )
 from .trees import (
     ColouredTree,
-    ColourMismatchError,
     EMPTY_FOREST,
     Forest,
-    IndexedForest,
     _decompose,
     _enumerate_up_to,
-    _induced_monomial,
     _lam,
     add_root,
     decompose,
-    induced_structure,
 )
 
 
@@ -110,59 +97,6 @@ class HopfContext:
     @classmethod
     def indicator(cls, n: int, p: Iterable[int]) -> "HopfContext":
         return cls(QSpec.indicator(n, p))
-
-
-# ---------------------------------------------------------------------------
-# q-coefficients
-# ---------------------------------------------------------------------------
-
-
-def _parts(basis, idx: IndexedForest) -> list:
-    """The induced monomial of every vertex subset, indexed by mask."""
-    return [
-        _induced_monomial(idx, mask, basis.monomial)
-        for mask in range(1 << idx.nverts)
-    ]
-
-
-def _walk(structure, mask: int, host_mask: int) -> dict[tuple[int, int], int]:
-    """Exponent of each parameter q_{ij} in q(s, host), for the subset
-    ``mask`` of ``host_mask``, given the induced (parent, colour) maps
-    ``structure`` of ``host_mask``.
-
-    For every selected vertex, walk its root path inside the host and
-    count, per colour, the edges whose lower (root-side) vertex falls
-    outside the subset, on row 1; complementary vertices contribute the
-    same counts relative to the complement, on row 2.
-    """
-    parent_of, colour_of = structure
-    exps: dict[tuple[int, int], int] = {}
-    for v in parent_of:
-        if mask >> v & 1:
-            row, inside = 1, mask
-        else:
-            row, inside = 2, host_mask & ~mask
-        walk = v
-        while parent_of[walk] is not None:
-            lower = parent_of[walk]
-            if not inside >> lower & 1:
-                key = (row, colour_of[walk])
-                exps[key] = exps.get(key, 0) + 1
-            walk = lower
-    return exps
-
-
-def _split_table(basis, mono) -> list:
-    """All (induced part, induced complement, exponents) vertex splits,
-    in mask order."""
-    idx = IndexedForest(mono.trees)
-    full = (1 << idx.nverts) - 1
-    structure = induced_structure(idx, full)
-    parts = _parts(basis, idx)
-    return [
-        (parts[mask], parts[full ^ mask], _walk(structure, mask, full))
-        for mask in range(full + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -231,37 +165,9 @@ def _delta(basis, mono, ctx: HopfContext):
     return reduce(mul, (_delta(basis, basis.monomial.single(t), ctx) for t in trees))
 
 
-def _extend_linearly(a, basis_fn, cls):
-    """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``.
-
-    This is the one exit of Δ and S to callers: the engine's plain
-    values are boxed here, each once, by ``algebra._box`` into canonical
-    ``Coeff`` values.
-    """
-    out: dict = {}
-    for key, coeff in a.data.items():
-        one = coeff == ONE
-        for k, c in basis_fn(key).data.items():
-            _acc(out, k, c if one else c * coeff)
-    for k, c in out.items():
-        out[k] = _box(c)
-    return cls._adopt(a.n, out)
-
-
 def _coproduct(basis, a, ctx: HopfContext):
     _check_n(a, ctx)
     return _extend_linearly(a, lambda m: _delta(basis, m, ctx), basis.tensor)
-
-
-def _coproduct_closed(basis, a, ctx: HopfContext):
-    _check_n(a, ctx)
-    out: dict = {}
-    for mono, coeff in a.data.items():
-        for part, comp, exps in _split_table(basis, mono):
-            c = evaluate_exponents(ctx.qspec, exps)
-            if not c.is_zero():
-                _acc(out, (part, comp), c * coeff)
-    return basis.tensor(ctx.n, out)
 
 
 def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
@@ -276,26 +182,15 @@ def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
     return _coproduct(_FORESTS, a, ctx)
 
 
-# ``coproduct`` is the recursive route; the name is kept for existing callers
+# ``coproduct`` is the recursive route; the alias's one remaining caller is
+# the perfbench tree-scaling ``coproduct.rational`` gate, and the benchmark
+# upkeep item of ROADMAP.md (item 3) removes it
 coproduct_inductive = coproduct
 
-
-def coproduct_closed(a: Element, ctx: HopfContext) -> TensorElement:
-    """Oracle: the closed formula, a sum over all 2^|V| vertex subsets.
-
-    Each subset s contributes q(s,t)·(induced forest of s) ⊗ (induced
-    forest of the complement).  Exponential in the vertex count; kept as
-    the reference the tests compare ``coproduct`` against, and it shares
-    no Δ memo with it.
-    """
-    return _coproduct_closed(_FORESTS, a, ctx)
-
-
-def _check_n(a, ctx: HopfContext):
-    if a.n != ctx.n:
-        raise ColourMismatchError(
-            f"element over n={a.n} used with a context over n={ctx.n}"
-        )
+# the oracles, under the names their callers look for here
+coproduct_closed = oracles.coproduct_closed
+antipode_partitions = oracles.antipode_partitions
+ck_coproduct_oracle = oracles.ck_coproduct_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -374,101 +269,6 @@ def antipode_recursive(
     honestly); one that is not graded raises ``ValueError``.
     """
     return _antipode(_FORESTS, a, ctx, coproduct_fn)
-
-
-def antipode_partitions(a: Element, ctx: HopfContext) -> Element:
-    """Antipode as a signed sum over ordered partitions of the vertex set.
-
-    Each ordered partition (s_1, …, s_k) of the vertices of t contributes
-    (−1)^k · s_1·…·s_k · Π_{j<k} q(s_j, u_j), where u_j = s_j ∪ … ∪ s_k
-    and the q-monomial is taken with host the induced subforest u_j.
-    """
-    _check_n(a, ctx)
-    n = ctx.n
-
-    def s_basis(forest: Forest) -> Element:
-        if forest.is_empty():
-            return Element.unit(n)
-        idx = IndexedForest(forest.trees)
-        parts = _parts(_FORESTS, idx)
-
-        @cache
-        def rest(mask: int) -> dict[Forest, Coeff]:
-            out: dict[Forest, Coeff] = {}
-            _acc(out, parts[mask], Coeff.rational(-1))
-            structure = induced_structure(idx, mask)
-            sub = (mask - 1) & mask
-            while sub:
-                factor = evaluate_exponents(ctx.qspec, _walk(structure, sub, mask))
-                if not factor.is_zero():
-                    for tail, c in rest(mask & ~sub).items():
-                        _acc(out, parts[sub] * tail, -(factor * c))
-                sub = (sub - 1) & mask
-            return out
-
-        return Element(n, rest(len(parts) - 1))
-
-    return _extend_linearly(a, s_basis, Element)
-
-
-# ---------------------------------------------------------------------------
-# Connes–Kreimer oracle (independent implementation, single colour)
-# ---------------------------------------------------------------------------
-
-
-def _admissible_cuts(tree: ColouredTree) -> list[tuple[tuple[ColouredTree, ...], ColouredTree]]:
-    """All (crown trees, trunk) pairs from cutting an edge antichain.
-
-    Works by direct recursion on the tree structure: each child subtree
-    is either severed whole or keeps its edge and is cut internally.
-    The empty cut (crown ∅, trunk = tree) is included; the "cut above
-    the root" pair is NOT (the caller adds t⊗1 separately).
-    """
-    per_child: list[list[tuple[tuple[ColouredTree, ...], ColouredTree | None]]] = []
-    for _, child in tree.children:
-        options: list[tuple[tuple[ColouredTree, ...], ColouredTree | None]] = [
-            ((child,), None)  # sever the whole child
-        ]
-        for crown, trunk in _admissible_cuts(child):
-            options.append((crown, trunk))
-        per_child.append(options)
-    out = []
-    for combo in _iproduct(*per_child):
-        crown: tuple[ColouredTree, ...] = ()
-        kept = []
-        for crown_part, trunk_part in combo:
-            crown = crown + crown_part
-            if trunk_part is not None:
-                kept.append((1, trunk_part))
-        out.append((crown, ColouredTree(kept)))
-    return out
-
-
-def ck_coproduct_oracle(a: Element) -> TensorElement:
-    """Independent single-colour coproduct by admissible edge cuts.
-
-    Used purely as a cross-check against ``coproduct`` at parameter
-    values (1, 0); shares only the tree containers with the main code,
-    none of the subset/path machinery.
-    """
-    if a.n != 1:
-        raise ColourMismatchError("the cut oracle is defined for n = 1 only")
-    out: dict[tuple[Forest, Forest], Coeff] = {}
-    for forest, coeff in a.data.items():
-        terms: dict[tuple[Forest, Forest], Coeff] = {(EMPTY_FOREST, EMPTY_FOREST): ONE}
-        for tree in forest.trees:
-            tree_terms: dict[tuple[Forest, Forest], Coeff] = {}
-            _acc(tree_terms, (Forest.single(tree), EMPTY_FOREST), ONE)
-            for crown, trunk in _admissible_cuts(tree):
-                _acc(tree_terms, (Forest(crown), Forest.single(trunk)), ONE)
-            nxt: dict[tuple[Forest, Forest], Coeff] = {}
-            for (l1, r1), c1 in terms.items():
-                for (l2, r2), c2 in tree_terms.items():
-                    _acc(nxt, (l1 * l2, r1 * r2), c1 * c2)
-            terms = nxt
-        for key, c in terms.items():
-            _acc(out, key, c * coeff)
-    return TensorElement(1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,8 @@ run on that record; the public functions here wrap it.  So
 ``planar_coproduct`` is the root-constructor square with the words of
 ``planar_decompose(tree)`` as slots, σ_i concatenating the slot legs in
 slot order, and Δ multiplicative over the trees of a word, in order.
-
-The subset-sum oracle ``planar_coproduct_closed`` reads each vertex
-subset back as a word: components are listed in the order of first
-visit in the host's depth-first traversal (colours in increasing order
-at each vertex, same-colour children in their stored order), and the
-same traversal induces the sibling orders inside each component.
+The subset-sum oracle ``planar_coproduct_closed`` is ``oracles`` run on
+``_WORDS``.
 """
 
 from __future__ import annotations
@@ -35,26 +31,18 @@ from operator import itemgetter
 from typing import Sequence
 
 from .algebra import Element, TensorElement, _Basis
-from .hopf import (
-    HopfContext,
-    VerificationReport,
-    _antipode,
-    _coproduct,
-    _coproduct_closed,
-    _verify,
-)
+from .hopf import HopfContext, VerificationReport, _antipode, _coproduct, _verify
+from .oracles import _coproduct_closed
 from .prelie import DEFAULT_BULLET_BUDGET, DualElement, _dual_product
 from .trees import (
     ColouredTree,
     Forest,
-    IndexedForest,
     _Monomial,
     _Tree,
     _decompose,
     _enumerate_monomials,
     _enumerate_trees,
     _enumerate_up_to,
-    _induced_monomial,
     _lam,
     _parse_all,
 )
@@ -160,16 +148,6 @@ _WORDS = _Basis(monomial=PlanarWord, element=PlanarElement, tensor=PlanarTensorE
 # ---------------------------------------------------------------------------
 
 
-def induced_word(word: PlanarWord, mask: int) -> PlanarWord:
-    """The planar word induced on a vertex subset of a host word.
-
-    Parent = nearest selected ancestor; edge colour = host colour of the
-    path edge adjacent to that ancestor; component roots and siblings
-    take the host's depth-first first-visit order.
-    """
-    return _induced_monomial(IndexedForest(word.trees), mask, PlanarWord)
-
-
 def planar_coproduct(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
     """Comultiplication on the tensor algebra, through the root constructor.
 
@@ -181,11 +159,8 @@ def planar_coproduct(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
 
 
 def planar_coproduct_closed(a: PlanarElement, ctx: HopfContext) -> PlanarTensorElement:
-    """Oracle: the vertex-subset sum, each subset read back as words.
-
-    Exponential in the vertex count; kept as the reference the tests
-    compare ``planar_coproduct`` against, and it shares no Δ memo with it.
-    """
+    """Oracle: the vertex-subset sum of ``oracles``, each subset read back
+    as a word; the reference the tests compare ``planar_coproduct`` against."""
     return _coproduct_closed(_WORDS, a, ctx)
 
 

@@ -1,4 +1,4 @@
-"""Coloured rooted trees, forests and their vertex subsets.
+"""Coloured rooted trees and forests.
 
 A *tree* is a finite rooted tree whose edges carry colours ``1..n``; the
 colour count ``n`` is a context parameter, not part of the tree itself.
@@ -29,11 +29,6 @@ Text grammar (bit-exact, whitespace-tolerant on input)::
     edge    := colour ":" tree
     colour  := decimal integer >= 1
     forest  := "1" | tree ("*" tree)*      (a planar word alike)
-
-A vertex subset of a forest is a bitmask over its depth-first vertex
-ids (``IndexedForest``).  The induced forest of a subset assigns each
-selected vertex to its nearest selected ancestor; the connecting edge
-takes the colour of the host edge adjacent to that ancestor on the path.
 """
 
 from __future__ import annotations
@@ -490,89 +485,6 @@ def enumerate_forests(n: int, total: int) -> tuple[Forest, ...]:
 def enumerate_forests_up_to(n: int, max_total: int) -> tuple[Forest, ...]:
     """All forests with at most ``max_total`` vertices (the unit included)."""
     return _enumerate_up_to(Forest, n, max_total)
-
-
-# ---------------------------------------------------------------------------
-# vertex subsets
-# ---------------------------------------------------------------------------
-
-
-class IndexedForest:
-    """Flat vertex-array view of a forest or planar word (internal).
-
-    Vertices are numbered in depth-first preorder over the trees in product
-    order, each vertex's children in stored order, so vertex ids are a
-    deterministic total order and a vertex subset is a bitmask over them.
-    """
-
-    __slots__ = ("parents", "colours")
-
-    def __init__(self, trees: Iterable):
-        self.parents: list[int | None] = []
-        self.colours: list[int | None] = []
-
-        def visit(tree, parent: int | None, colour: int | None):
-            vid = len(self.parents)
-            self.parents.append(parent)
-            self.colours.append(colour)
-            for c, child in tree.children:
-                visit(child, vid, c)
-
-        for tree in trees:
-            visit(tree, None, None)
-
-    @property
-    def nverts(self) -> int:
-        return len(self.parents)
-
-
-def induced_structure(
-    idx: IndexedForest, mask: int
-) -> tuple[dict[int, int | None], dict[int, int | None]]:
-    """Induced parent and edge-colour maps of a vertex subset.
-
-    For each selected vertex the induced parent is the nearest selected
-    ancestor; the induced edge colour is the host colour of the edge
-    adjacent to that ancestor (the incoming colour of its child on the
-    path).  Roots get parent ``None`` and colour ``None``.
-    """
-    parent_of: dict[int, int | None] = {}
-    colour_of: dict[int, int | None] = {}
-    for v in range(idx.nverts):
-        if not mask >> v & 1:
-            continue
-        walk = v
-        while idx.parents[walk] is not None and not mask >> idx.parents[walk] & 1:
-            walk = idx.parents[walk]
-        anc = idx.parents[walk]
-        parent_of[v] = anc
-        colour_of[v] = idx.colours[walk] if anc is not None else None
-    return parent_of, colour_of
-
-
-def _induced_monomial(idx: IndexedForest, mask: int, cls=Forest):
-    """The monomial of class ``cls`` (a forest, or a word) induced on a
-    vertex subset.
-
-    Component roots and each vertex's (colour, child) pairs are listed in
-    host vertex order, the host's depth-first first-visit order, and the
-    classes of ``cls`` and its trees put them into stored order.
-    """
-    parent_of, colour_of = induced_structure(idx, mask)
-    kids: dict[int, list[tuple[int, int]]] = {v: [] for v in parent_of}
-    roots = []
-    for v, p in parent_of.items():
-        if p is None:
-            roots.append(v)
-        else:
-            kids[p].append((colour_of[v], v))
-
-    tree = cls._member
-
-    def build(v: int):
-        return tree((c, build(u)) for c, u in kids[v])
-
-    return cls(build(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from treehopf.algebra import (
     Element,
     QSpec,
     TensorElement,
-    evaluate_exponents,
     parse_coeff,
     parse_element,
     parse_tensor,
@@ -32,11 +31,16 @@ from treehopf.hopf import (
     ck_coproduct_oracle,
     coproduct,
     coproduct_closed,
-    _split_table,
-    _walk,
     simplicial_d,
     simplicial_s,
     verify_bialgebra,
+)
+from treehopf.oracles import (
+    IndexedForest,
+    _split_table,
+    _walk,
+    evaluate_exponents,
+    induced_structure,
 )
 from treehopf.planar import (
     PlanarElement,
@@ -49,12 +53,10 @@ from treehopf.planar import (
 from treehopf.trees import (
     ColourMismatchError,
     Forest,
-    IndexedForest,
     MAX_NESTING_DEPTH,
     canonicalize,
     enumerate_forests_up_to,
     enumerate_trees,
-    induced_structure,
     parse_forest,
     parse_tree,
 )

@@ -134,13 +134,20 @@ def test_bruteforce_oracle_imports_nothing_from_the_library():
     assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "treehopf"]
 
 
-def test_only_hopf_reads_the_vertex_subset_formula():
+def test_only_oracles_reads_the_vertex_subset_formula():
     # the 2^|V| subset sum is an oracle: production Δ, S and the dual
     # products go through the root-constructor square instead
-    oracle = {"_split_table", "_walk", "evaluate_exponents"}
+    oracle = {
+        "_split_table",
+        "_walk",
+        "evaluate_exponents",
+        "IndexedForest",
+        "induced_structure",
+        "_induced_monomial",
+    }
     readers = []
     for path in SOURCES:
-        if path.name == "hopf.py":
+        if path.name == "oracles.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
@@ -153,3 +160,74 @@ def test_only_hopf_reads_the_vertex_subset_formula():
                 continue
             readers += [f"{path.name}:{node.lineno} reads {name}" for name in names if name in oracle]
     assert not readers
+
+
+ORACLE_NAMES = {
+    "IndexedForest",
+    "induced_structure",
+    "_induced_monomial",
+    "_parts",
+    "_walk",
+    "_split_table",
+    "evaluate_exponents",
+    "_coproduct_closed",
+    "coproduct_closed",
+    "antipode_partitions",
+    "_admissible_cuts",
+    "ck_coproduct_oracle",
+    "induced_word",
+    "planar_coproduct_closed",
+}
+PRODUCTION_MEMOS = {
+    "_delta",
+    "_root_square",
+    "_production_maps",
+    "_maps_over",
+    "_monomial_maps",
+    "_power",
+    "_tree_terms",
+    "_monomial_terms",
+}
+
+
+def test_oracles_stand_apart_from_the_production_engine():
+    # an oracle pins the production Δ and S only while it shares none of
+    # their code: it lives in one module that reads no production memo,
+    # and every other module at most binds its public names
+    from treehopf import hopf, oracles
+
+    path = pathlib.Path(oracles.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    local = {m for m in modules if m.startswith(".")}
+    assert local == {".algebra", ".trees"}
+    assert all(m.split(".")[0] in sys.stdlib_module_names for m in modules - local)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    read |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not read & PRODUCTION_MEMOS
+
+    defined = []
+    for source in SOURCES:
+        if source.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ORACLE_NAMES:
+                body = node.body[1:] if ast.get_docstring(node) else node.body
+                wrapper = (
+                    source.name == "planar.py"
+                    and node.name == "planar_coproduct_closed"
+                    and len(body) == 1
+                    and isinstance(body[0], ast.Return)
+                )
+                if not wrapper:
+                    defined.append(f"{source.name}:{node.lineno} defines {node.name}")
+    assert not defined
+
+    for name in ("coproduct_closed", "antipode_partitions", "ck_coproduct_oracle"):
+        assert getattr(treehopf, name) is getattr(hopf, name) is getattr(oracles, name)

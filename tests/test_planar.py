@@ -5,8 +5,16 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
-from treehopf.algebra import parse_coeff
-from treehopf.hopf import HopfContext, antipode_recursive, coproduct
+from treehopf.algebra import Element, parse_coeff
+from treehopf.hopf import (
+    HopfContext,
+    antipode_partitions,
+    antipode_recursive,
+    ck_coproduct_oracle,
+    coproduct,
+    coproduct_closed,
+)
+from treehopf.oracles import IndexedForest, _induced_monomial
 from treehopf.planar import (
     EMPTY_WORD,
     PLANAR_LEAF,
@@ -20,7 +28,6 @@ from treehopf.planar import (
     forget_tensor,
     forget_tree,
     forget_word,
-    induced_word,
     parse_planar_tree,
     parse_planar_word,
     planar_antipode,
@@ -39,6 +46,10 @@ CK = HopfContext.connes_kreimer()
 CHAIN2 = parse_planar_tree("[1:[]]")
 CHAIN3 = parse_planar_tree("[1:[1:[]]]")
 CHERRY = parse_planar_tree("[1:[],1:[]]")
+
+
+def induced_word(word, mask):
+    return _induced_monomial(IndexedForest(word.trees), mask, PlanarWord)
 
 
 def w(text, n=1):
@@ -232,6 +243,31 @@ def test_forget_intertwines_coproducts():
 def test_forget_word_and_element():
     assert forget_word(w("[1:[]]*[]")) == parse_forest("[]*[1:[]]")
     assert forget_element(pelt("[1:[],1:[1:[]]]") - pelt("[1:[1:[]],1:[]]")).is_zero()
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        coproduct,
+        coproduct_closed,
+        ck_coproduct_oracle,
+        antipode_recursive,
+        antipode_partitions,
+        planar_coproduct,
+        planar_coproduct_closed,
+        planar_antipode,
+    ],
+    ids=lambda route: route.__name__,
+)
+def test_every_route_refuses_the_other_variant(route):
+    # an oracle that read a word as a forest, or a forest's sorted children
+    # as a planar order, would return an answer the production route refuses
+    if route.__name__.startswith("planar_"):
+        other = Element.basis(parse_forest("[1:[],1:[]]"), 1)
+    else:
+        other = PlanarElement.basis(PlanarWord.single(CHERRY), 1)
+    with pytest.raises(TypeError):
+        route(other) if route is ck_coproduct_oracle else route(other, CK)
 
 
 # ---------------------------------------------------------------------------

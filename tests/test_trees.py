@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import bruteforce
 from treehopf.algebra import _FORESTS
-from treehopf.hopf import _split_table, _walk
+from treehopf.oracles import (
+    IndexedForest,
+    _induced_monomial,
+    _split_table,
+    _walk,
+    induced_structure,
+)
 from treehopf.planar import (
     EMPTY_WORD,
     PLANAR_LEAF,
@@ -27,12 +33,10 @@ from treehopf.trees import (
     ColouredTree,
     ColourMismatchError,
     Forest,
-    IndexedForest,
     ParseError,
     _compositions,
     _enumerate_monomials,
     _enumerate_trees,
-    _induced_monomial,
     _lam,
     add_root,
     aut_order,
@@ -42,7 +46,6 @@ from treehopf.trees import (
     enumerate_forests,
     enumerate_forests_up_to,
     enumerate_trees,
-    induced_structure,
     parse_forest,
     parse_tree,
 )
