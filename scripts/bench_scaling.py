@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time Δ, S and the dual product at the sizes the workloads never reach,
-and small CLI requests; append one row.
+"""Time coefficient arithmetic, Δ, S, the dual product, the verifier and
+CLI requests, up to sizes the workloads never reach; append one row.
 
     python3 scripts/bench_scaling.py --label change --repeat 5
     python3 scripts/bench_scaling.py --label parent --src ../parent/src \
@@ -9,7 +9,7 @@ and small CLI requests; append one row.
 Every probe runs in a fresh interpreter that imports ``treehopf`` from
 ``--src`` (default: this checkout's ``src``), so one copy of this script
 measures any checkout on the same machine, and every memo starts cold.
-Each probe times its one call in-process and reports the number of terms
+Each probe times its work in-process and reports the number of terms
 of the result, so two rows can be checked to agree.  With ``--repeat k``
 each probe runs k times, each time in a fresh interpreter; the row holds
 the median seconds and peak RSS of the k runs, and ``spread`` holds the
@@ -20,15 +20,26 @@ last on odd ones, so drift of the machine falls on every side alike; it
 appends one row per checkout, and the checkouts must agree on every
 probe's term count.  The probes:
 
+* ``coeff_*``: five ``Coeff`` microbenchmarks (4×3-term product,
+  4+3-term sum, monomial × monomial, ``rational(1)``, constant ×
+  constant), seconds per call, best of 5 ``timeit`` repeats;
 * ``coproduct`` of the forest ``[]``^k for k = 100, 200, 400, at the
   Connes–Kreimer point and symbolically (repeated trees);
 * ``coproduct`` of ``[1:[]]``^50 at the Connes–Kreimer point;
 * ``antipode_recursive`` of the 10- and 12-vertex bushy trees (the tree
   at index ⌊N/3⌋ of ``enumerate_trees(1, m)``), at the rational point
-  q = (2, 3) and symbolically, and of the 14-vertex one at q = (2, 3);
+  q = (2, 3) and symbolically, of the 14-vertex one at q = (2, 3), and
+  of the 12-vertex chain symbolically;
+* ``verify_bialgebra`` symbolic n=2 up to degree 5 (its "terms" are the
+  cases checked);
 * cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices, and
   with 6 and 5 vertices;
 * cold symbolic ``planar_bullet`` of the n=2 pair ``[2:[1:[]]]``, ``[2:[]]``;
+* single in-process ``cli.main`` calls, timed without interpreter
+  start-up: ``verify --n 1`` to degrees 6 and 7, and the ``bullet``
+  requests of ROADMAP item 10 (an n=1 7+6-vertex pair, and an n=16
+  6-vertex tree with ``[]``) at the symbolic, a rational and the
+  Connes–Kreimer point; their "terms" are the bytes printed;
 * ``cli_requests``: the median seconds of one in-process ``cli.main``
   call over ``CLI_ROUNDS`` rounds of ``CLI_REQUESTS`` (all eight
   subcommands, text and JSON, repeated ``--q`` texts), output discarded;
@@ -37,19 +48,22 @@ probe's term count.  The probes:
 Each probe also records the peak RSS of its process.
 
 Rows are appended to the JSON list in ``--out`` (default
-``BENCH_scaling.json`` at the root of this checkout) by the command line
-that ``bench_coeff.py`` shares, which this script imports.
+``BENCH_scaling.json`` at the root of this checkout), each headed by its
+label, commit, date and machine.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+from datetime import datetime, timezone
 
-from bench_coeff import append_row
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # small requests, one per line: all eight subcommands, text and JSON, and
 # repeated --q texts; no tree holds a space
@@ -95,17 +109,39 @@ terms = len(sink.getvalue().encode())  # the bytes of one round
 print(json.dumps({"seconds": statistics.median(calls), "terms": terms, "peak_rss_mb": rss}))
 """
 
+MICRO = r"""
+import json, resource, sys, timeit
+from fractions import Fraction
+from treehopf.algebra import Coeff
+q11, q21, q12, q22 = (Coeff.variable(i, j) for j in (1, 2) for i in (1, 2))
+a = q11 + 2 * q21 + Coeff.rational(Fraction(1, 3)) * q12 + 1  # 4 terms
+b = q11 * q11 - q22 + 5  # 3 terms
+two, three_sevenths = Coeff.rational(2), Coeff.rational(Fraction(3, 7))
+call = {
+    "mul_4x3": lambda: a * b,
+    "add_4+3": lambda: a + b,
+    "mono_x_mono": lambda: q11 * q21,
+    "rational_1": lambda: Coeff.rational(1),
+    "const_x_const": lambda: two * three_sevenths,
+}[sys.argv[1]]
+timer = timeit.Timer(call)
+number, _ = timer.autorange()
+seconds = min(timer.repeat(5, number)) / number
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "terms": len(call().terms), "peak_rss_mb": rss}))
+"""
+
 PROBE = r"""
 import json, resource, sys
 from time import perf_counter
 from treehopf.algebra import Element
-from treehopf.hopf import HopfContext, antipode_recursive, coproduct
+from treehopf.hopf import HopfContext, antipode_recursive, coproduct, verify_bialgebra
 from treehopf.planar import PlanarDualElement, parse_planar_tree, planar_bullet
 from treehopf.prelie import DualElement, bullet
 from treehopf.trees import enumerate_trees, parse_forest, parse_tree
 
 kind, size, point = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-n = 2 if kind == "planar" else 1
+n = 2 if kind in ("planar", "verify") else 1
 ctx = {
     "ck": HopfContext.connes_kreimer(),
     "rational": HopfContext.rational(1, (2, 3)),
@@ -118,10 +154,12 @@ if kind == "leaves":
 elif kind == "edges":
     a = Element.basis(parse_forest("*".join(["[1:[]]"] * size), 1), 1)
     run = lambda: coproduct(a, ctx)
-elif kind == "bushy":
-    trees = enumerate_trees(1, size)
+elif kind in ("bushy", "chain"):  # the chain is the one tree of its list
+    trees = enumerate_trees(1, size) if kind == "bushy" else [chain(size)]
     a = Element.basis(parse_forest(str(trees[len(trees) // 3]), 1), 1)
     run = lambda: antipode_recursive(a, ctx)
+elif kind == "verify":  # the size is the degree
+    run = lambda: verify_bialgebra(ctx, size)
 elif kind == "chains":  # the size is the left factor's vertex count
     left, right = (DualElement.basis(parse_tree(chain(m), 1), 1) for m in (size, size - 1))
     run = lambda: bullet(left, right, ctx, budget=2 * size - 1)
@@ -134,11 +172,29 @@ t0 = perf_counter()
 result = run()
 elapsed = perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"seconds": elapsed, "terms": len(result), "peak_rss_mb": rss}))
+if kind == "verify" and not result.passed:
+    raise SystemExit(result.summary())
+terms = sum(check.cases for check in result.checks) if kind == "verify" else len(result)
+print(json.dumps({"seconds": elapsed, "terms": terms, "peak_rss_mb": rss}))
 """
+
+# ROADMAP item 10's dual products: (name, request, n)
+ITEM10 = [
+    ("7+6", "bullet --n 1 --budget 13 [1:[1:[],1:[]],1:[1:[]],1:[]] [1:[1:[1:[]],1:[]],1:[]]", 1),
+    ("n16_6+1", "bullet --n 16 --budget 7 [1:[1:[],1:[],1:[],1:[]]] []", 16),
+]
+
+
+def _q(n: int, row1: str, row2: str) -> str:
+    return f" --q {','.join([row1] * n + [row2] * n)}"
+
 
 # (name, probe code, its arguments)
 PROBES = [
+    *(
+        (f"coeff_{case}", MICRO, (case,))
+        for case in ("mul_4x3", "add_4+3", "mono_x_mono", "rational_1", "const_x_const")
+    ),
     *(
         (f"coproduct_leaves{k}_{point}", PROBE, ("leaves", k, point))
         for k in (100, 200, 400)
@@ -151,9 +207,20 @@ PROBES = [
         for point in ("rational", "symbolic")
     ),
     ("antipode_bushy14_rational", PROBE, ("bushy", 14, "rational")),
+    ("antipode_chain12_symbolic", PROBE, ("chain", 12, "symbolic")),
+    ("verify_bialgebra_n2_d5_symbolic", PROBE, ("verify", 5, "symbolic")),
     ("bullet_chains5+4_cold_symbolic", PROBE, ("chains", 5, "symbolic")),
     ("bullet_chains6+5_cold_symbolic", PROBE, ("chains", 6, "symbolic")),
     ("planar_bullet_n2_cold_symbolic", PROBE, ("planar", 3, "symbolic")),
+    *(
+        (f"verify_n1_d{degree}", CLI_PROBE, (1, f"verify --n 1 --max-degree {degree}"))
+        for degree in (6, 7)
+    ),
+    *(
+        (f"bullet_{name}_{point}", CLI_PROBE, (1, request + q))
+        for name, request, n in ITEM10
+        for point, q in (("symbolic", ""), ("rational", _q(n, "2", "3")), ("ck", _q(n, "1", "0")))
+    ),
     ("cli_requests", CLI_PROBE, (CLI_ROUNDS, CLI_REQUESTS)),
 ]
 
@@ -197,8 +264,62 @@ def measure(srcs: list, repeat: int) -> list:
     return rows
 
 
+def _commit(src: str) -> str:
+    done = subprocess.run(
+        ["git", "-C", src, "describe", "--always", "--dirty", "--abbrev=7"],
+        capture_output=True,
+        text=True,
+    )
+    return done.stdout.strip() or "unknown"
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
 def main(argv=None) -> int:
-    return append_row(argv, __doc__, "BENCH_scaling.json", measure, repeatable=True)
+    """One row per ``--label``, measured on the paired ``--src`` (default:
+    this checkout), appended to ``--out``."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", action="append", required=True, help="a measured side, e.g. parent")
+    parser.add_argument("--src", action="append", help="directory holding treehopf, one per --label")
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_scaling.json"))
+    parser.add_argument("--repeat", type=int, default=1, help="fresh-interpreter runs per probe")
+    args = parser.parse_args(argv)
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    if len(srcs) != len(args.label):
+        parser.error("give one --src per --label")
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    srcs = [os.path.abspath(src) for src in srcs]
+    results = measure(srcs, args.repeat)
+    rows = []
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            rows = json.load(fh)
+    for label, src, result in zip(args.label, srcs, results):
+        row = {
+            "label": label,
+            "commit": _commit(src),
+            "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "python": platform.python_version(),
+            "cpu": _cpu(),
+            "nproc": os.cpu_count(),
+            **result,
+        }
+        rows.append(row)
+        print(json.dumps(row, indent=2))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=2)
+        fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,26 +43,19 @@ EXPONENT_LIMIT = 1 << (_WIDTH - 1)
 # lower ones, so the colour bounds the size of a monomial
 MAX_SYMBOL_COLOUR = 1024
 
-# Guard bits of every field some monomial has used.  Monomials get fields
-# only through ``_shift``, which widens the mask before the field is used;
-# a product's fields are those of its factors.
-_GUARD = 0
-_GUARD_LOCK = threading.Lock()
+# The guard bits of all 2 * MAX_SYMBOL_COLOUR fields.  ``m & _GUARD`` costs
+# the length of the shorter operand, so a small monomial does not pay for
+# the width of the mask.
+_GUARD = EXPONENT_LIMIT * ((1 << (_WIDTH * 2 * MAX_SYMBOL_COLOUR)) - 1) // _FIELD
 
 
 def _shift(i: int, j: int) -> int:
     """Bit offset of the field of q_{ij}."""
-    global _GUARD
     if i not in (1, 2) or not 1 <= j <= MAX_SYMBOL_COLOUR:
         raise ValueError(
             f"no such coefficient symbol q{i}{j} (colours run 1..{MAX_SYMBOL_COLOUR})"
         )
-    shift = _WIDTH * (2 * (j - 1) + (i - 1))
-    guard = EXPONENT_LIMIT << shift
-    if not _GUARD & guard:
-        with _GUARD_LOCK:
-            _GUARD |= guard
-    return shift
+    return _WIDTH * (2 * (j - 1) + (i - 1))
 
 
 def _overflow():
@@ -834,11 +826,14 @@ def _extend_linearly(a, basis_fn, cls):
     return cls._adopt(a.n, out)
 
 
-def _check_n(a, ctx):
-    if a.n != ctx.n:
-        raise ColourMismatchError(
-            f"element over n={a.n} used with a context over n={ctx.n}"
-        )
+def _check_entry(basis, a, n: int):
+    """Refuse ``a`` unless it is a ``basis`` element over the context's ``n``:
+    the other variant raises ``TypeError``, another n
+    ``ColourMismatchError``."""
+    if getattr(a, "_key_type", None) is not basis.monomial:
+        raise TypeError(f"expected a {basis.element.__name__}, got a {type(a).__name__}")
+    if a.n != n:
+        raise ColourMismatchError(f"element over n={a.n} used with a context over n={n}")
 
 
 def _graded(a, q: Coeff):

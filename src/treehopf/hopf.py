@@ -54,7 +54,7 @@ from .algebra import (
     ZERO,
     _FORESTS,
     _acc,
-    _check_n,
+    _check_entry,
     _extend_linearly,
     _graded,
     _power,
@@ -166,7 +166,7 @@ def _delta(basis, mono, ctx: HopfContext):
 
 
 def _coproduct(basis, a, ctx: HopfContext):
-    _check_n(a, ctx)
+    _check_entry(basis, a, ctx.n)
     return _extend_linearly(a, lambda m: _delta(basis, m, ctx), basis.tensor)
 
 
@@ -253,7 +253,7 @@ def _maps_over(basis, ctx: HopfContext, delta):
 
 def _antipode(basis, a, ctx: HopfContext, coproduct_fn=None):
     """S by the tree recursion of ``_maps_over``, extended linearly."""
-    _check_n(a, ctx)
+    _check_entry(basis, a, ctx.n)
     return _extend_linearly(a, _monomial_maps(basis, ctx, coproduct_fn)[1], basis.element)
 
 

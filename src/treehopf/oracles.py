@@ -32,10 +32,10 @@ from .algebra import (
     TensorElement,
     _FORESTS,
     _acc,
-    _check_n,
+    _check_entry,
     _extend_linearly,
 )
-from .trees import ColouredTree, ColourMismatchError, EMPTY_FOREST, Forest
+from .trees import ColouredTree, EMPTY_FOREST, Forest
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +172,8 @@ def evaluate_exponents(qspec: QSpec, exponents: Mapping[tuple[int, int], int]) -
 # ---------------------------------------------------------------------------
 
 
-def _check_basis(basis, a, ctx):
-    """``_check_n``; a term of the other variant raises ``TypeError``."""
-    _check_n(a, ctx)
-    for key in a.data:
-        if key.__class__ is not basis.monomial:
-            raise TypeError(f"{basis.monomial._noun} oracle given a {key._noun}: {key}")
-
-
 def _coproduct_closed(basis, a, ctx):
-    _check_basis(basis, a, ctx)
+    _check_entry(basis, a, ctx.n)
     out: dict = {}
     for mono, coeff in a.data.items():
         for part, comp, exps in _split_table(basis, mono):
@@ -208,7 +200,7 @@ def antipode_partitions(a: Element, ctx) -> Element:
     (−1)^k · s_1·…·s_k · Π_{j<k} q(s_j, u_j), where u_j = s_j ∪ … ∪ s_k
     and the q-monomial is taken with host the induced subforest u_j.
     """
-    _check_basis(_FORESTS, a, ctx)
+    _check_entry(_FORESTS, a, ctx.n)
     n = ctx.n
 
     def s_basis(forest: Forest) -> Element:
@@ -276,8 +268,7 @@ def ck_coproduct_oracle(a: Element) -> TensorElement:
     values (1, 0); shares only the tree containers with the main code,
     none of the subset/path machinery.
     """
-    if a.n != 1:
-        raise ColourMismatchError("the cut oracle is defined for n = 1 only")
+    _check_entry(_FORESTS, a, 1)  # the cut oracle is defined for n = 1 only
     out: dict[tuple[Forest, Forest], Coeff] = {}
     for forest, coeff in a.data.items():
         terms: dict[tuple[Forest, Forest], Coeff] = {(EMPTY_FOREST, EMPTY_FOREST): ONE}

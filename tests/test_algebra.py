@@ -149,6 +149,14 @@ def test_exponent_limit():
     assert info.value.pos == len("2*q11^")
 
 
+def test_the_last_symbol_field_is_guarded():
+    top = Coeff.variable(2, MAX_SYMBOL_COLOUR)
+    with pytest.raises(ValueError, match=str(EXPONENT_LIMIT)):
+        top ** EXPONENT_LIMIT
+    product = top ** (EXPONENT_LIMIT - 1) * Q11
+    assert product.terms == (((((1, 1), 1), ((2, MAX_SYMBOL_COLOUR), EXPONENT_LIMIT - 1)), 1),)
+
+
 def test_a_zero_denominator_is_a_parse_error_at_the_denominator():
     for text, pos in [("1/0", 2), ("3 / 00*q11", 4)]:
         with pytest.raises(ParseError, match="zero denominator") as info:

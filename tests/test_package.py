@@ -1,6 +1,7 @@
 """Package-wide guards."""
 
 import ast
+import importlib.util
 import pathlib
 import sys
 
@@ -231,3 +232,22 @@ def test_oracles_stand_apart_from_the_production_engine():
 
     for name in ("coproduct_closed", "antipode_partitions", "ck_coproduct_oracle"):
         assert getattr(treehopf, name) is getattr(hopf, name) is getattr(oracles, name)
+
+
+def test_bench_probes_import_only_names_the_package_defines():
+    # the probes run only as code strings in fresh interpreters during a
+    # perf run, so a rename would otherwise surface only there
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
+    spec = importlib.util.spec_from_file_location("bench_scaling", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    imported, missing = [], []
+    for code in {code for _, code, _ in script.PROBES}:
+        for node in ast.walk(ast.parse(code)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "treehopf":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.append(f"{node.module}.{alias.name}")
+                    if not hasattr(module, alias.name):
+                        missing.append(imported[-1])
+    assert imported and not missing

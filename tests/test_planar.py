@@ -261,13 +261,15 @@ def test_forget_word_and_element():
 )
 def test_every_route_refuses_the_other_variant(route):
     # an oracle that read a word as a forest, or a forest's sorted children
-    # as a planar order, would return an answer the production route refuses
+    # as a planar order, would return an answer the production route
+    # refuses; the unit holds no tree whose construction could refuse it
     if route.__name__.startswith("planar_"):
-        other = Element.basis(parse_forest("[1:[],1:[]]"), 1)
+        others = Element.unit(1), Element.basis(parse_forest("[1:[],1:[]]"), 1)
     else:
-        other = PlanarElement.basis(PlanarWord.single(CHERRY), 1)
-    with pytest.raises(TypeError):
-        route(other) if route is ck_coproduct_oracle else route(other, CK)
+        others = PlanarElement.unit(1), PlanarElement.basis(PlanarWord.single(CHERRY), 1)
+    for other in others:
+        with pytest.raises(TypeError):
+            route(other) if route is ck_coproduct_oracle else route(other, CK)
 
 
 # ---------------------------------------------------------------------------
