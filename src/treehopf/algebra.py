@@ -16,6 +16,10 @@ fixed-width fields, so multiplying monomials is an integer addition;
 values stay ``int`` until a denominator appears.  Terms are stored
 unordered and sorted into canonical order (by degree, then by symbol)
 only when printed, so equal coefficients always print identically.
+
+Coefficients, elements and tensors share one text form, a signed sum:
+``_signed_sum`` is the one term loop of all three grammars, and
+``_signed`` the one sign rule of every printed sum.
 """
 
 from __future__ import annotations
@@ -311,23 +315,16 @@ class Coeff:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self._t.items()))
+            t = self._t
+            # a constant hashes as the number it equals, as ``__eq__`` compares
+            self._hash = hash(t.get(0, 0)) if self.is_rational() else hash(frozenset(t.items()))
             return self._hash
 
     def __str__(self):
         t = self._t
-        if not t:
-            return "0"
         if len(t) == 1 and 0 in t:  # a constant prints as its value
             return str(t[0])
-        chunks: list[str] = []
-        for mono, value in self.terms:
-            body = _format_monomial(mono, value)
-            if not chunks:
-                chunks.append(body if value > 0 else "-" + body)
-            else:
-                chunks.append((" + " if value > 0 else " - ") + body)
-        return "".join(chunks)
+        return _signed([(value, _format_monomial(mono, value)) for mono, value in self.terms])
 
     def __repr__(self):
         return f"Coeff({self})"
@@ -341,6 +338,20 @@ def _format_monomial(mono: tuple, value) -> str:
     if mag != 1:
         factors.insert(0, str(mag))
     return "*".join(factors)
+
+
+def _signed(pieces) -> str:
+    """The one sign rule of a printed sum: the texts of the (value, text)
+    pieces joined by `` + `` or, before a negative value, `` - ``; a
+    negative first piece is led by ``-``, and no pieces print ``0``."""
+    out = []
+    for value, text in pieces:
+        if out:
+            out.append(" - " if value < 0 else " + ")
+        elif value < 0:
+            out.append("-")
+        out.append(text)
+    return "".join(out) or "0"
 
 
 ZERO = Coeff()
@@ -411,20 +422,7 @@ def _scan_monomial(sc: Scanner) -> Coeff:
 
 def parse_coeff(text: str) -> Coeff:
     """Parse a polynomial coefficient, e.g. ``2/3*q11^2*q22 - q21``."""
-    sc = Scanner(text)
-    sc.skip_ws()
-    negative = sc.try_take("-")
-    out = _scan_monomial(sc) * (-1 if negative else 1)
-    while True:
-        sc.skip_ws()
-        if sc.try_take("+"):
-            sign = 1
-        elif sc.try_take("-"):
-            sign = -1
-        else:
-            sc.check_done()
-            return out
-        out = out + _scan_monomial(sc) * sign
+    return _signed_sum(text, 0, lambda sc, n: (_scan_monomial(sc), 0)).get(0, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -761,26 +759,16 @@ class TensorElement(Combination):
 
 
 def _format_terms(terms, key_str) -> str:
-    """Shared element printer: one monomial per printed term."""
-    if not terms:
-        return "0"
-    chunks: list[str] = []
+    """Shared element printer: one monomial per printed term, a unit
+    coefficient left out."""
+    pieces = []
     for key, coeff in terms:
         t = coeff._t
-        if len(t) == 1 and 0 in t:  # a constant: nothing to unpack or sort
-            pairs = (((), t[0]),)
-        else:
-            pairs = coeff.terms
-        for mono, value in pairs:
+        # a constant: nothing to unpack or sort
+        for mono, value in (((), t[0]),) if len(t) == 1 and 0 in t else coeff.terms:
             body = _format_monomial(mono, value)
-            if body == "1":
-                body = ""
-            piece = (body + " " if body else "") + key_str(key)
-            if not chunks:
-                chunks.append(("-" if value < 0 else "") + piece)
-            else:
-                chunks.append((" - " if value < 0 else " + ") + piece)
-    return "".join(chunks)
+            pieces.append((value, key_str(key) if body == "1" else f"{body} {key_str(key)}"))
+    return _signed(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -892,31 +880,17 @@ class _Basis:
 _FORESTS = _Basis(monomial=Forest, element=Element, tensor=TensorElement)
 
 
-def parse_element(text: str, n: int) -> Element:
-    """Parse ``coef forest (+|-) ...``; omitted coefficients default to 1."""
-    return _parse_terms(text, n, Element, _scan_term)
-
-
-def _parse_terms(text: str, n: int, cls, scan):
-    """The term loop of ``parse_element`` and ``parse_tensor``.
-
-    Signed terms joined by ``+``/``-``, each read by ``scan`` as a
-    (coefficient, key) pair, are summed into one term dict, and the
-    ``cls`` combination is built from it once; a lone ``0`` is zero.
-    """
+def _signed_sum(text: str, n: int, scan) -> dict:
+    """The one term loop of the coefficient, element and tensor grammars:
+    signed terms joined by ``+``/``-``, each read by ``scan(sc, n)`` as a
+    (coefficient, key) pair, summed into one term dict; a lone ``0`` is
+    the empty sum."""
+    if text.strip() == "0":
+        return {}
     sc = Scanner(text)
     out: dict = {}
-    sign = 1
     sc.skip_ws()
-    if sc.try_take("-"):
-        sign = -1
-    elif sc.peek() == "0":
-        save = sc.pos
-        sc.pos += 1
-        sc.skip_ws()
-        if sc.at_end():
-            return cls(n)
-        sc.pos = save
+    sign = -1 if sc.try_take("-") else 1
     while True:
         coeff, key = scan(sc, n)
         _acc(out, key, coeff * sign)
@@ -927,47 +901,41 @@ def _parse_terms(text: str, n: int, cls, scan):
             sign = -1
         else:
             sc.check_done()
-            return cls(n, out)
+            return out
+
+
+def parse_element(text: str, n: int) -> Element:
+    """Parse ``coef forest (+|-) ...``; omitted coefficients default to 1."""
+    return Element(n, _signed_sum(text, n, _scan_term))
 
 
 def _scan_term(sc: Scanner, n: int) -> tuple[Coeff, Forest]:
-    """One signless term: optional coefficient monomial, then a forest."""
+    """One signless term: an optional coefficient monomial, read once, then
+    a forest; the cases of a digit-led one go by its text, not its value."""
     sc.skip_ws()
     ch = sc.peek()
     if ch == "[":
         return ONE, sc.monomial(n)
-    if ch == "q":
-        coeff = _scan_monomial(sc)
-        sc.skip_ws()
+    if ch != "q" and not ch.isdigit():
+        raise sc.error("expected a term")
+    start = sc.pos
+    coeff = _scan_monomial(sc)
+    end = sc.pos
+    read = sc.text[start:end]
+    sc.skip_ws()
+    if "q" in read or sc.peek() in ("[", "1"):
         return coeff, sc.monomial(n)
-    if ch.isdigit():
-        save = sc.pos
-        coeff = Coeff.rational(_scan_rational(sc))
-        probe = sc.pos
-        sc.skip_ws()
-        nxt = sc.peek()
-        if sc.try_take("*") :
-            sc.skip_ws()
-            if sc.peek() == "q":
-                sc.pos = save
-                coeff = _scan_monomial(sc)
-                sc.skip_ws()
-                return coeff, sc.monomial(n)
-            sc.pos = probe
-            raise sc.error("expected a coefficient symbol after '*'")
-        if nxt in ("[", "1"):
-            return coeff, sc.monomial(n)
-        # a lone "1" is the empty forest, not a coefficient
-        if sc.text[save:probe].strip() == "1":
-            sc.pos = probe
-            return ONE, EMPTY_FOREST
-        raise sc.error("expected a forest after the coefficient")
-    raise sc.error("expected a term")
+    if sc.peek() == "*":  # a bare rational's '*' with no symbol after it
+        sc.pos = end
+        raise sc.error("expected a coefficient symbol after '*'")
+    if read == "1":  # a lone "1" is the empty forest, not a coefficient
+        return ONE, EMPTY_FOREST
+    raise sc.error("expected a forest after the coefficient")
 
 
 def parse_tensor(text: str, n: int) -> TensorElement:
     """Parse ``coef forest ⊗ forest (+|-) ...`` (``(x)`` accepted for ``⊗``)."""
-    return _parse_terms(text, n, TensorElement, _scan_tensor_term)
+    return TensorElement(n, _signed_sum(text, n, _scan_tensor_term))
 
 
 def _scan_tensor_term(sc: Scanner, n: int) -> tuple[Coeff, tuple[Forest, Forest]]:

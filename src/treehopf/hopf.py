@@ -282,6 +282,12 @@ def simplicial_d(i: int, a: Element) -> Element:
     d_0 severs all colour-1 edges and shifts the remaining colours down;
     d_n severs colour-n edges; 0 < i < n merges colours i and i+1.  All
     are algebra maps sending basis forests to basis forests.
+
+    d_i is a Hopf map from Δ_q, S_q to Δ_{q′}, S_{q′}, with q′ the
+    parameters of the colours left, when the merged colours i and i+1
+    carry equal parameters (0 < i < n), or when the severed colour carries
+    q_1 = q_2 = 1 (i = 0 or n).  This is measured, not proven:
+    ``tests/test_faces.py`` checks it exactly on small n=2 trees.
     """
     n = a.n
     if n < 1:

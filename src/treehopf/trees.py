@@ -357,20 +357,22 @@ def canonicalize(
     # reachability from the root doubles as the cycle check: m-1 parent
     # edges + all vertices reachable <=> acyclic and connected
     seen = set()
+    order = []  # the vertices in DFS order, each after its parent
     stack = [roots[0]]
     while stack:
         v = stack.pop()
         if v in seen:
             raise ValueError("cyclic parent map")
         seen.add(v)
+        order.append(v)
         stack.extend(kids[v])
     if len(seen) != m:
         raise ValueError("disconnected parent map (vertices unreachable from the root)")
-
-    def build(v: int) -> ColouredTree:
-        return ColouredTree((colours[u], build(u)) for u in kids[v])
-
-    return build(roots[0])
+    # built bottom-up, children before parents, so depth costs no recursion
+    built: list = [None] * m
+    for v in reversed(order):
+        built[v] = ColouredTree((colours[u], built[u]) for u in kids[v])
+    return built[roots[0]]
 
 
 def aut_order(tree: ColouredTree) -> int:

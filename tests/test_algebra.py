@@ -126,6 +126,15 @@ def test_equal_values_hash_equal():
     assert {Coeff.rational(2): "two"}[Coeff.rational(Fraction(6, 3))] == "two"
 
 
+def test_a_constant_hashes_as_the_number_it_equals():
+    for value in (0, 3, -2, Fraction(1, 2)):
+        c = Coeff.rational(value)
+        assert c == value and hash(c) == hash(value)
+        assert {value: "plain"}.get(c) == "plain"
+        assert {c: "coeff"}.get(value) == "coeff"
+    assert hash(ZERO) == hash(0) and {0: "zero"}.get(ZERO) == "zero"
+
+
 def test_power_is_the_repeated_product():
     base = Q11 + Q21 + 1
     product = ONE

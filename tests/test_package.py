@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import pathlib
+import subprocess
 import sys
 
 import treehopf
@@ -234,15 +235,19 @@ def test_oracles_stand_apart_from_the_production_engine():
         assert getattr(treehopf, name) is getattr(hopf, name) is getattr(oracles, name)
 
 
+def _script(name: str):
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_bench_probes_import_only_names_the_package_defines():
     # the probes run only as code strings in fresh interpreters during a
     # perf run, so a rename would otherwise surface only there
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
-    spec = importlib.util.spec_from_file_location("bench_scaling", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     imported, missing = [], []
-    for code in {code for _, code, _ in script.PROBES}:
+    for code in {code for _, code, _ in _script("bench_scaling").PROBES}:
         for node in ast.walk(ast.parse(code)):
             if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "treehopf":
                 module = importlib.import_module(node.module)
@@ -251,3 +256,28 @@ def test_bench_probes_import_only_names_the_package_defines():
                     if not hasattr(module, alias.name):
                         missing.append(imported[-1])
     assert imported and not missing
+
+
+def test_the_cli_differential_finds_this_checkout_equal_to_itself():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_differential.py"),
+         "--src", src, "--src", src, "--requests", "16"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("no difference: 16 requests and 960 parser strings")
+
+
+def test_the_cli_differential_reports_the_first_difference():
+    script = _script("cli_differential")
+    reqs = script.requests(16)
+    assert {argv[0] for argv in reqs if argv} >= set(script.COMMANDS)
+    texts = [("2 []", 1)]
+    same = {"cli": [["out", "", 0]], "parses": [["a", "b", "c"]]}
+    other = {"cli": [["out", "", 0]], "parses": [["a", "b", "d"]]}
+    assert script.first_difference([("x", same), ("y", same)], reqs, texts) is None
+    report = script.first_difference([("x", same), ("y", same), ("z", other)], reqs, texts)
+    assert report.startswith("parse_tensor('2 []', n=1) differs") and "z: " in report

@@ -197,6 +197,18 @@ def test_canonicalize_rejects_bad_input():
         canonicalize([None, 0], [None, 3], n=2)
 
 
+def test_canonicalize_builds_a_deep_chain_without_recursion():
+    m = 2000
+    tree = canonicalize([None] + list(range(m - 1)), [None] + [1] * (m - 1))
+    assert tree.size == m and tree.max_colour == 1
+    # walked by a loop: == and str recurse on the nested keys
+    depth = 0
+    while tree.children:
+        tree = tree.children[0][1]
+        depth += 1
+    assert depth == m - 1
+
+
 def test_aut_order_matches_bruteforce():
     for n, m in [(1, 5), (2, 4)]:
         seen = set()
