@@ -45,7 +45,9 @@ probe's term count.  The probes:
   subcommands, text and JSON, repeated ``--q`` texts), output discarded;
   its "terms" are the bytes one round prints.
 
-Each probe also records the peak RSS of its process.
+Each probe also records the peak RSS of its process.  ``--probe NAME``
+(repeatable) runs only the named probes, and the row holds only those;
+an unknown name is refused before any probe runs.
 
 Rows are appended to the JSON list in ``--out`` (default
 ``BENCH_scaling.json`` at the root of this checkout), each headed by its
@@ -236,14 +238,14 @@ def _run(src: str, name: str, code: str, argv: tuple) -> dict:
     return json.loads(done.stdout)
 
 
-def measure(srcs: list, repeat: int) -> list:
+def measure(srcs: list, repeat: int, probes: list) -> list:
     """For each checkout in ``srcs``, the median of ``repeat`` runs of
-    every probe, with the least and greatest seconds; the checkouts take
-    turns within each repeat, and every run must agree on the result's
-    size."""
+    each of ``probes``, with the least and greatest seconds; the
+    checkouts take turns within each repeat, and every run must agree on
+    the result's size."""
     reports = [{} for _ in srcs]  # per checkout, in order: probe name -> runs
     sides = list(enumerate(srcs))
-    for name, code, argv in PROBES:
+    for name, code, argv in probes:
         for r in range(repeat):
             for i, src in sides if r % 2 == 0 else sides[::-1]:
                 reports[i].setdefault(name, []).append(_run(src, name, code, argv))
@@ -292,6 +294,13 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append", help="directory holding treehopf, one per --label")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_scaling.json"))
     parser.add_argument("--repeat", type=int, default=1, help="fresh-interpreter runs per probe")
+    parser.add_argument(
+        "--probe",
+        action="append",
+        choices=[name for name, _, _ in PROBES],
+        metavar="NAME",
+        help="run only this probe (repeatable; default: every probe)",
+    )
     args = parser.parse_args(argv)
     srcs = args.src or [os.path.join(ROOT, "src")]
     if len(srcs) != len(args.label):
@@ -299,7 +308,8 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     srcs = [os.path.abspath(src) for src in srcs]
-    results = measure(srcs, args.repeat)
+    probes = [p for p in PROBES if args.probe is None or p[0] in args.probe]
+    results = measure(srcs, args.repeat, probes)
     rows = []
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

@@ -26,7 +26,8 @@ monomial, parameters), S per tree inside the maps that
 that weight the root-constructor square per (parameter, exponent) in
 ``algebra._power``, which σ and the dual product read too.  The trees
 λ(legs) of one root-constructor square are kept in a table that lives
-for that one call.
+for that one call.  The intern table ``trees._intern``, one object per
+tree and monomial, is the one ``functools.cache`` that is not a memo.
 
 At a constant point the engine computes on plain numbers: ``_power``
 hands it ``int`` and ``Fraction`` weights, Δ(∅) is a plain 1 and S's

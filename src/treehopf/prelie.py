@@ -37,6 +37,7 @@ from .trees import (
     _Keyed,
     _compositions,
     _decompose,
+    _intern,
     _lam,
     _parse_all,
     aut_order,
@@ -283,25 +284,32 @@ def _common_n(a: DualElement, b: DualElement, ctx: HopfContext) -> int:
 class LabelledTree(_Keyed):
     """Canonical rooted tree with vertex labels and plain (uncoloured) edges.
 
-    Children are sorted by encoding, so structural equality is equality
-    of label-preserving isomorphism classes.
+    Children are sorted by encoding and the value is interned as a
+    coloured tree is, so there is one object per label-preserving
+    isomorphism class.
     """
 
-    __slots__ = ("label", "children", "key", "size", "max_label", "_hash")
+    __slots__ = ("label", "children", "key", "size", "max_label")
 
-    def __init__(self, label: int, children: Iterable["LabelledTree"] = ()):
-        if not isinstance(label, int) or label < 1:
+    def __new__(cls, label: int, children: Iterable["LabelledTree"] = ()):
+        if type(label) is not int or label < 1:
             raise ValueError(f"vertex label must be an integer >= 1, got {label!r}")
         kids = tuple(sorted(children, key=lambda t: t.key))
         for child in kids:
             if not isinstance(child, LabelledTree):
                 raise TypeError("children must be LabelledTree instances")
+        return _intern(cls, (label, kids))
+
+    def _fill(self, parts: tuple):
+        label, kids = parts
         self.label = label
         self.children = kids
         self.key = (label, tuple(t.key for t in kids))
         self.size = 1 + sum(t.size for t in kids)
         self.max_label = max([label] + [t.max_label for t in kids])
-        self._hash = hash(self.key)
+
+    def __reduce__(self):
+        return type(self), (self.label, self.children)
 
     def __str__(self):
         return f"({self.label})[" + ",".join(str(t) for t in self.children) + "]"

@@ -14,13 +14,13 @@ constructor ``_lam`` and its inverse, the enumerations and the grammar
 are written once here over the monomial class, whose ``_member`` and
 ``_sorted`` carry that rule; the public forest functions wrap them.
 
-Both value classes check their input in ``__init__`` and then call a
-trusted ``_fill``, which takes its input as already in stored order and
-checks nothing.  Only code that builds from values it knows to be valid
-calls ``_fill`` directly: the root constructor ``_lam`` (slot i's trees
-are already in stored order as colour-i children), ``_Monomial.single``
-and the monomial product (whose fields come from the factors).  Parsing
-and every public constructor go through the checks.
+Every value is made by one intern step, ``_intern(cls, parts)``, so
+there is one object per value: equality and hashing are identity, and
+``key`` serves only sort order and printing.  The checked constructors
+(``__new__``) sort and check their input, then intern it; only the root
+constructor ``_lam``, ``_Monomial.single`` and the product intern parts
+they know to be in stored order.  The table is single-threaded, as the
+package is: under a thread race ``functools.cache`` may build a value twice.
 
 Text grammar (bit-exact, whitespace-tolerant on input)::
 
@@ -77,21 +77,22 @@ class BudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _intern(cls, parts: tuple):
+    """The one object of class ``cls`` with these parts, filled on the
+    first request.  Parts hold interned values and ints, so a lookup
+    hashes identities.  The table is strong and not a memo: never clear
+    or cap it, as a value rebuilt afterwards would not be the old object."""
+    out = object.__new__(cls)
+    out._fill(parts)
+    return out
+
+
 class _Keyed:
-    """Value semantics of the tree and monomial types: equal (and hashed)
-    by the canonical nested-tuple ``key``, listed by ``(size, key)``."""
+    """The interned values (trees, monomials, labelled trees): equal and
+    hashed by identity, listed by ``(size, key)``."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def sort_key(self):
         return (self.size, self.key)
@@ -111,23 +112,24 @@ class _Tree(_Keyed):
     everywhere.  Children must be instances of the subclass itself.
     """
 
-    __slots__ = ("children", "key", "size", "max_colour", "_hash")
+    __slots__ = ("children", "key", "size", "max_colour")
 
     _order: Callable
     _encode: Callable
 
-    def __init__(self, children: Iterable[tuple[int, "_Tree"]] = ()):
-        kids = tuple(sorted(children, key=self._order))
+    def __new__(cls, children: Iterable[tuple[int, "_Tree"]] = ()):
+        kids = tuple(sorted(children, key=cls._order))
         for colour, child in kids:
-            if not isinstance(colour, int) or colour < 1:
+            # exactly int: True would intern as 1 and print as "True"
+            if type(colour) is not int or colour < 1:
                 raise ColourMismatchError(f"edge colour must be an integer >= 1, got {colour!r}")
-            if not isinstance(child, type(self)):
-                raise TypeError(f"children must be {type(self).__name__} instances")
-        self._fill(kids)
+            if not isinstance(child, cls):
+                raise TypeError(f"children must be {cls.__name__} instances")
+        return _intern(cls, kids)
 
     def _fill(self, kids: tuple):
-        """Trusted constructor body: ``kids`` are (colour, child) pairs
-        already in stored order, each colour an int >= 1 and each child an
+        """The fields of a new value: ``kids`` are (colour, child) pairs
+        in stored order, each colour an int >= 1 and each child an
         instance of this class."""
         pairs = []
         size = 1
@@ -143,7 +145,10 @@ class _Tree(_Keyed):
         self.key = self._encode(pairs)
         self.size = size
         self.max_colour = top
-        self._hash = hash(self.key)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not a bare instance
+        return type(self), (self.children,)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -188,52 +193,44 @@ class _Monomial(_Keyed):
     unit.
     """
 
-    __slots__ = ("trees", "key", "size", "max_colour", "_hash")
+    __slots__ = ("trees", "key", "size", "max_colour")
 
     _member: type
     _noun: str
     _sorted: bool
 
-    def __init__(self, trees: Iterable = ()):
+    def __new__(cls, trees: Iterable = ()):
         trees = tuple(trees)
         for t in trees:
-            if not isinstance(t, self._member):
-                raise TypeError(
-                    f"{self._noun} members must be {self._member.__name__} instances"
-                )
-        if self._sorted:
+            if not isinstance(t, cls._member):
+                raise TypeError(f"{cls._noun} members must be {cls._member.__name__} instances")
+        if cls._sorted:
             trees = tuple(sorted(trees, key=_KEY))
-        self._fill(
-            trees,
-            tuple(map(_KEY, trees)),
-            sum(t.size for t in trees),
-            max((t.max_colour for t in trees), default=0),
-        )
+        return _intern(cls, trees)
 
-    def _fill(self, trees: tuple, key: tuple, size: int, max_colour: int):
-        """Trusted constructor body: ``trees`` are members in stored order,
-        and ``key``, ``size`` and ``max_colour`` are read off them."""
+    def _fill(self, trees: tuple):
+        """The fields of a new value: ``trees`` are members in stored order."""
         self.trees = trees
-        self.key = key
-        self.size = size
-        self.max_colour = max_colour
-        self._hash = hash(key)
+        self.key = tuple(map(_KEY, trees))
+        self.size = sum(t.size for t in trees)
+        self.max_colour = max((t.max_colour for t in trees), default=0)
+
+    def __reduce__(self):
+        return type(self), (self.trees,)
 
     @classmethod
     def single(cls, tree):
         if not isinstance(tree, cls._member):
             raise TypeError(f"{cls._noun} members must be {cls._member.__name__} instances")
-        out = object.__new__(cls)
-        out._fill((tree,), (tree.key,), tree.size, tree.max_colour)
-        return out
+        return _intern(cls, (tree,))
 
     def is_empty(self) -> bool:
         return not self.trees
 
     def __mul__(self, other):
-        """The product, read off the two factors' fields: two sorted
-        factors concatenate unless their keys interleave, and only then
-        is the concatenation re-sorted."""
+        """The product of the factors' trees: two sorted factors
+        concatenate unless their keys interleave, and only then is the
+        concatenation re-sorted."""
         if type(other) is not type(self):
             return NotImplemented
         if not other.trees:
@@ -243,12 +240,7 @@ class _Monomial(_Keyed):
         trees = self.trees + other.trees
         if self._sorted and other.key[0] < self.key[-1]:
             trees = tuple(sorted(trees, key=_KEY))
-            key = tuple(map(_KEY, trees))
-        else:
-            key = self.key + other.key
-        out = object.__new__(type(self))
-        out._fill(trees, key, self.size + other.size, max(self.max_colour, other.max_colour))
-        return out
+        return _intern(type(self), trees)
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -294,9 +286,7 @@ def _lam(cls, slots: Sequence, n: int | None = None):
             raise ColourMismatchError(f"slot {i} contains colour {mono.max_colour} > n = {n}")
         for t in mono.trees:
             children.append((i, t))
-    tree = object.__new__(cls._member)
-    tree._fill(tuple(children))
-    return tree
+    return _intern(cls._member, tuple(children))
 
 
 def _decompose(cls, tree, n: int) -> tuple:

@@ -2,9 +2,12 @@
 
 import ast
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import treehopf
 
@@ -117,7 +120,7 @@ def test_only_trees_defines_tree_and_monomial_value_code():
         f"{cls.__module__}.{cls.__qualname__}.{name}"
         for cls in subclasses
         if cls.__module__ != "treehopf.trees"
-        for name in ("__init__", "__str__", "__mul__")
+        for name in ("__new__", "__init__", "__str__", "__mul__")
         if name in vars(cls)
     ]
     assert not defined
@@ -256,6 +259,31 @@ def test_bench_probes_import_only_names_the_package_defines():
                     if not hasattr(module, alias.name):
                         missing.append(imported[-1])
     assert imported and not missing
+
+
+def test_bench_scaling_refuses_an_unknown_probe_before_running_any(tmp_path, monkeypatch, capsys):
+    script = _script("bench_scaling")
+    monkeypatch.setattr(script, "_run", lambda *args: pytest.fail("a probe ran"))
+    out = tmp_path / "rows.json"
+    with pytest.raises(SystemExit) as info:
+        script.main(["--label", "x", "--probe", "coeff_rational_1", "--probe", "nope", "--out", str(out)])
+    assert info.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_scaling_runs_only_the_named_probe(tmp_path):
+    out = tmp_path / "rows.json"
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--label", "x", "--probe", "coeff_rational_1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    (row,) = json.loads(out.read_text(encoding="utf-8"))
+    for field in ("seconds", "spread", "terms", "peak_rss_mb"):
+        assert list(row[field]) == ["coeff_rational_1"]
 
 
 def test_the_cli_differential_finds_this_checkout_equal_to_itself():
