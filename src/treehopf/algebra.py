@@ -8,8 +8,9 @@ engine in ``hopf`` computes on plain numbers wherever a value is a
 constant: ``_power`` of a constant is an ``int`` or ``Fraction``, the
 term dicts of Δ and S hold such plain values beside ``Coeff`` ones, and
 Python's operators mix the two.  ``_extend_linearly``, the one exit of
-Δ and S, boxes each plain value once into a canonical ``Coeff``, so
-every public combination holds ``Coeff`` values only.
+Δ and S, boxes each distinct plain value of a result once into a
+canonical ``Coeff``, so every public combination holds ``Coeff`` values
+only.
 
 A monomial is one ``int`` packing the exponents of the 2n symbols in
 fixed-width fields, so multiplying monomials is an integer addition;
@@ -801,16 +802,26 @@ def _extend_linearly(a, basis_fn, cls):
     """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``.
 
     This is the one exit of Δ and S to callers: the engine's plain
-    values are boxed here, each once, by ``algebra._box`` into canonical
-    ``Coeff`` values.
+    values are boxed here by ``algebra._box`` into canonical ``Coeff``
+    values, and each distinct value once per result, so equal constant
+    terms share one box.  The table of boxes lives for this one call; it
+    is keyed by (numerator, denominator), which an ``int`` and a
+    ``Fraction`` both have and which hashes far faster than a
+    ``Fraction``.
     """
     out: dict = {}
     for key, coeff in a.data.items():
         one = coeff == ONE
         for k, c in basis_fn(key).data.items():
             _acc(out, k, c if one else c * coeff)
+    boxes: dict = {}
     for k, c in out.items():
-        out[k] = _box(c)
+        if c.__class__ is not Coeff:
+            value = (c.numerator, c.denominator)
+            box = boxes.get(value)
+            if box is None:
+                box = boxes[value] = _box(c)
+            out[k] = box
     return cls._adopt(a.n, out)
 
 

@@ -21,20 +21,25 @@ forests, those in ``planar`` on words.
 Everything here is a pure function of immutable values.  A value is
 memoised only where a later call reads it again, and always by
 ``functools.cache`` on the function that computes it: Δ per (basis,
-monomial, parameters), S per tree inside the maps that
+parameters) and tree, or monomial that a caller reads (a top-level
+forest or word, a verifier case), S per tree inside the maps that
 ``_production_maps`` keeps per (basis, parameters), and the q-powers
 that weight the root-constructor square per (parameter, exponent) in
-``algebra._power``, which σ and the dual product read too.  The trees
-λ(legs) of one root-constructor square are kept in a table that lives
-for that one call.  The intern table ``trees._intern``, one object per
-tree and monomial, is the one ``functools.cache`` that is not a memo.
+``algebra._power``, which σ and the dual product read too.  Δ is an
+algebra map, so the Δ of a tree's slot forest is formed where the
+square reads it, from the stored Δ of its trees, and is not stored.
+The trees λ(legs) of one root-constructor square are kept in a table
+that lives for that one call.  The intern table ``trees._intern``, one
+object per tree and monomial, is the one ``functools.cache`` that is
+not a memo.
 
 At a constant point the engine computes on plain numbers: ``_power``
 hands it ``int`` and ``Fraction`` weights, Δ(∅) is a plain 1 and S's
 seed a plain −1, and the memos of Δ and S hold such values beside
 ``Coeff`` ones.  ``algebra._extend_linearly`` is the one route by which
 Δ and S reach a caller, and it boxes every plain value into a canonical
-``Coeff``, so every public container holds ``Coeff`` values only.
+``Coeff``, each distinct value once per result, so every public
+container holds ``Coeff`` values only.
 """
 
 from __future__ import annotations
@@ -150,20 +155,30 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
     return basis.tensor._adopt(n, out)
 
 
-@cache
-def _delta(basis, mono, ctx: HopfContext):
-    """Memoised Δ of a basis monomial: the root-constructor square on a
-    single tree, else the product over its trees in order (Δ is an
-    algebra map); Δ(∅) is 1 ⊗ 1 with a plain 1.  Its values may be plain
-    numbers, so callers read it through ``_extend_linearly``.  The
-    oracles never read it."""
+def _product(basis, mono, ctx: HopfContext):
+    """Δ of a basis monomial as the product of the memoised Δ of its trees
+    in order (Δ is an algebra map), formed here and not stored; Δ(∅) is
+    1 ⊗ 1 with a plain 1.  A one-tree monomial gives the stored entry of
+    its tree itself."""
     trees = mono.trees
-    if len(trees) == 1:
-        slots = [_delta(basis, x, ctx) for x in _decompose(basis.monomial, trees[0], ctx.n)]
-        return _root_square(basis, slots, ctx)
     if not trees:
         return basis.tensor._adopt(ctx.n, {(mono, mono): 1})
     return reduce(mul, (_delta(basis, basis.monomial.single(t), ctx) for t in trees))
+
+
+@cache
+def _delta(basis, mono, ctx: HopfContext):
+    """Memoised Δ of a basis monomial: the root-constructor square on a
+    single tree, else ``_product``.  The square reads its slot Δs from
+    ``_product``, so a slot forest is never stored: what is kept is Δ per
+    tree and per monomial a caller asks for (a top-level forest or word,
+    a verifier case).  Its values may be plain numbers, so callers read
+    it through ``_extend_linearly``.  The oracles never read it."""
+    trees = mono.trees
+    if len(trees) != 1:
+        return _product(basis, mono, ctx)
+    slots = [_product(basis, x, ctx) for x in _decompose(basis.monomial, trees[0], ctx.n)]
+    return _root_square(basis, slots, ctx)
 
 
 def _coproduct(basis, a, ctx: HopfContext):

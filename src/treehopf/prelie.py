@@ -27,7 +27,16 @@ from functools import cache
 from itertools import groupby, product as _iproduct
 from typing import Iterable
 
-from .algebra import Coeff, Combination, ONE, _FORESTS, _acc, _format_terms, _power
+from .algebra import (
+    MAX_SYMBOL_COLOUR,
+    Coeff,
+    Combination,
+    ONE,
+    _FORESTS,
+    _acc,
+    _format_terms,
+    _power,
+)
 from .hopf import HopfContext
 from .trees import (
     BudgetError,
@@ -165,9 +174,17 @@ def _dual_product(basis, name: str, a, b, ctx: HopfContext, budget: int, split):
     trees w whose Δ(w) has the term c·left ⊗ right; ``_tree_terms``
     builds those w with symbolic c, and ``ctx`` is substituted into them.
     A pair beyond ``budget`` total vertices raises :class:`BudgetError`,
-    naming the product ``name``, rather than degrade silently.
+    naming the product ``name``, rather than degrade silently.  The
+    symbols stop at colour ``MAX_SYMBOL_COLOUR``, so a larger n raises
+    ``ValueError`` at any point.
     """
     n = _common_n(a, b, ctx)
+    if n > MAX_SYMBOL_COLOUR:
+        raise ValueError(
+            f"the dual product {name} is computed over the symbols q1j and q2j, "
+            f"which stop at colour {MAX_SYMBOL_COLOUR}: n = {n} is past this "
+            f"{MAX_SYMBOL_COLOUR}-colour limit"
+        )
     single = basis.monomial.single
     # the symbols the point does not leave symbolic
     values = {

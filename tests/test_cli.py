@@ -224,6 +224,34 @@ def test_symbolic_entries_past_the_colour_limit_name_n(capsys):
     assert code == 0 and out == "1 ⊗ [] + [] ⊗ 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bullet"], ["bracket"], ["bullet", "--variant", "planar"]],
+    ids=["bullet", "bracket", "planar-bullet"],
+)
+def test_dual_products_past_the_colour_limit_name_their_limit(capsys, argv):
+    # the dual product is computed over the symbols, so rational entries
+    # do not lift its colour limit; it is refused before any symbol is made
+    q = ",".join(["1/2"] * 2200)
+    code, out, err = run(capsys, *argv, "--n", "1100", "--q", q, "[1:[]]", "[]")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "dual product" in err and "1024-colour limit" in err and "n = 1100" in err
+    assert "q11025" not in err
+
+
+@pytest.mark.parametrize("command", ["coproduct", "antipode"])
+def test_coproduct_and_antipode_run_past_the_colour_limit_at_a_rational_point(capsys, command):
+    q = ",".join(["1/2"] * 2200)
+    code, out, _ = run(capsys, command, "--n", "1100", "--q", q, "[1:[]]")
+    assert code == 0
+    expected = {
+        "coproduct": "1 ⊗ [1:[]] + [] ⊗ [] + [1:[]] ⊗ 1",
+        "antipode": "[]*[] - [1:[]]",
+    }[command]
+    assert out.strip() == expected
+
+
 @pytest.mark.parametrize("variant", ["symmetric", "planar"])
 def test_deep_nesting_exits_2(capsys, variant):
     chain = "[1:" * 1199 + "[]" + "]" * 1199

@@ -43,6 +43,7 @@ from treehopf.oracles import (
     induced_structure,
 )
 from treehopf.planar import (
+    _WORDS,
     PlanarElement,
     parse_planar_tree,
     parse_planar_word,
@@ -531,6 +532,81 @@ def test_a_warm_memo_lookup_hashes_no_coefficient(monkeypatch):
     assert coproduct(a, ctx) == delta and antipode_recursive(a, ctx) == s
     assert calls == []
     assert hash(Coeff.rational(3)) == unpatched(Coeff.rational(3)) and len(calls) == 1
+
+
+def _trees_within(monomial, tree, n):
+    """The distinct trees of ``tree``'s slots, all the way down, and itself."""
+    found = {tree}
+    for slot in hopf._decompose(monomial, tree, n):
+        for t in slot.trees:
+            found |= _trees_within(monomial, t, n)
+    return found
+
+
+@pytest.mark.parametrize(
+    "planar, text, top, q2",
+    [
+        (False, "[1:[],1:[1:[]]]", "[]*[1:[]]", Fraction(5, 13)),
+        (False, "[1:[1:[]],1:[1:[]],1:[1:[],1:[]]]", "[1:[]]*[1:[]]*[]", Fraction(6, 13)),
+        (True, "[1:[1:[]],1:[],1:[1:[]]]", "[1:[]]*[]", Fraction(7, 13)),
+    ],
+    ids=["cherry-slot", "repeated-slot", "word-slot"],
+)
+def test_the_delta_memo_keeps_trees_and_the_monomials_callers_ask_for(planar, text, top, q2):
+    # each tree's slot holds two or more trees; Δ of the tree stores one
+    # entry per distinct tree in it and none for its slot forests, while a
+    # monomial a caller asks for is stored, and a hit the second time.  No
+    # other test uses the point, so the memo starts cold at it.
+    ctx = HopfContext.rational(1, (Fraction(5, 7), q2))
+    basis, parse, delta_of = (
+        (_WORDS, parse_planar_word, planar_coproduct)
+        if planar
+        else (_FORESTS, parse_forest, coproduct)
+    )
+    [tree] = parse(text, 1).trees
+    assert any(len(slot.trees) >= 2 for slot in hopf._decompose(basis.monomial, tree, 1))
+    trees = len(_trees_within(basis.monomial, tree, 1))
+    before = hopf._delta.cache_info().currsize
+    delta_of(basis.element.basis(parse(text, 1), 1), ctx)
+    assert hopf._delta.cache_info().currsize - before == trees
+    asked = basis.element.basis(parse(top, 1), 1)
+    first = delta_of(asked, ctx)
+    after = hopf._delta.cache_info()
+    assert after.currsize - before == trees + 1
+    assert delta_of(asked, ctx) == first
+    again = hopf._delta.cache_info()
+    assert again.currsize == after.currsize and again.hits == after.hits + 1
+
+
+@pytest.mark.parametrize(
+    "ctx", [HopfContext.rational(1, (Fraction(1, 3), Fraction(3, 2))), CK], ids=["rational", "ck"]
+)
+def test_equal_constants_of_one_result_share_one_box(ctx):
+    # every distinct constant of a result is boxed once; each box is a
+    # canonical Coeff, an int inside when integral and never Fraction(k, 1)
+    a = parse_element("[1:[],1:[1:[1:[],1:[]]],1:[1:[]]]*[] + [1:[1:[]],1:[]]", 1)
+    for result in (coproduct(a, ctx), antipode_recursive(a, ctx)):
+        values = list(result.data.values())
+        assert len(set(values)) < len(values)  # some value repeats
+        boxes = {}
+        for c in values:
+            assert boxes.setdefault(c, c) is c
+            [(mono, value)] = c.terms
+            assert mono == () and type(value) is (int if value.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("q", ["sym,sym", "sym,1/2"])
+def test_symbolic_values_are_handed_out_as_the_memo_holds_them(q):
+    # _extend_linearly boxes plain values only: a Coeff of the memo of Δ
+    # reaches the caller as the same object
+    ctx = HopfContext(QSpec.from_strings(1, q.split(",")))
+    mono = parse_forest("[1:[],1:[1:[]]]", 1)
+    stored = hopf._delta(_FORESTS, mono, ctx).data
+    result = coproduct(Element.basis(mono, 1), ctx).data
+    assert result.keys() == stored.keys()
+    symbolic = [k for k, c in stored.items() if isinstance(c, Coeff)]
+    assert symbolic and all(result[k] is stored[k] for k in symbolic)
+    assert all(isinstance(c, Coeff) for c in result.values())
 
 
 # ---------------------------------------------------------------------------

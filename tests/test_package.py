@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -185,6 +186,7 @@ ORACLE_NAMES = {
 }
 PRODUCTION_MEMOS = {
     "_delta",
+    "_product",
     "_root_square",
     "_production_maps",
     "_maps_over",
@@ -270,6 +272,25 @@ def test_bench_scaling_refuses_an_unknown_probe_before_running_any(tmp_path, mon
     assert info.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_scaling_compiles_each_checkout_before_its_probes(tmp_path, monkeypatch):
+    # a probe that compiled stale sources would count the compiler in its peak RSS
+    script = _script("bench_scaling")
+    src = tmp_path / "src"
+    shutil.copytree(pathlib.Path(script.ROOT) / "src" / "treehopf", src / "treehopf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    seen = []
+
+    def probe(*args):
+        compiled = (src / "treehopf" / "__pycache__").glob("*.pyc")
+        seen.append(sorted(p.name.split(".")[0] for p in compiled))
+        return {"seconds": 1.0, "terms": 1, "peak_rss_mb": 1.0}
+
+    monkeypatch.setattr(script, "_run", probe)
+    argv = ["--label", "x", "--src", str(src), "--probe", "coeff_rational_1"]
+    assert script.main(argv + ["--out", str(tmp_path / "rows.json")]) == 0
+    assert seen == [sorted(p.stem for p in (src / "treehopf").glob("*.py"))]
 
 
 def test_bench_scaling_runs_only_the_named_probe(tmp_path):
