@@ -44,7 +44,11 @@ probe's term count.  The probes:
 * ``cli_requests``: the median seconds of one in-process ``cli.main``
   call over ``CLI_ROUNDS`` rounds of ``CLI_REQUESTS`` (all eight
   subcommands, text and JSON, repeated ``--q`` texts), output discarded;
-  its "terms" are the bytes one round prints.
+  its "terms" are the bytes one round prints;
+* ``cli_repeat_one_point``: the same over ``CLI_ROUNDS`` rounds of
+  ``CLI_REPEAT``, two ``verify`` requests and a forest and word
+  ``coproduct`` and forest ``antipode`` that repeat one point, so every
+  round after the first is warm.
 
 Each probe also records the peak RSS of its process.  ``--probe NAME``
 (repeatable) runs only the named probes, and the row holds only those;
@@ -90,6 +94,18 @@ verify --n 1 --q 1,0 --max-degree 1
 verify --n 1 --variant planar --max-degree 1 --format json
 """
 CLI_ROUNDS = 50
+
+# requests that repeat one point, as the cli-session verify requests do:
+# warm, each reads the memoised Δ of its trees and forms the Δ of its
+# forest or word, or of the verifier's cases, again.  Three fast requests and two slow ones put the
+# median inside one request's calls, not between two kinds.
+CLI_REPEAT = """\
+verify --n 2 --q 1,1,0,0 --max-degree 3
+verify --n 2 --q 1,1,0,0 --max-degree 3 --variant planar
+coproduct --n 1 --q 1/2,3 [1:[]]*[]*[1:[1:[]]]
+coproduct --n 1 --q 1/2,3 --variant planar [1:[]]*[]*[1:[1:[]]]
+antipode --n 1 --q 1/2,3 [1:[]]*[]*[1:[1:[]]]
+"""
 
 CLI_PROBE = r"""
 import contextlib, io, json, resource, statistics, sys
@@ -226,6 +242,7 @@ PROBES = [
         for point, q in (("symbolic", ""), ("rational", _q(n, "2", "3")), ("ck", _q(n, "1", "0")))
     ),
     ("cli_requests", CLI_PROBE, (CLI_ROUNDS, CLI_REQUESTS)),
+    ("cli_repeat_one_point", CLI_PROBE, (CLI_ROUNDS, CLI_REPEAT)),
 ]
 
 

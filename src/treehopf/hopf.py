@@ -20,16 +20,16 @@ forests, those in ``planar`` on words.
 
 Everything here is a pure function of immutable values.  A value is
 memoised only where a later call reads it again, and always by
-``functools.cache`` on the function that computes it: Δ per (basis,
-parameters) and tree, or monomial that a caller reads (a top-level
-forest or word, a verifier case), S per tree inside the maps that
-``_production_maps`` keeps per (basis, parameters), and the q-powers
-that weight the root-constructor square per (parameter, exponent) in
-``algebra._power``, which σ and the dual product read too.  Δ is an
-algebra map, so the Δ of a tree's slot forest is formed where the
-square reads it, from the stored Δ of its trees, and is not stored.
-The trees λ(legs) of one root-constructor square are kept in a table
-that lives for that one call.  The intern table ``trees._intern``, one
+``functools.cache`` on the function that computes it: Δ is memoised per
+tree, keyed by (basis, tree, parameters); S per tree inside the maps
+that ``_production_maps`` keeps per (basis, parameters); and the
+q-powers that weight the root-constructor square per (parameter,
+exponent) in ``algebra._power``, which σ and the dual product read too.
+Δ is an algebra map, so ``_product`` forms the Δ of any forest or word,
+a slot forest or a caller's, from the stored Δ of its trees where it is
+read, and it is not stored.  The trees λ(legs) of one root-constructor
+square, and the Δ of the cases ``_verify`` checks, are kept in tables
+that live for that one call.  The intern table ``trees._intern``, one
 object per tree and monomial, is the one ``functools.cache`` that is
 not a memo.
 
@@ -156,34 +156,30 @@ def _root_square(basis, slot_deltas: Sequence, ctx: HopfContext):
 
 
 def _product(basis, mono, ctx: HopfContext):
-    """Δ of a basis monomial as the product of the memoised Δ of its trees
-    in order (Δ is an algebra map), formed here and not stored; Δ(∅) is
-    1 ⊗ 1 with a plain 1.  A one-tree monomial gives the stored entry of
-    its tree itself."""
+    """Δ of a basis monomial, the one route from a monomial to its Δ: the
+    product of the memoised Δ of its trees in order (Δ is an algebra map),
+    formed here and not stored; Δ(∅) is 1 ⊗ 1 with a plain 1.  A one-tree
+    monomial gives the stored entry of its tree itself."""
     trees = mono.trees
     if not trees:
         return basis.tensor._adopt(ctx.n, {(mono, mono): 1})
-    return reduce(mul, (_delta(basis, basis.monomial.single(t), ctx) for t in trees))
+    return reduce(mul, (_delta(basis, t, ctx) for t in trees))
 
 
 @cache
-def _delta(basis, mono, ctx: HopfContext):
-    """Memoised Δ of a basis monomial: the root-constructor square on a
-    single tree, else ``_product``.  The square reads its slot Δs from
-    ``_product``, so a slot forest is never stored: what is kept is Δ per
-    tree and per monomial a caller asks for (a top-level forest or word,
-    a verifier case).  Its values may be plain numbers, so callers read
+def _delta(basis, tree, ctx: HopfContext):
+    """Memoised Δ of one tree: the root-constructor square over the
+    ``_product`` of its slots.  Δ is memoised per tree only; the Δ of a
+    forest or word, a slot's or a caller's, is formed by ``_product``
+    where it is read.  Its values may be plain numbers, so callers read
     it through ``_extend_linearly``.  The oracles never read it."""
-    trees = mono.trees
-    if len(trees) != 1:
-        return _product(basis, mono, ctx)
-    slots = [_product(basis, x, ctx) for x in _decompose(basis.monomial, trees[0], ctx.n)]
+    slots = [_product(basis, x, ctx) for x in _decompose(basis.monomial, tree, ctx.n)]
     return _root_square(basis, slots, ctx)
 
 
 def _coproduct(basis, a, ctx: HopfContext):
     _check_entry(basis, a, ctx.n)
-    return _extend_linearly(a, lambda m: _delta(basis, m, ctx), basis.tensor)
+    return _extend_linearly(a, lambda m: _product(basis, m, ctx), basis.tensor)
 
 
 def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
@@ -217,18 +213,19 @@ ck_coproduct_oracle = oracles.ck_coproduct_oracle
 def _monomial_maps(basis, ctx: HopfContext, coproduct_fn=None):
     """Δ and S on basis monomials, as a pair of functions.
 
-    Δ is the production memo, or a per-call memo of ``coproduct_fn``; the
-    production pair is kept per (basis, parameters).
+    Δ is ``_product`` over the memo of Δ per tree, or ``coproduct_fn`` on
+    the monomial; neither keeps the Δ of a monomial.  S is memoised per
+    tree, so it reads each tree's Δ once; the production pair is kept per
+    (basis, parameters).
     """
     if coproduct_fn is None:
         return _production_maps(basis, ctx)
-    delta = cache(lambda m: coproduct_fn(basis.element.basis(m, ctx.n)))
-    return _maps_over(basis, ctx, delta)
+    return _maps_over(basis, ctx, lambda m: coproduct_fn(basis.element.basis(m, ctx.n)))
 
 
 @cache
 def _production_maps(basis, ctx: HopfContext):
-    return _maps_over(basis, ctx, lambda m: _delta(basis, m, ctx))
+    return _maps_over(basis, ctx, lambda m: _product(basis, m, ctx))
 
 
 def _maps_over(basis, ctx: HopfContext, delta):
@@ -314,20 +311,12 @@ def simplicial_d(i: int, a: Element) -> Element:
     def d_tree(tree: ColouredTree) -> Forest:
         if 0 < i < n:
             return Forest.single(tree.recolour(lambda c: c if c <= i else c - 1))
-        slots = decompose(tree, n)
-        if i == 0:
-            severed = d_forest(slots[0])
-            body = add_root([d_forest(f) for f in slots[1:]], n - 1)
-        else:
-            severed = d_forest(slots[n - 1])
-            body = add_root([d_forest(f) for f in slots[: n - 1]], n - 1)
-        return severed * Forest.single(body)
+        slots = [d_forest(f) for f in decompose(tree, n)]
+        severed = slots.pop(0 if i == 0 else n - 1)
+        return severed * Forest.single(add_root(slots, n - 1))
 
     def d_forest(forest: Forest) -> Forest:
-        out = EMPTY_FOREST
-        for tree in forest.trees:
-            out = out * d_tree(tree)
-        return out
+        return reduce(mul, map(d_tree, forest.trees), EMPTY_FOREST)
 
     return Element(n - 1, ((d_forest(f), c) for f, c in a.data.items()))
 
@@ -428,6 +417,7 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed):
     n, qspec = ctx.n, ctx.qspec
     monomial, element, tensor = basis.monomial, basis.element, basis.tensor
     delta, antipode = _monomial_maps(basis, ctx, coproduct_fn)
+    delta = cache(delta)  # the checks read a case's Δ again; it dies with the call
     monos = list(_enumerate_up_to(monomial, n, max_degree))
     cases = _sample(monos, max_cases, seed)
     pairs = [

@@ -1,6 +1,8 @@
 """The command-line interface: outputs, exit codes, JSON/text parity."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -582,3 +584,21 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "4"
+
+
+def test_the_package_runs_as_a_module():
+    # ``python -m treehopf`` is the ``python -m treehopf.cli`` route
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(module, *argv):
+        command = [sys.executable, "-m", module, *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env)
+
+    listing = ["enumerate", "--n", "1", "--vertices", "3", "--format", "json"]
+    package, module = run("treehopf", *listing), run("treehopf.cli", *listing)
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout and json.loads(package.stdout)["count"] == 2
+    for route in ("treehopf", "treehopf.cli"):
+        malformed = run(route, "coproduct", "--n", "1", "[1:")
+        assert malformed.returncode == 2 and "Traceback" not in malformed.stderr

@@ -45,6 +45,7 @@ from treehopf.oracles import (
 from treehopf.planar import (
     _WORDS,
     PlanarElement,
+    PlanarWord,
     parse_planar_tree,
     parse_planar_word,
     planar_antipode,
@@ -55,6 +56,7 @@ from treehopf.trees import (
     ColourMismatchError,
     Forest,
     MAX_NESTING_DEPTH,
+    basis_counts,
     canonicalize,
     enumerate_forests_up_to,
     enumerate_trees,
@@ -552,30 +554,50 @@ def _trees_within(monomial, tree, n):
     ],
     ids=["cherry-slot", "repeated-slot", "word-slot"],
 )
-def test_the_delta_memo_keeps_trees_and_the_monomials_callers_ask_for(planar, text, top, q2):
-    # each tree's slot holds two or more trees; Δ of the tree stores one
-    # entry per distinct tree in it and none for its slot forests, while a
-    # monomial a caller asks for is stored, and a hit the second time.  No
-    # other test uses the point, so the memo starts cold at it.
+def test_the_delta_memo_keeps_trees_only(planar, text, top, q2):
+    # Δ is memoised per tree: a forest or word a caller asks for stores one
+    # entry per distinct tree in it, all the way down, and none for itself,
+    # so asking again stores nothing; a tree whose slot holds two or more
+    # trees stores none for its slot forests either.  No other test uses
+    # the point, so the memo starts cold at it.
     ctx = HopfContext.rational(1, (Fraction(5, 7), q2))
     basis, parse, delta_of = (
         (_WORDS, parse_planar_word, planar_coproduct)
         if planar
         else (_FORESTS, parse_forest, coproduct)
     )
+    forest = parse(top, 1)
+    within_top = set().union(*(_trees_within(basis.monomial, t, 1) for t in forest.trees))
+    asked = basis.element.basis(forest, 1)
+    before = hopf._delta.cache_info().currsize
+    first = delta_of(asked, ctx)
+    assert hopf._delta.cache_info().currsize - before == len(within_top)
+    assert delta_of(asked, ctx) == first
+    assert hopf._delta.cache_info().currsize - before == len(within_top)
+
     [tree] = parse(text, 1).trees
     assert any(len(slot.trees) >= 2 for slot in hopf._decompose(basis.monomial, tree, 1))
-    trees = len(_trees_within(basis.monomial, tree, 1))
-    before = hopf._delta.cache_info().currsize
+    within_tree = _trees_within(basis.monomial, tree, 1)
     delta_of(basis.element.basis(parse(text, 1), 1), ctx)
-    assert hopf._delta.cache_info().currsize - before == trees
-    asked = basis.element.basis(parse(top, 1), 1)
-    first = delta_of(asked, ctx)
-    after = hopf._delta.cache_info()
-    assert after.currsize - before == trees + 1
-    assert delta_of(asked, ctx) == first
-    again = hopf._delta.cache_info()
-    assert again.currsize == after.currsize and again.hits == after.hits + 1
+    assert hopf._delta.cache_info().currsize - before == len(within_top | within_tree)
+
+
+@pytest.mark.parametrize(
+    "verify, cls, degree, q2",
+    [
+        (verify_bialgebra, Forest, 4, Fraction(8, 13)),
+        (verify_planar, PlanarWord, 3, Fraction(9, 13)),
+    ],
+    ids=["bialgebra", "planar"],
+)
+def test_a_verifier_call_stores_the_delta_of_its_trees_only(verify, cls, degree, q2):
+    # the Δ of a verifier case is formed where it is read and kept only for
+    # the call; the memo gains one entry per tree within the degree.  No
+    # other test uses the point, so the memo starts cold at it.
+    ctx = HopfContext.rational(1, (Fraction(5, 7), q2))
+    before = hopf._delta.cache_info().currsize
+    assert verify(ctx, degree).passed
+    assert hopf._delta.cache_info().currsize - before == sum(basis_counts(cls, 1, degree)[0])
 
 
 @pytest.mark.parametrize(
@@ -601,7 +623,7 @@ def test_symbolic_values_are_handed_out_as_the_memo_holds_them(q):
     # reaches the caller as the same object
     ctx = HopfContext(QSpec.from_strings(1, q.split(",")))
     mono = parse_forest("[1:[],1:[1:[]]]", 1)
-    stored = hopf._delta(_FORESTS, mono, ctx).data
+    stored = hopf._delta(_FORESTS, mono.trees[0], ctx).data
     result = coproduct(Element.basis(mono, 1), ctx).data
     assert result.keys() == stored.keys()
     symbolic = [k for k, c in stored.items() if isinstance(c, Coeff)]
