@@ -41,6 +41,9 @@ probe's term count.  The probes:
   requests of ROADMAP item 10 (an n=1 7+6-vertex pair, and an n=16
   6-vertex tree with ``[]``) at the symbolic, a rational and the
   Connes–Kreimer point; their "terms" are the bytes printed;
+* ``cli_first_request``: one ``coproduct --n 1 --q 1,0 [1:[]]`` call,
+  the first ``cli.main`` call of a fresh interpreter: what
+  ``python3 -m treehopf`` pays after import;
 * ``cli_requests``: the median seconds of one in-process ``cli.main``
   call over ``CLI_ROUNDS`` rounds of ``CLI_REQUESTS`` (all eight
   subcommands, text and JSON, repeated ``--q`` texts), output discarded;
@@ -241,6 +244,7 @@ PROBES = [
         for name, request, n in ITEM10
         for point, q in (("symbolic", ""), ("rational", _q(n, "2", "3")), ("ck", _q(n, "1", "0")))
     ),
+    ("cli_first_request", CLI_PROBE, (1, "coproduct --n 1 --q 1,0 [1:[]]")),
     ("cli_requests", CLI_PROBE, (CLI_ROUNDS, CLI_REQUESTS)),
     ("cli_repeat_one_point", CLI_PROBE, (CLI_ROUNDS, CLI_REPEAT)),
 ]

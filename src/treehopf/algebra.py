@@ -449,6 +449,15 @@ def _rational_entry(word: str) -> Fraction:
     return Fraction(word)
 
 
+def _symbolic_limit_error(n: int) -> ValueError:
+    """The refusal of a symbolic ``--q`` entry for a colour of ``--n n``
+    past ``MAX_SYMBOL_COLOUR``."""
+    return ValueError(
+        f"--n {n} is over the {MAX_SYMBOL_COLOUR}-colour limit of symbolic "
+        f"--q entries; give rational entries for colours past {MAX_SYMBOL_COLOUR}"
+    )
+
+
 @dataclass(frozen=True)
 class QSpec:
     """Values of the 2n coefficient symbols: row 1 then row 2, colours 1..n."""
@@ -511,10 +520,7 @@ class QSpec:
             name = f"--q entry q{i + 1}{j + 1} = {word!r}"
             if word == "sym":
                 if j >= MAX_SYMBOL_COLOUR:
-                    raise ValueError(
-                        f"--n {n} is over the {MAX_SYMBOL_COLOUR}-colour limit of symbolic "
-                        f"--q entries; give rational entries for colours past {MAX_SYMBOL_COLOUR}"
-                    )
+                    raise _symbolic_limit_error(n)
                 entries.append(Coeff.variable(i + 1, j + 1))
                 continue
             try:

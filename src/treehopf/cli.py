@@ -20,15 +20,24 @@ printer, ``_terms``, picks their shape from the result's type), the
 result itself on one line for text.  ``enumerate`` and ``verify`` return
 text lines whose data their JSON fields already hold.
 
-The argument parser is built once per process and reused: each parse
-makes a fresh namespace and leaves the parser unchanged.  A request that
-names a subcommand first is parsed by that subcommand's parser alone, as
-the top parser would hand it on; only a request that does not (``-h``, an
-unknown word, nothing at all) is parsed by the top parser, and leftover
-arguments are reported by the top parser either way.  An argument that
-starts with ``-`` and then ``[``, ``q`` or a digit is a value, not an
-option, so an expression may begin with its sign (``-[1:[]]``) and
-``--q`` may begin with a negative entry (``--q -1,0``).
+The grammar is declared once, in the table ``_COMMANDS``: each
+subcommand's help and its arguments, with their types, choices, defaults
+and help.  A well-formed request to a subcommand (exact flags, each with
+its value spaced or after ``=``, and exactly the positionals it takes) is
+read straight from that table by ``_read``, into the namespace argparse
+would make of it.  Everything else goes to argparse: help, and any request
+the reader does not take exactly, such as an abbreviated flag, ``--``, a
+bad value or a missing argument, which argparse accepts or refuses with
+its own message.  The argparse parser is built from the same table, at
+most once per process and only when a request needs it; each parse makes
+a fresh namespace and leaves the parser unchanged.  A request that names a
+subcommand first is parsed by that subcommand's parser alone, as the top
+parser would hand it on; only a request that does not (``-h``, an unknown
+word, nothing at all) is parsed by the top parser, and leftover arguments
+are reported by the top parser either way.  An argument that starts with
+``-`` and then ``[``, ``q`` or a digit is a value, not an option, so an
+expression may begin with its sign (``-[1:[]]``) and ``--q`` may begin
+with a negative entry (``--q -1,0``).
 
 Each (``--n``, ``--q`` text) pair is read once per process: its context
 and the printed q-entries are memoised, and a refused ``--q`` raises
@@ -42,7 +51,13 @@ import json
 import sys
 from functools import cache
 
-from .algebra import QSpec, TensorElement, parse_element
+from .algebra import (
+    MAX_SYMBOL_COLOUR,
+    QSpec,
+    TensorElement,
+    _symbolic_limit_error,
+    parse_element,
+)
 from .hopf import (
     HopfContext,
     antipode_recursive,
@@ -91,15 +106,90 @@ EXIT_COLOUR = 5
 _TERM_STARTS = frozenset("[q0123456789")
 
 
+def _option_like(arg: str) -> bool:
+    """Whether ``arg`` may be taken for an option: it starts with ``-``,
+    but not with ``-`` and one of ``_TERM_STARTS``, as no option of the CLI
+    does.  ``_read`` leaves each such argument but an exact flag to argparse."""
+    return arg[:1] == "-" and arg[1:2] not in _TERM_STARTS
+
+
+# The CLI grammar: each subcommand's help and its arguments, in the order its
+# parser adds them, as the name and keywords of ``add_argument``; a name
+# without the leading ``-`` is a positional.  The parser is built from this
+# table, and ``_read`` reads well-formed requests from it.
+_SHARED = {
+    "--n": dict(type=int, default=1, help="number of edge colours"),
+    "--format": dict(choices=("text", "json"), default="text", help="output format"),
+}
+_Q = {
+    "--q": dict(
+        default="sym",
+        help="2n comma-separated coefficients (rational or 'sym'), "
+        "or the single word 'sym' for the fully symbolic family",
+    ),
+}
+_VARIANT = {
+    "--variant": dict(
+        choices=("symmetric", "planar"),
+        default="symmetric",
+        help="commutative forests or ordered (planar) words",
+    ),
+}
+_EXPR = {"expr": dict(help="forest/element (symmetric) or word (planar)")}
+_FACTORS = {
+    "--budget": dict(type=int, default=DEFAULT_BULLET_BUDGET),
+    "left": dict(help="tree for the left factor"),
+    "right": dict(help="tree for the right factor"),
+}
+_COMMANDS = {
+    "enumerate": (
+        "list or count trees with a given size",
+        {
+            **_SHARED,
+            **_VARIANT,
+            "--vertices": dict(type=int, required=True, help="vertex count"),
+            "--count": dict(action="store_true", default=False, help="print only the count"),
+        },
+    ),
+    "coproduct": ("comultiply an element", {**_SHARED, **_Q, **_VARIANT, **_EXPR}),
+    "antipode": ("apply the antipode to an element", {**_SHARED, **_Q, **_VARIANT, **_EXPR}),
+    "bullet": ("product of two dual tree functionals", {**_SHARED, **_Q, **_VARIANT, **_FACTORS}),
+    "bracket": ("Lie bracket of two dual tree functionals", {**_SHARED, **_Q, **_FACTORS}),
+    "simplicial": (
+        "apply a face or degeneracy map",
+        {
+            **_SHARED,
+            "--map": dict(choices=("d", "s"), required=True, help="face (d) or degeneracy (s)"),
+            "--index": dict(type=int, required=True, help="map index i"),
+            "expr": dict(help="forest/element over n colours"),
+        },
+    ),
+    "phi": (
+        "embed a dual functional into labelled trees",
+        {**_SHARED, "tree": dict(help="coloured tree")},
+    ),
+    "verify": (
+        "run the axiom suite; exit 3 on failure",
+        {
+            **_SHARED,
+            **_Q,
+            **_VARIANT,
+            "--max-degree": dict(type=int, default=3, help="largest total vertex count"),
+            "--max-cases": dict(type=int, default=None, help="sample size per check (at least 1)"),
+            "--seed": dict(type=int, default=0, help="sampling seed"),
+        },
+    ),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads ``-[1:[]]`` or ``-q11[]`` as a
-    signed expression, not as an unknown option: no option of the CLI
-    starts with ``-`` and one of ``_TERM_STARTS``.  The subcommand parsers
-    are of this class too; the top parser's ``commands`` maps each
-    subcommand's name to its parser."""
+    signed expression, not as an unknown option (see ``_option_like``).
+    The subcommand parsers are of this class too; the top parser's
+    ``commands`` maps each subcommand's name to its parser."""
 
     def _parse_optional(self, arg_string):
-        if arg_string[:1] == "-" and arg_string[1:2] in _TERM_STARTS:
+        if not _option_like(arg_string):
             return None
         return super()._parse_optional(arg_string)
 
@@ -112,73 +202,74 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
     top.commands = sub.choices
-
-    def common(p, qspec=True, variant=True):
-        p.add_argument("--n", type=int, default=1, help="number of edge colours")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-        if qspec:
-            p.add_argument(
-                "--q",
-                default="sym",
-                help="2n comma-separated coefficients (rational or 'sym'), "
-                "or the single word 'sym' for the fully symbolic family",
-            )
-        if variant:
-            p.add_argument(
-                "--variant",
-                choices=("symmetric", "planar"),
-                default="symmetric",
-                help="commutative forests or ordered (planar) words",
-            )
-
-    p = sub.add_parser("enumerate", help="list or count trees with a given size")
-    common(p, qspec=False)
-    p.add_argument("--vertices", type=int, required=True, help="vertex count")
-    p.add_argument("--count", action="store_true", help="print only the count")
-
-    p = sub.add_parser("coproduct", help="comultiply an element")
-    common(p)
-    p.add_argument("expr", help="forest/element (symmetric) or word (planar)")
-
-    p = sub.add_parser("antipode", help="apply the antipode to an element")
-    common(p)
-    p.add_argument("expr", help="forest/element (symmetric) or word (planar)")
-
-    p = sub.add_parser("bullet", help="product of two dual tree functionals")
-    common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BULLET_BUDGET)
-    p.add_argument("left", help="tree for the left factor")
-    p.add_argument("right", help="tree for the right factor")
-
-    p = sub.add_parser("bracket", help="Lie bracket of two dual tree functionals")
-    common(p, variant=False)
-    p.add_argument("--budget", type=int, default=DEFAULT_BULLET_BUDGET)
-    p.add_argument("left", help="tree for the left factor")
-    p.add_argument("right", help="tree for the right factor")
-
-    p = sub.add_parser("simplicial", help="apply a face or degeneracy map")
-    common(p, qspec=False, variant=False)
-    p.add_argument("--map", choices=("d", "s"), required=True, help="face (d) or degeneracy (s)")
-    p.add_argument("--index", type=int, required=True, help="map index i")
-    p.add_argument("expr", help="forest/element over n colours")
-
-    p = sub.add_parser("phi", help="embed a dual functional into labelled trees")
-    common(p, qspec=False, variant=False)
-    p.add_argument("tree", help="coloured tree")
-
-    p = sub.add_parser("verify", help="run the axiom suite; exit 3 on failure")
-    common(p)
-    p.add_argument("--max-degree", type=int, default=3, help="largest total vertex count")
-    p.add_argument("--max-cases", type=int, default=None, help="sample size per check (at least 1)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    for command, (help_, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
     return top
 
 
+def _read(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``command``'s parser makes of ``argv`` when each
+    argument is in one of these forms, else None:
+
+    * an option's exact flag and then its value, or ``--flag=value``;
+    * a ``store_true`` flag;
+    * a positional: an argument that is not option-like.
+
+    Each value goes through its type and choices, the positionals must be
+    as many as the command takes, and every required option must be given.
+    None refuses nothing: argparse reads such a request, and refuses it with
+    its own message or accepts it (an abbreviated flag, ``--``)."""
+    arguments = _COMMANDS[command][1]
+    given, positionals = {}, []
+    args = iter(argv)
+    for arg in args:
+        if not _option_like(arg):
+            positionals.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        keywords = arguments.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(args, "-")  # a missing value reads as option-like
+            if _option_like(value):
+                return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    names = [name for name in arguments if name[0] != "-"]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    values = {}
+    for name, keywords in arguments.items():
+        if name not in given and keywords.get("required"):
+            return None
+        values[name.lstrip("-").replace("-", "_")] = given.get(name, keywords.get("default"))
+    return argparse.Namespace(command=command, **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, with the subcommand's parser
-    reading its own arguments once instead of after the top parser."""
+    """``_build_parser().parse_args(argv)``: a well-formed request to a
+    subcommand is read from the grammar table, and argparse is built only
+    for the rest.  A request that names a subcommand first is then parsed
+    by that subcommand's parser alone, as the top parser would hand it on."""
+    if argv and argv[0] in _COMMANDS:
+        args = _read(argv[0], argv[1:])
+        if args is not None:
+            return args
     top = _build_parser()
     sub = top.commands.get(argv[0]) if argv else None
     if sub is None:
@@ -194,7 +285,12 @@ def _context(n: int, q: str) -> tuple[HopfContext, tuple[str, ...]]:
     """The context of ``--n`` and the ``--q`` text, and its printed
     entries; a refused ``--q`` raises, so only accepted texts are kept."""
     text = q.strip()
-    words = ["sym"] * (2 * n) if text == "sym" else text.split(",")
+    if text != "sym":
+        words = text.split(",")
+    elif n > MAX_SYMBOL_COLOUR:  # refused before its 2n words are built
+        raise _symbolic_limit_error(n)
+    else:
+        words = ["sym"] * (2 * n)
     ctx = HopfContext(QSpec.from_strings(n, words))
     return ctx, tuple(str(e) for e in ctx.qspec.entries)
 

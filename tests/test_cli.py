@@ -3,9 +3,11 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -224,6 +226,19 @@ def test_symbolic_entries_past_the_colour_limit_name_n(capsys):
     q = ",".join(["1"] * 2050)
     code, out, _ = run(capsys, "coproduct", "--n", "1025", "--q", q, "[]")
     assert code == 0 and out == "1 ⊗ [] + [] ⊗ 1\n"
+
+
+def test_a_symbolic_n_past_the_limit_is_refused_before_its_words_are_built(capsys):
+    # 2n symbolic words for n = 2,000,000 would take about 32 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "coproduct", "--n", "2000000", "[]")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--n 2000000" in err and "1024-colour limit" in err
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -522,6 +537,115 @@ def test_the_subcommand_route_parses_as_the_top_parser(capsys, argv):
         return result, *capsys.readouterr()
 
     assert parsed(cli._parse) == parsed(cli._build_parser().parse_args)
+
+
+# values for the differential below: a positional may carry its sign, and
+# no value need parse as an expression or a --q text, as only flags are read
+INTS = ["0", "1", "2", "3", "-1", "07", " 4", "1_0"]
+TEXTS = ["sym", "1,0", "-1/2,3", "1,1,0,0", "", "q11"]
+POSITIONALS = ["[]", "[1:[]]", "-[1:[]]", "-2[]", "q11 []", "", "[1:[]]*[]", "x"]
+# what a mutation inserts or puts in place of an argument: help, "--",
+# unknown, malformed and option-like arguments, and flags with bad values
+INSERTS = [
+    "--", "-h", "--help", "-x", "--bogus", "--bogus=1", "-", "---n", "--=x", "-n",
+    "--count", "--count=1", "--count=", "--n 1", "--n=", "--format=", "--q=",
+]
+BAD_VALUES = ["x", "1.5", "", "-x", "-.5", "--n", "-", "bogus", "--", "json "]
+
+
+def _well_formed(rng, command):
+    """A request to ``command`` that ``cli._read`` takes: each required
+    option and some others, as ``--flag value`` or ``--flag=value``, with
+    the positionals in order among them."""
+    options, positionals = [], []
+    for name, keywords in cli._COMMANDS[command][1].items():
+        if name[0] != "-":
+            positionals.append([rng.choice(POSITIONALS)])
+        elif keywords.get("action") == "store_true":
+            options += [[name]] if rng.random() < 0.5 else []
+        elif keywords.get("required") or rng.random() < 0.5:
+            values = keywords.get("choices") or (INTS if "type" in keywords else TEXTS)
+            value = rng.choice(values)
+            options.append([name, value] if rng.random() < 0.5 else [f"{name}={value}"])
+    rng.shuffle(options)
+    argv = [command]
+    for group in options:
+        while positionals and rng.random() < 0.3:
+            argv += positionals.pop(0)
+        argv += group
+    for group in positionals:
+        argv += group
+    return argv
+
+
+def _mutated(rng, argv):
+    """``argv`` with one argument after the command abbreviated, replaced,
+    dropped or repeated, or with one argument inserted."""
+    argv = list(argv)
+    at, j = rng.randint(1, len(argv)), rng.randrange(1, len(argv)) if len(argv) > 1 else 0
+    kind = rng.randrange(6) if j else 0
+    if kind == 0:
+        argv.insert(at, rng.choice(INSERTS + POSITIONALS))
+    elif kind == 1:  # an abbreviation, when argv[j] is a long flag
+        flag, eq, value = argv[j].partition("=")
+        if flag.startswith("--"):
+            argv[j] = flag[: rng.randint(3, max(3, len(flag) - 1))] + eq + value
+    elif kind == 2:
+        argv[j] = rng.choice(BAD_VALUES)
+    elif kind == 3:
+        del argv[j]
+    else:
+        argv.insert(at, argv[j])
+    return argv
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, *capsys.readouterr()
+
+
+def test_the_reader_parses_as_argparse(capsys):
+    # a seeded differential over every subcommand: each argv must give the
+    # same namespace, or the same exit code and output, by both routes
+    rng = random.Random(0)
+    read = 0
+    for k in range(6000):
+        argv = _well_formed(rng, rng.choice(list(cli._COMMANDS)))
+        for _ in range(k % 3):
+            argv = _mutated(rng, argv)
+        read += cli._read(argv[0], argv[1:]) is not None
+        expected = _parsed(capsys, cli._build_parser().parse_args, argv)
+        assert _parsed(capsys, cli._parse, argv) == expected, argv
+    # every well-formed argv and some mutated ones take the reader's route
+    assert read >= 2500
+
+
+WELL_FORMED = [
+    ["enumerate", "--n", "1", "--vertices", "2", "--count"],
+    ["coproduct", "--n", "1", "--q=1,0", "[1:[]]"],
+    ["antipode", "--variant", "planar", "--format", "json", "[1:[]]"],
+    ["bullet", "--q", "1,0", "--budget=5", "[]", "[]"],
+    ["bracket", "[]", "--n=2", "[2:[]]"],
+    ["simplicial", "--map", "s", "--index=0", "-[1:[]]"],
+    ["phi", "--n", "2", "[1:[]]"],
+    ["verify", "--max-degree", "1", "--max-cases=1", "--seed", "3"],
+]
+
+
+def test_a_well_formed_request_builds_no_parser(capsys):
+    cli._build_parser.cache_clear()
+    for argv in WELL_FORMED:
+        assert run(capsys, *argv)[0] == 0
+    assert cli._build_parser.cache_info().currsize == 0
+    # help and refusals come from argparse, built once for both
+    for argv in (["bullet", "--budget=x", "[]", "[]"], ["coproduct", "-h"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert cli._build_parser.cache_info().currsize == 1
+    assert cli._build_parser.cache_info().misses == 1
 
 
 COMPUTED = [
