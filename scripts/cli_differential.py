@@ -14,7 +14,9 @@ every run gets the same input in the same order:
   subcommands, both variants and both formats, n = 0..3, at symbolic,
   Connes–Kreimer, integer, fractional, negative, zero and mixed ``--q``
   points, with ``--max-cases``, refused ``--q`` texts, malformed
-  expressions and malformed flags among them;
+  expressions and malformed flags among them, and expressions holding a
+  tab, newline, no-break, line-separator or ideographic space, which the
+  grammar skips and JSON output echoes in its ``input`` field;
 * ``CORPUS_PER_REQUEST`` token strings per request (60,000 at the
   default), each fed to ``parse_coeff``, ``parse_element`` and
   ``parse_tensor``.
@@ -77,7 +79,11 @@ json.dump({"cli": cli, "parses": parses}, sys.stdout)
 # ---------------------------------------------------------------------------
 
 COMMANDS = ("enumerate", "coproduct", "antipode", "bullet", "bracket", "simplicial", "phi", "verify")
+# how many expressions end each command's arguments
+EXPRESSIONS = {"coproduct": 1, "antipode": 1, "bullet": 2, "bracket": 2, "simplicial": 1, "phi": 1}
 _NOISE = "[]:,*+-q1203/^ x⊗"
+# whitespace the grammar skips, each escaped differently in JSON or not at all
+_SPACES = ("\t", "\n", "\u00a0", "\u2028", "\u3000")
 
 
 def _tree(rng: random.Random, n: int, size: int) -> str:
@@ -113,6 +119,14 @@ def _element(rng: random.Random, n: int) -> str:
     for term in terms[1:]:
         text += rng.choice([" + ", " - ", "+", "-"]) + term
     return ("-" if rng.random() < 0.2 else "") + text
+
+
+def _spaced(rng: random.Random, text: str) -> str:
+    """``text`` with one whitespace character after a ``[``, ``,`` or ``:``,
+    where the tree grammar skips it, or in front when it has none."""
+    places = [i + 1 for i, c in enumerate(text) if c in "[,:"] or [0]
+    at = rng.choice(places)
+    return text[:at] + rng.choice(_SPACES) + text[at:]
 
 
 def _corrupt(rng: random.Random, text: str) -> str:
@@ -184,6 +198,9 @@ def requests(count: int) -> list[list[str]]:
                 argv += ["--max-cases", str(rng.randint(0, 4))]
             if rng.random() < 0.3:
                 argv += ["--seed", str(rng.randint(0, 9))]
+        if command in EXPRESSIONS and rng.random() < 0.2:
+            at = -rng.randint(1, EXPRESSIONS[command])
+            argv[at] = _spaced(rng, argv[at])
         roll = rng.random()
         if roll < 0.1 and command not in ("enumerate", "verify"):
             # a malformed expression, or a colour over n

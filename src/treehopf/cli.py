@@ -18,19 +18,22 @@ turns the library's errors into exit codes.  A computed result is printed
 once, in the one form ``--format`` asks for: its terms for JSON (one term
 printer, ``_terms``, picks their shape from the result's type), the
 result itself on one line for text.  ``enumerate`` and ``verify`` return
-text lines whose data their JSON fields already hold.
+text lines whose data their JSON fields already hold.  JSON is written by
+``_json``, which gives the bytes of ``json.dumps(..., ensure_ascii=False,
+indent=2)`` without its pure-Python encoder.
 
 The grammar is declared once, in the table ``_COMMANDS``: each
 subcommand's help and its arguments, with their types, choices, defaults
 and help.  A well-formed request to a subcommand (exact flags, each with
 its value spaced or after ``=``, and exactly the positionals it takes) is
-read straight from that table by ``_read``, into the namespace argparse
-would make of it.  Everything else goes to argparse: help, and any request
-the reader does not take exactly, such as an abbreviated flag, ``--``, a
-bad value or a missing argument, which argparse accepts or refuses with
-its own message.  The argparse parser is built from the same table, at
-most once per process and only when a request needs it; each parse makes
-a fresh namespace and leaves the parser unchanged.  A request that names a
+read by ``_read``, into the namespace argparse would make of it, from
+``_READINGS``, which is derived from that table once, at import.
+Everything else goes to argparse: help, and any request the reader does
+not take exactly, such as an abbreviated flag, ``--``, a bad value or a
+missing argument, which argparse accepts or refuses with its own message.
+The argparse parser is built from the same table, at most once per
+process and only when a request needs it; each parse makes a fresh
+namespace and leaves the parser unchanged.  A request that names a
 subcommand first is parsed by that subcommand's parser alone, as the top
 parser would hand it on; only a request that does not (``-h``, an unknown
 word, nothing at all) is parsed by the top parser, and leftover arguments
@@ -47,9 +50,9 @@ before anything is stored.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring as _escape
 
 from .algebra import (
     MAX_SYMBOL_COLOUR,
@@ -209,6 +212,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _reading(arguments: dict) -> tuple:
+    """What ``_read`` needs of one subcommand's arguments: its options by
+    flag, each with its dest and keywords; its positionals' dests; its
+    required options' dests; and every dest's default, in argument order."""
+    dests = {name: name.lstrip("-").replace("-", "_") for name in arguments}
+    options = {name: (dests[name], kw) for name, kw in arguments.items() if name[0] == "-"}
+    positional_dests = tuple(dests[name] for name in arguments if name[0] != "-")
+    required = tuple(dest for dest, kw in options.values() if kw.get("required"))
+    defaults = {dests[name]: kw.get("default") for name, kw in arguments.items()}
+    return options, positional_dests, required, defaults
+
+
+# ``_reading`` of each subcommand, derived once from the grammar table
+_READINGS = {command: _reading(arguments) for command, (_, arguments) in _COMMANDS.items()}
+
+
 def _read(command: str, argv: list[str]) -> argparse.Namespace | None:
     """The namespace ``command``'s parser makes of ``argv`` when each
     argument is in one of these forms, else None:
@@ -221,7 +240,7 @@ def _read(command: str, argv: list[str]) -> argparse.Namespace | None:
     as many as the command takes, and every required option must be given.
     None refuses nothing: argparse reads such a request, and refuses it with
     its own message or accepts it (an abbreviated flag, ``--``)."""
-    arguments = _COMMANDS[command][1]
+    options, positional_dests, required, defaults = _READINGS[command]
     given, positionals = {}, []
     args = iter(argv)
     for arg in args:
@@ -229,13 +248,14 @@ def _read(command: str, argv: list[str]) -> argparse.Namespace | None:
             positionals.append(arg)
             continue
         flag, eq, value = arg.partition("=")
-        keywords = arguments.get(flag)
-        if keywords is None:
+        option = options.get(flag)
+        if option is None:
             return None
+        dest, keywords = option
         if keywords.get("action") == "store_true":
             if eq:
                 return None
-            given[flag] = True
+            given[dest] = True
             continue
         if not eq:
             value = next(args, "-")  # a missing value reads as option-like
@@ -248,16 +268,11 @@ def _read(command: str, argv: list[str]) -> argparse.Namespace | None:
                 return None
         if "choices" in keywords and value not in keywords["choices"]:
             return None
-        given[flag] = value
-    names = [name for name in arguments if name[0] != "-"]
-    if len(positionals) != len(names):
+        given[dest] = value
+    if len(positionals) != len(positional_dests) or not all(d in given for d in required):
         return None
-    given.update(zip(names, positionals))
-    values = {}
-    for name, keywords in arguments.items():
-        if name not in given and keywords.get("required"):
-            return None
-        values[name.lstrip("-").replace("-", "_")] = given.get(name, keywords.get("default"))
+    values = defaults | given
+    values.update(zip(positional_dests, positionals))
     return argparse.Namespace(command=command, **values)
 
 
@@ -293,6 +308,35 @@ def _context(n: int, q: str) -> tuple[HopfContext, tuple[str, ...]]:
         words = ["sym"] * (2 * n)
     ctx = HopfContext(QSpec.from_strings(n, words))
     return ctx, tuple(str(e) for e in ctx.qspec.entries)
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` for the values
+    the CLI prints: dicts with str keys, lists, tuples, str, int, bool and
+    None, the strings escaped by the encoder ``json.dumps`` itself uses.
+    ``indent`` is the indentation of the line ``value`` starts on; any
+    other type raises ``TypeError``."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    inner = indent + "  "
+    if kind is dict:  # the escaper refuses a key that is not a str
+        items = [f"{_escape(key)}: {_json(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        items = [_json(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _terms(result) -> list[dict]:
@@ -407,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             if computed:
                 fields["terms"] = _terms(result)
-            print(json.dumps(payload | fields, ensure_ascii=False, indent=2))
+            print(_json(payload | fields))
         else:
             for line in [result] if computed else result:
                 print(line)

@@ -328,8 +328,11 @@ class LabelledTree(_Keyed):
     def __reduce__(self):
         return type(self), (self.label, self.children)
 
-    def __str__(self):
-        return f"({self.label})[" + ",".join(str(t) for t in self.children) + "]"
+    def _components(self):
+        return self.children
+
+    def _join(self):
+        return f"({self.label})[" + ",".join([t._text for t in self.children]) + "]"
 
     def vertex_paths(self) -> tuple[tuple[int, ...], ...]:
         """Depth-first preorder addresses; each step is a child position."""

@@ -22,6 +22,13 @@ constructor ``_lam``, ``_Monomial.single`` and the product intern parts
 they know to be in stored order.  The table is single-threaded, as the
 package is: under a thread race ``functools.cache`` may build a value twice.
 
+A value prints from the text in its ``_text`` field, built on its first
+``str`` from the texts of its components and kept from then on, so a
+value is printed by reading a field, not by walking the tree again.  The
+field is not a memo table: it lives and dies with its interned value, and
+like ``_intern`` it is exempt from the caps and clears of ROADMAP items 1
+and 2.  Building a value never builds its text.
+
 Text grammar (bit-exact, whitespace-tolerant on input)::
 
     tree    := "[" edges "]"
@@ -90,12 +97,35 @@ def _intern(cls, parts: tuple):
 
 class _Keyed:
     """The interned values (trees, monomials, labelled trees): equal and
-    hashed by identity, listed by ``(size, key)``."""
+    hashed by identity, listed by ``(size, key)``, and printed from the
+    text kept in ``_text``.
 
-    __slots__ = ()
+    A subclass supplies only how its text joins: ``_components()`` lists
+    the values its text is made of, and ``_join()`` makes its text from
+    their ``_text``.
+    """
+
+    __slots__ = ("_text",)
 
     def sort_key(self):
         return (self.size, self.key)
+
+    def __str__(self):
+        """The stored text, else the text joined from the components'
+        texts and stored.  The values without text are listed first, each
+        before its components, and joined in reverse, so a component's
+        text is built before the text that reads it and depth costs no
+        recursion."""
+        try:
+            return self._text
+        except AttributeError:
+            pass
+        todo = [self]
+        for value in todo:
+            todo += [part for part in value._components() if not hasattr(part, "_text")]
+        for value in reversed(todo):
+            value._text = value._join()
+        return self._text
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -156,8 +186,11 @@ class _Tree(_Keyed):
     def __le__(self, other):
         return self.key <= other.key
 
-    def __str__(self):
-        return "[" + ",".join(f"{c}:{t}" for c, t in self.children) + "]"
+    def _components(self):
+        return [t for _, t in self.children]
+
+    def _join(self):
+        return "[" + ",".join([f"{c}:{t._text}" for c, t in self.children]) + "]"
 
     def recolour(self, mapping):
         """Rebuild the tree with every edge colour passed through ``mapping``."""
@@ -245,10 +278,11 @@ class _Monomial(_Keyed):
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
-    def __str__(self):
-        if not self.trees:
-            return "1"
-        return "*".join(str(t) for t in self.trees)
+    def _components(self):
+        return self.trees
+
+    def _join(self):
+        return "*".join([t._text for t in self.trees]) or "1"
 
 
 class Forest(_Monomial):
@@ -484,10 +518,11 @@ def enumerate_forests_up_to(n: int, max_total: int) -> tuple[Forest, ...]:
 # ---------------------------------------------------------------------------
 
 
-# Deepest tree nesting the parsers accept.  Printing a tree recurses about
-# five Python frames per level, so under the default recursion limit of
-# 1000 a 200-level chain parses but cannot be printed; the bound leaves
-# room below that for the caller's own frames.
+# Deepest tree nesting the parsers accept.  Printing does not recurse, but
+# the parsers, Δ, S, ``recolour`` and ``up_map`` take one or more Python
+# frames per level, so under the default recursion limit of 1000 the Δ of
+# a 400-level chain raises RecursionError; the bound leaves room below
+# that for the caller's own frames.
 MAX_NESTING_DEPTH = 100
 
 

@@ -10,6 +10,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treehopf import cli
 from treehopf.algebra import (
@@ -479,6 +481,42 @@ def test_json_verify_shape(capsys):
     assert data["passed"] is True
     assert {c["name"] for c in data["checks"]} >= {"coassociativity", "counit laws"}
     assert all(c["failure"] is None for c in data["checks"])
+
+
+# characters the escaper treats differently from json.dumps's other routes:
+# quotes, backslashes, control characters, separators JSON leaves alone,
+# lone surrogates and characters outside the Basic Multilingual Plane
+TRICKY = '"\\\x00\x01\x08\t\n\x0c\r\x1f\x7f\u00a0\u2028\u2029\u3000\ud800\udfff\U0001f333⊗é'
+json_texts = st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=12)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([0, -1, 10**39, -(10**39) - 7]),
+    json_texts,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_texts, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_writer_is_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1}, [0, {"a": 0.0}], {1: "a"}, {"a": b"b"}])
+def test_the_writer_refuses_what_the_cli_never_prints(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_output_is_deterministic(capsys):

@@ -17,12 +17,13 @@ from treehopf.planar import (
     PlanarTree,
     PlanarWord,
     enumerate_planar_trees,
+    enumerate_planar_words_up_to,
     parse_planar_tree,
     parse_planar_word,
     planar_decompose,
     planar_lambda,
 )
-from treehopf.prelie import LabelledTree, parse_labelled_tree, up_map
+from treehopf.prelie import DualElement, LabelledTree, parse_labelled_tree, phi, up_map
 from treehopf.trees import (
     EMPTY_FOREST,
     LEAF,
@@ -32,6 +33,7 @@ from treehopf.trees import (
     add_root,
     canonicalize,
     decompose,
+    enumerate_forests_up_to,
     enumerate_trees,
     parse_forest,
     parse_tree,
@@ -123,6 +125,39 @@ def test_a_bool_colour_or_label_is_refused():
     with pytest.raises(ValueError):
         LabelledTree(True)
     assert str(parse_tree("[1:[]]")) == "[1:[]]"
+
+
+# ---------------------------------------------------------------------------
+# the text kept on each value
+# ---------------------------------------------------------------------------
+
+
+def _reference(value):
+    """The text of a value by the recursive definition of its grammar."""
+    if isinstance(value, (Forest, PlanarWord)):
+        return "*".join(_reference(t) for t in value.trees) or "1"
+    if isinstance(value, LabelledTree):
+        return f"({value.label})[" + ",".join(_reference(t) for t in value.children) + "]"
+    return "[" + ",".join(f"{c}:{_reference(t)}" for c, t in value.children) + "]"
+
+
+def _printed_values():
+    trees = [t for m in range(1, 6) for t in enumerate_trees(2, m)]
+    planar = [t for m in range(1, 5) for t in enumerate_planar_trees(2, m)]
+    labelled = [w for t in trees for w in phi(DualElement.basis(t, 2)).data]
+    forests, words = enumerate_forests_up_to(2, 5), enumerate_planar_words_up_to(2, 4)
+    return trees + planar + labelled + list(forests) + list(words)
+
+
+def test_every_value_prints_its_grammar_text_built_once():
+    values = _printed_values()
+    assert {type(v) for v in values} == set(VALUE_CLASSES)
+    for value in values:
+        text = str(value)
+        assert text == _reference(value)
+        assert str(value) is text
+        copies = [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+        assert all(c is value and str(c) is text for c in copies)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from treehopf.algebra import _FORESTS
+from treehopf.algebra import _FORESTS, Element
 from treehopf.oracles import (
     IndexedForest,
     _induced_monomial,
@@ -201,12 +201,32 @@ def test_canonicalize_builds_a_deep_chain_without_recursion():
     m = 2000
     tree = canonicalize([None] + list(range(m - 1)), [None] + [1] * (m - 1))
     assert tree.size == m and tree.max_colour == 1
-    # walked by a loop: == and str recurse on the nested keys
+    # walked by a loop, as the tree is deeper than the recursion limit
     depth = 0
     while tree.children:
         tree = tree.children[0][1]
         depth += 1
     assert depth == m - 1
+
+
+def _chain(m, colour):
+    """The m-vertex chain with every edge of the given colour."""
+    return canonicalize([None] + list(range(m - 1)), [None] + [colour] * (m - 1))
+
+
+def test_a_chain_deeper_than_the_recursion_limit_prints():
+    # the text is built bottom-up from a stack, not by recursion
+    m = 2000
+    text = str(_chain(m, 3))
+    assert len(text) == 4 * (m - 1) + 2
+    assert text == "[3:" * (m - 1) + "[]" + "]" * (m - 1)
+
+
+def test_a_deep_tree_over_n_raises_the_colour_error_that_names_it():
+    # the error message prints the forest, which must not recurse either
+    t = ColouredTree([(2, _chain(2000, 1))])
+    with pytest.raises(ColourMismatchError, match=r"^forest \[2:\[1:\[1:"):
+        Element(1, {Forest([t]): 1})
 
 
 def test_aut_order_matches_bruteforce():
