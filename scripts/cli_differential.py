@@ -7,7 +7,7 @@ expressions, byte for byte.
 
 For each ``--src`` and each ``PYTHONHASHSEED`` in ``HASH_SEEDS``, a fresh
 interpreter imports ``treehopf`` from that directory and runs one list of
-requests and one parser corpus, both generated here from fixed seeds, so
+requests and two parser corpora, all generated here from fixed seeds, so
 every run gets the same input in the same order:
 
 * ``--requests`` in-process ``cli.main`` calls (default 1,000): all eight
@@ -19,7 +19,12 @@ every run gets the same input in the same order:
   grammar skips and JSON output echoes in its ``input`` field;
 * ``CORPUS_PER_REQUEST`` token strings per request (60,000 at the
   default), each fed to ``parse_coeff``, ``parse_element`` and
-  ``parse_tensor``.
+  ``parse_tensor``;
+* ``TREES_PER_REQUEST`` generated trees per request (20,000 at the
+  default), one in five with a space the grammar skips and one in four
+  with a corrupted character, each written in the coloured grammar, fed
+  to ``parse_tree`` and ``parse_planar_tree``, and in the labelled
+  grammar, fed to ``parse_labelled_tree``.
 
 Each run records, per request, the stdout, the stderr and the exit code
 (an argparse ``SystemExit`` included, an uncaught exception by its type
@@ -35,18 +40,24 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
 HASH_SEEDS = ("0", "1")
 CORPUS_PER_REQUEST = 60
+TREES_PER_REQUEST = 20
 REQUEST_SEED = 1
 CORPUS_SEED = 2
+TREE_SEED = 3
 
 CHILD = r"""
 import contextlib, io, json, sys
 from treehopf.algebra import parse_coeff, parse_element, parse_tensor
 from treehopf.cli import main
+from treehopf.planar import parse_planar_tree
+from treehopf.prelie import parse_labelled_tree
+from treehopf.trees import parse_tree
 
 job = json.load(sys.stdin)
 cli = []
@@ -71,7 +82,12 @@ parses = [
     [outcome(parse_coeff, text), outcome(parse_element, text, n), outcome(parse_tensor, text, n)]
     for text, n in job["corpus"]
 ]
-json.dump({"cli": cli, "parses": parses}, sys.stdout)
+trees = [
+    [outcome(parse_tree, text, n), outcome(parse_planar_tree, text, n),
+     outcome(parse_labelled_tree, labelled)]
+    for text, n, labelled in job["trees"]
+]
+json.dump({"cli": cli, "parses": parses, "trees": trees}, sys.stdout)
 """
 
 # ---------------------------------------------------------------------------
@@ -226,6 +242,28 @@ def corpus(count: int) -> list[tuple[str, int]]:
     ]
 
 
+def tree_texts(count: int) -> list[tuple[str, int, str]]:
+    """``count`` seeded (coloured text, n, labelled text) triples: one
+    random tree of 1..12 vertices written in both grammars, the labelled
+    one under a random root label, each text then spaced or corrupted at
+    random."""
+    rng = random.Random(TREE_SEED)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        text = _tree(rng, n, rng.randint(1, 12))
+        labelled = f"({rng.randint(1, n)})" + re.sub(r"(\d+):", r"(\1)", text)
+        texts = []
+        for t in (text, labelled):
+            if rng.random() < 0.2:
+                t = _spaced(rng, t)
+            if rng.random() < 0.25:
+                t = _corrupt(rng, t)
+            texts.append(t)
+        out.append((texts[0], n, texts[1]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the runs and the comparison
 # ---------------------------------------------------------------------------
@@ -253,21 +291,27 @@ def _around(x, y) -> tuple[str, str]:
     return tuple(f"from character {start}: {v[start:at + 40]!r}" for v in (x, y))
 
 
-def first_difference(runs: list, reqs: list, texts: list) -> str | None:
+def first_difference(runs: list, reqs: list, texts: list, trees: list = ()) -> str | None:
     """The first place where a run differs from the first run, described;
-    ``None`` when all agree.  ``runs`` holds (name, outcomes) pairs."""
+    ``None`` when all agree.  ``runs`` holds (name, outcomes) pairs, and
+    ``trees`` the triples of ``tree_texts``."""
     parts = {"cli": ("stdout", "stderr", "exit code"),
-             "parses": ("parse_coeff", "parse_element", "parse_tensor")}
+             "parses": ("parse_coeff", "parse_element", "parse_tensor"),
+             "trees": ("parse_tree", "parse_planar_tree", "parse_labelled_tree")}
     (base_name, base), *others = runs
     for name, outcomes in others:
         for kind, labels in parts.items():
-            for k, (a, b) in enumerate(zip(base[kind], outcomes[kind])):
+            for k, (a, b) in enumerate(zip(base.get(kind, ()), outcomes.get(kind, ()))):
                 for label, x, y in zip(labels, a, b):
                     if x != y:
                         if kind == "cli":
                             where = f"request {reqs[k]!r}: {label}"
-                        else:
+                        elif kind == "parses":
                             where = f"{label}({texts[k][0]!r}, n={texts[k][1]})"
+                        elif label == "parse_labelled_tree":
+                            where = f"{label}({trees[k][2]!r})"
+                        else:
+                            where = f"{label}({trees[k][0]!r}, n={trees[k][1]})"
                         x, y = _around(x, y)
                         return f"{where} differs\n  {base_name}: {x}\n  {name}: {y}"
     return None
@@ -281,19 +325,20 @@ def main(argv=None) -> int:
     if args.requests < 0:
         parser.error("--requests must be >= 0")
     reqs, texts = requests(args.requests), corpus(CORPUS_PER_REQUEST * args.requests)
-    job = json.dumps({"requests": reqs, "corpus": texts})
+    trees = tree_texts(TREES_PER_REQUEST * args.requests)
+    job = json.dumps({"requests": reqs, "corpus": texts, "trees": trees})
     runs = [
         (f"{src} (PYTHONHASHSEED={seed})", run(os.path.abspath(src), seed, job))
         for src in args.src
         for seed in HASH_SEEDS
     ]
-    difference = first_difference(runs, reqs, texts)
+    difference = first_difference(runs, reqs, texts, trees)
     if difference:
         print(difference)
         return 1
     print(
         f"no difference: {len(reqs)} requests and {len(texts)} parser strings "
-        f"(x3 parsers) in {len(runs)} runs"
+        f"(x3 parsers) and {len(trees)} trees (x3 tree parsers) in {len(runs)} runs"
     )
     return 0
 

@@ -45,6 +45,7 @@ from .trees import (
     _enumerate_up_to,
     _lam,
     _parse_all,
+    _rebuild,
 )
 
 
@@ -210,7 +211,7 @@ def verify_planar(
 
 def forget_tree(tree: PlanarTree) -> ColouredTree:
     """Collapse the sibling orders: the underlying coloured tree."""
-    return ColouredTree((c, forget_tree(t)) for c, t in tree.children)
+    return _rebuild(tree, ColouredTree, lambda c: c)
 
 
 def forget_word(word: PlanarWord) -> Forest:

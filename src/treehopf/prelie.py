@@ -18,7 +18,9 @@ functionals D_t, one per tree.  Two products act on these:
 
 ``aut_rescale`` (D_t ↦ |Aut t|·D_t) converts one product into the other,
 and ``phi`` embeds the dual primitives into the free pre-Lie algebra on
-n generators, modelled on vertex-labelled trees.
+n generators, modelled on vertex-labelled trees.  A labelled tree is
+stored as its root label over the coloured tree ↓ gives, so ↑ and ↓ only
+build or read that pair.
 """
 
 from __future__ import annotations
@@ -301,32 +303,36 @@ def _common_n(a: DualElement, b: DualElement, ctx: HopfContext) -> int:
 class LabelledTree(_Keyed):
     """Canonical rooted tree with vertex labels and plain (uncoloured) edges.
 
-    Children are sorted by encoding and the value is interned as a
-    coloured tree is, so there is one object per label-preserving
-    isomorphism class.
+    Stored and interned as the pair ↓ gives, the root ``label`` over a
+    coloured ``tree`` whose edge colours label the vertices below them, so
+    there is one object per label-preserving isomorphism class.
     """
 
-    __slots__ = ("label", "children", "key", "size", "max_label")
+    __slots__ = ("label", "tree", "key", "size", "max_label")
 
     def __new__(cls, label: int, children: Iterable["LabelledTree"] = ()):
-        if type(label) is not int or label < 1:
-            raise ValueError(f"vertex label must be an integer >= 1, got {label!r}")
-        kids = tuple(sorted(children, key=lambda t: t.key))
-        for child in kids:
+        edges = []
+        for child in children:
             if not isinstance(child, LabelledTree):
                 raise TypeError("children must be LabelledTree instances")
-        return _intern(cls, (label, kids))
+            edges.append((child.label, child.tree))
+        return up_map(label, ColouredTree(edges))
 
     def _fill(self, parts: tuple):
-        label, kids = parts
+        label, tree = parts
         self.label = label
-        self.children = kids
-        self.key = (label, tuple(t.key for t in kids))
-        self.size = 1 + sum(t.size for t in kids)
-        self.max_label = max([label] + [t.max_label for t in kids])
+        self.tree = tree
+        self.key = (label, tree.key)
+        self.size = tree.size
+        self.max_label = max(label, tree.max_colour)
 
     def __reduce__(self):
-        return type(self), (self.label, self.children)
+        return up_map, (self.label, self.tree)
+
+    @property
+    def children(self) -> tuple["LabelledTree", ...]:
+        """The labelled tree below each edge of ``tree``, in stored order."""
+        return tuple([_intern(LabelledTree, edge) for edge in self.tree.children])
 
     def _components(self):
         return self.children
@@ -347,26 +353,14 @@ def parse_labelled_tree(text: str) -> LabelledTree:
     return _parse_all(text, _scan_labelled)
 
 
-def _scan_labelled(sc: Scanner, depth: int = 1) -> LabelledTree:
-    sc.check_depth(depth)
+def _scan_labelled(sc: Scanner) -> LabelledTree:
     sc.skip_ws()
     sc.expect("(")
     sc.skip_ws()
     label = sc.integer()
     sc.skip_ws()
     sc.expect(")")
-    sc.skip_ws()
-    sc.expect("[")
-    kids = []
-    sc.skip_ws()
-    if not sc.try_take("]"):
-        while True:
-            kids.append(_scan_labelled(sc, depth + 1))
-            sc.skip_ws()
-            if sc.try_take("]"):
-                break
-            sc.expect(",")
-    return LabelledTree(label, kids)
+    return up_map(label, sc.tree(labelled=True))
 
 
 class PreLieElement(Combination):
@@ -422,26 +416,25 @@ def free_bullet(a: PreLieElement, b: PreLieElement) -> PreLieElement:
 
 def up_map(i: int, t: ColouredTree) -> LabelledTree:
     """Turn edge colours into vertex labels: every vertex takes the colour
-    of the edge below it, and the root takes ``i``.
+    of the edge above it, and the root takes ``i``.
 
-    A bijection from (root label, coloured tree) to labelled trees; the
-    inverse is :func:`down_map`.  Compatibility with grafting exchanges
-    the two indices relative to the raw definition: attaching s below v
-    with a colour-i edge and then applying ↑_j equals grafting ↑_i(s)
-    below v in ↑_j(t).
+    A bijection from (root label, coloured tree) to labelled trees, which
+    store exactly that pair; the inverse is :func:`down_map`.
+    Compatibility with grafting exchanges the two indices relative to the
+    raw definition: attaching s below v with a colour-i edge and then
+    applying ↑_j equals grafting ↑_i(s) below v in ↑_j(t).
     """
-    if i < 1:
-        raise ValueError("root label must be >= 1")
-    return LabelledTree(i, (up_map(c, child) for c, child in t.children))
+    if type(i) is not int or i < 1:
+        raise ValueError(f"vertex label must be an integer >= 1, got {i!r}")
+    if not isinstance(t, ColouredTree):
+        raise TypeError(f"up_map takes a ColouredTree, got {type(t).__name__}")
+    return _intern(LabelledTree, (i, t))
 
 
 def down_map(t: LabelledTree) -> tuple[int, ColouredTree]:
-    """Inverse of :func:`up_map`: returns (root label, coloured tree)."""
-
-    def strip(node: LabelledTree) -> ColouredTree:
-        return ColouredTree((child.label, strip(child)) for child in node.children)
-
-    return t.label, strip(t)
+    """Inverse of :func:`up_map`: the (root label, coloured tree) pair
+    that ``t`` stores."""
+    return t.label, t.tree
 
 
 def phi(a: DualElement) -> PreLieElement:
@@ -462,10 +455,7 @@ def phi(a: DualElement) -> PreLieElement:
 def enumerate_labelled_trees(n: int, m: int) -> tuple[LabelledTree, ...]:
     """All canonical labelled trees with m vertices and labels in 1..n.
 
-    Equivalently {↑_j(t)}: one for each root label and n-coloured tree.
+    Equivalently {↑_j(t)}: one for each root label and n-coloured tree,
+    listed root label first, then by tree, which is the sorted order.
     """
-    out = []
-    for j in range(1, n + 1):
-        for t in enumerate_trees(n, m):
-            out.append(up_map(j, t))
-    return tuple(sorted(out, key=lambda t: t.sort_key()))
+    return tuple(up_map(j, t) for j in range(1, n + 1) for t in enumerate_trees(n, m))

@@ -36,6 +36,10 @@ Text grammar (bit-exact, whitespace-tolerant on input)::
     edge    := colour ":" tree
     colour  := decimal integer >= 1
     forest  := "1" | tree ("*" tree)*      (a planar word alike)
+
+One scanner, ``Scanner.tree``, reads the coloured, planar and labelled
+tree grammars (a labelled child, in ``prelie``, is ``"(" label ")" tree``
+in place of an edge) from one stack of open brackets, without recursion.
 """
 
 from __future__ import annotations
@@ -194,7 +198,21 @@ class _Tree(_Keyed):
 
     def recolour(self, mapping):
         """Rebuild the tree with every edge colour passed through ``mapping``."""
-        return type(self)((mapping(c), t.recolour(mapping)) for c, t in self.children)
+        return _rebuild(self, type(self), mapping)
+
+
+def _rebuild(tree: _Tree, cls, mapping):
+    """``tree`` rebuilt in class ``cls``, each edge colour passed through
+    ``mapping``.  The subtrees are listed each before its children and
+    rebuilt in reverse, so depth costs no recursion."""
+    todo = [tree]
+    for t in todo:
+        todo += [child for _, child in t.children]
+    built: dict = {}
+    for t in reversed(todo):
+        if t not in built:
+            built[t] = cls([(mapping(c), built[child]) for c, child in t.children])
+    return built[tree]
 
 
 class ColouredTree(_Tree):
@@ -518,11 +536,11 @@ def enumerate_forests_up_to(n: int, max_total: int) -> tuple[Forest, ...]:
 # ---------------------------------------------------------------------------
 
 
-# Deepest tree nesting the parsers accept.  Printing does not recurse, but
-# the parsers, Δ, S, ``recolour`` and ``up_map`` take one or more Python
-# frames per level, so under the default recursion limit of 1000 the Δ of
-# a 400-level chain raises RecursionError; the bound leaves room below
-# that for the caller's own frames.
+# Deepest tree nesting the parsers accept.  Parsing and printing take no
+# frame per level, but Δ, S, ``simplicial_d`` at 0 and n and ``aut_order``
+# still recurse: under the default recursion limit of 1000 the Δ of a
+# 400-level chain raises RecursionError.  The bound leaves room below that
+# for the caller's frames until a work budget (ROADMAP item 1) replaces it.
 MAX_NESTING_DEPTH = 100
 
 
@@ -570,36 +588,42 @@ class Scanner:
         if not self.at_end():
             raise self.error("unexpected trailing input")
 
-    def check_depth(self, depth: int):
-        if depth > MAX_NESTING_DEPTH:
-            raise self.error(f"trees nested deeper than {MAX_NESTING_DEPTH} levels")
-
     # -- tree / monomial productions --
 
-    def tree(self, n: int | None = None, cls=ColouredTree, depth: int = 1):
+    def tree(self, n: int | None = None, cls=ColouredTree, labelled: bool = False):
         """One bracket-grammar tree of class ``cls``, built from its
-        (colour, child) pairs in listed order."""
-        self.check_depth(depth)
-        self.skip_ws()
-        self.expect("[")
-        children = []
-        self.skip_ws()
-        if not self.try_take("]"):
-            while True:
-                colour = self.integer()
-                if colour < 1:
-                    raise self.error("colour must be >= 1")
-                if n is not None and colour > n:
-                    raise ColourMismatchError(f"colour {colour} exceeds n = {n}")
+        (colour, child) pairs in listed order; with ``labelled`` a child is
+        ``(label)[…]``, its label the colour of its edge.  The open brackets
+        are a stack of (colour, pairs read), so depth costs no recursion."""
+        stack: list[tuple] = []
+        colour = None
+        while True:  # a tree begins, its edge read
+            if len(stack) == MAX_NESTING_DEPTH:
+                raise self.error(f"trees nested deeper than {MAX_NESTING_DEPTH} levels")
+            self.skip_ws()
+            self.expect("[")
+            stack.append((colour, []))
+            self.skip_ws()
+            while self.try_take("]"):  # a tree ends and joins its parent's pairs
+                colour, children = stack.pop()
+                if not stack:
+                    return cls(children)
+                stack[-1][1].append((colour, cls(children)))
                 self.skip_ws()
-                self.expect(":")
-                children.append((colour, self.tree(n, cls, depth + 1)))
-                self.skip_ws()
-                if self.try_take("]"):
+                if self.peek() != "]":
+                    self.expect(",")
+                    self.skip_ws()
                     break
-                self.expect(",")
+            if labelled:
+                self.expect("(")
                 self.skip_ws()
-        return cls(children)
+            colour = self.integer()
+            if colour < 1:
+                raise self.error(("label" if labelled else "colour") + " must be >= 1")
+            if n is not None and colour > n:
+                raise ColourMismatchError(f"colour {colour} exceeds n = {n}")
+            self.skip_ws()
+            self.expect(")" if labelled else ":")
 
     def monomial(self, n: int | None = None, cls=Forest):
         """``1`` (the unit) or '*'-joined trees: a monomial of class ``cls``."""

@@ -1,16 +1,27 @@
-"""Face maps relate Δ and S across colour counts.
+"""Face and degeneracy maps relate Δ and S across colour counts.
 
 Under the condition in the ``simplicial_d`` docstring, a face map d is a
 Hopf map from the parameters q over n colours to q′ over n − 1:
 (d⊗d)Δ_q = Δ_{q′}∘d and d∘S_q = S_{q′}∘d.  Both are compared exactly on
 every n=2 tree with at most 5 vertices, for the merging face d_1 and the
 severing face d_0; a point that breaks the condition must mismatch.
+
+A degeneracy s_i inserts the unused colour i + 1, so it is a Hopf map
+once the symbols of each shifted colour are renamed with it: q_{r,j}
+becomes q_{r,j+1} for j > i.  That is compared symbolically on small
+trees at n = 1 and n = 2; without the renaming the two sides mismatch.
 """
 
 from fractions import Fraction
 
-from treehopf.algebra import Element, TensorElement
-from treehopf.hopf import HopfContext, antipode_recursive, coproduct, simplicial_d
+from treehopf.algebra import Coeff, Element, TensorElement
+from treehopf.hopf import (
+    HopfContext,
+    antipode_recursive,
+    coproduct,
+    simplicial_d,
+    simplicial_s,
+)
 from treehopf.trees import Forest, enumerate_trees
 
 TREES = [Element.basis(Forest.single(t), 2) for m in range(1, 6) for t in enumerate_trees(2, m)]
@@ -61,3 +72,49 @@ def test_the_severing_face_is_a_hopf_map_when_the_severed_colour_has_unit_parame
 
 def test_the_merging_face_breaks_at_unequal_parameters():
     assert _coproduct_mismatches(1, (2, 5, 3, 3), (2, 3)) == 126
+
+
+def _renaming(i: int, n: int) -> dict:
+    """q_{r,j} ↦ q_{r,j+1} for the colours j > i that s_i shifts up."""
+    return {(r, j): Coeff.variable(r, j + 1) for r in (1, 2) for j in range(i + 1, n + 1)}
+
+
+def _degeneracy_mismatches(rename: bool) -> int:
+    """Symbolic (s_i⊗s_i)Δ_n ≠ Δ_{n+1}∘s_i and s_i∘S_n ≠ S_{n+1}∘s_i,
+    counted over n = 1 (trees of at most 5 vertices) and n = 2 (at most 4),
+    every i = 0..n."""
+    mismatches = 0
+    for n, max_size in ((1, 5), (2, 4)):
+        ctx, ctx_up = HopfContext.symbolic(n), HopfContext.symbolic(n + 1)
+        for i in range(n + 1):
+            values = _renaming(i, n) if rename else {}
+
+            def s(forest):
+                [image] = simplicial_s(i, Element.basis(forest, n)).data
+                return image
+
+            for m in range(1, max_size + 1):
+                for t in enumerate_trees(n, m):
+                    a = Element.basis(Forest.single(t), n)
+                    delta = TensorElement(
+                        n + 1,
+                        (((s(l), s(r)), c.substitute(values))
+                         for (l, r), c in coproduct(a, ctx).data.items()),
+                    )
+                    anti = Element(
+                        n + 1,
+                        ((s(f), c.substitute(values))
+                         for f, c in antipode_recursive(a, ctx).data.items()),
+                    )
+                    image = simplicial_s(i, a)
+                    mismatches += delta != coproduct(image, ctx_up)
+                    mismatches += anti != antipode_recursive(image, ctx_up)
+    return mismatches
+
+
+def test_degeneracies_are_hopf_maps_with_the_symbols_renamed():
+    assert _degeneracy_mismatches(rename=True) == 0
+
+
+def test_degeneracies_without_the_renaming_mismatch():
+    assert _degeneracy_mismatches(rename=False) == 158

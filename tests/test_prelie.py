@@ -12,6 +12,7 @@ from treehopf.algebra import Coeff, parse_coeff
 from treehopf.hopf import HopfContext, _delta, coproduct_closed
 from treehopf.prelie import (
     DualElement,
+    LabelledTree,
     PreLieElement,
     _free_graft_everywhere,
     _graft_everywhere,
@@ -31,6 +32,7 @@ from treehopf.prelie import (
 )
 from treehopf.algebra import Element
 from treehopf.planar import (
+    PLANAR_LEAF,
     PlanarDualElement,
     PlanarElement,
     PlanarWord,
@@ -43,6 +45,7 @@ from treehopf.trees import (
     BudgetError,
     ColourMismatchError,
     Forest,
+    canonicalize,
     _enumerate_trees,
     enumerate_trees,
     parse_tree,
@@ -453,6 +456,34 @@ def test_up_down_roundtrip():
     for lab in enumerate_labelled_trees(2, 3):
         j, t = down_map(lab)
         assert up_map(j, t) == lab
+
+
+def _old_key(t):
+    """The key of a labelled tree as it was built from a stored child
+    tuple: the label over the sorted keys of the children."""
+    return (t.label, tuple(sorted(_old_key(c) for c in t.children)))
+
+
+def test_a_labelled_tree_is_its_root_label_over_a_coloured_tree():
+    for m in range(1, 6):
+        for t in enumerate_trees(2, m):
+            for j in (1, 2):
+                x = up_map(j, t)
+                assert x.key == _old_key(x)
+                assert down_map(x) == (j, t)
+                assert parse_labelled_tree(str(x)) is x
+                assert LabelledTree(x.label, x.children) is x
+    with pytest.raises(TypeError):
+        up_map(1, PLANAR_LEAF)
+
+
+def test_a_labelled_chain_deeper_than_the_recursion_limit():
+    m = 2000
+    chain = canonicalize([None] + list(range(m - 1)), [None] + [2] * (m - 1))
+    x = up_map(1, chain)
+    assert down_map(x) == (1, chain) and x.size == m
+    assert str(x) == "(1)[" + "(2)[" * (m - 1) + "]" * m
+    assert phi(DualElement.basis(chain, 2)).support() == [x, up_map(2, chain)]
 
 
 def test_up_map_example():

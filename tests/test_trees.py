@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from treehopf.algebra import _FORESTS, Element
+from treehopf.hopf import simplicial_d, simplicial_s
 from treehopf.oracles import (
     IndexedForest,
     _induced_monomial,
@@ -19,8 +20,10 @@ from treehopf.oracles import (
 from treehopf.planar import (
     EMPTY_WORD,
     PLANAR_LEAF,
+    PlanarTree,
     PlanarWord,
     enumerate_planar_trees,
+    forget_tree,
     enumerate_planar_words,
     parse_planar_tree,
     planar_lambda,
@@ -229,6 +232,20 @@ def test_a_deep_tree_over_n_raises_the_colour_error_that_names_it():
         Element(1, {Forest([t]): 1})
 
 
+def test_a_chain_deeper_than_the_recursion_limit_is_recoloured():
+    # recolour and forget_tree rebuild children first from one worklist
+    m = 2000
+    chain1, chain2 = _chain(m, 1), _chain(m, 2)
+    assert chain1.recolour(lambda c: c + 1) is chain2
+    basis = lambda t, n: Element.basis(Forest.single(t), n)
+    assert simplicial_s(0, basis(chain1, 1)) == basis(chain2, 2)
+    assert simplicial_d(1, basis(chain2, 2)) == basis(chain1, 1)
+    planar = PLANAR_LEAF
+    for _ in range(m - 1):
+        planar = PlanarTree([(1, planar)])
+    assert forget_tree(planar) is chain1
+
+
 def test_aut_order_matches_bruteforce():
     for n, m in [(1, 5), (2, 4)]:
         seen = set()
@@ -387,6 +404,24 @@ def test_parse_tree_examples():
     assert parse_tree("[1:[],2:[]]") == parse_tree("[2:[],1:[]]")
     assert parse_forest("1") == EMPTY_FOREST
     assert parse_forest(" [] * [] ") == Forest([LEAF, LEAF])
+
+
+def test_each_tree_grammar_skips_space_between_tokens():
+    spaced, tight = " [ 1 : [ ] , 2 : [ 1 : [ ] ] ] ", "[1:[],2:[1:[]]]"
+    assert parse_tree(spaced) is parse_tree(tight)
+    assert parse_planar_tree(spaced) is parse_planar_tree(tight)
+    labelled = parse_labelled_tree(" ( 1 ) [ ( 1 ) [ ] , ( 2 ) [ ( 1 ) [ ] ] ] ")
+    assert labelled is parse_labelled_tree("(1)[(1)[],(2)[(1)[]]]")
+
+
+def test_a_label_below_1_is_refused():
+    # a child's label where it stands, before the syntax error after it;
+    # the root's as the value is built
+    with pytest.raises(ParseError, match="label must be >= 1") as info:
+        parse_labelled_tree("(1)[(0)[],(1)[")
+    assert info.value.pos == 6
+    with pytest.raises(ValueError, match="vertex label must be an integer >= 1, got 0"):
+        parse_labelled_tree("(0)[(1)[]]")
 
 
 def test_parse_errors_carry_position():
