@@ -29,8 +29,9 @@ probe's term count.  The probes:
 * ``coproduct`` of ``[1:[]]``^50 at the Connes–Kreimer point;
 * ``antipode_recursive`` of the 10- and 12-vertex bushy trees (the tree
   at index ⌊N/3⌋ of ``enumerate_trees(1, m)``), at the rational point
-  q = (2, 3) and symbolically, of the 14-vertex one at q = (2, 3), and
-  of the 12-vertex chain symbolically;
+  q = (2, 3), at the fractional point q = (1/3, 3/2), which the engine
+  runs at its integer point 6·q, and symbolically, of the 14-vertex one
+  at q = (2, 3), and of the 12-vertex chain symbolically;
 * ``verify_bialgebra`` symbolic n=2 up to degree 5 (its "terms" are the
   cases checked);
 * cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices, and
@@ -156,6 +157,7 @@ print(json.dumps({"seconds": seconds, "terms": len(call().terms), "peak_rss_mb":
 
 PROBE = r"""
 import json, resource, sys
+from fractions import Fraction
 from time import perf_counter
 from treehopf.algebra import Element
 from treehopf.hopf import HopfContext, antipode_recursive, coproduct, verify_bialgebra
@@ -168,6 +170,7 @@ n = 2 if kind in ("planar", "verify") else 1
 ctx = {
     "ck": HopfContext.connes_kreimer(),
     "rational": HopfContext.rational(1, (2, 3)),
+    "fraction": HopfContext.rational(1, (Fraction(1, 3), Fraction(3, 2))),
     "symbolic": HopfContext.symbolic(n),
 }[point]
 chain = lambda m: "[1:" * (m - 1) + "[]" + "]" * (m - 1)
@@ -227,7 +230,7 @@ PROBES = [
     *(
         (f"antipode_bushy{m}_{point}", PROBE, ("bushy", m, point))
         for m in (10, 12)
-        for point in ("rational", "symbolic")
+        for point in ("rational", "fraction", "symbolic")
     ),
     ("antipode_bushy14_rational", PROBE, ("bushy", 14, "rational")),
     ("antipode_chain12_symbolic", PROBE, ("chain", 12, "symbolic")),

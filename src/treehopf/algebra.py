@@ -31,6 +31,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from math import lcm
 from operator import mul
 
 from .trees import ColourMismatchError, EMPTY_FOREST, Forest, Scanner
@@ -536,6 +537,28 @@ class QSpec:
     def is_rational(self) -> bool:
         return all(e.is_rational() for e in self.entries)
 
+    def integral(self) -> "tuple[int, QSpec]":
+        """``(D, D·q)``: at a constant point whose entries have the least
+        common denominator D > 1, D and the point with every entry
+        multiplied by D; at any other point ``(1, self)``.
+
+        Computed on the first call and kept on this value, as ``_hash``
+        is: a field of an immutable value, not a memo.
+        """
+        try:
+            return self._integral
+        except AttributeError:
+            pass
+        point, scale = self, 1
+        if self.is_rational():
+            values = [e._t.get(0, 0) for e in self.entries]
+            scale = lcm(*(v.denominator for v in values))
+            if scale > 1:
+                scaled = (Coeff.rational(v.numerator * (scale // v.denominator)) for v in values)
+                point = QSpec(self.n, tuple(scaled))
+        object.__setattr__(self, "_integral", (scale, point))
+        return self._integral
+
 
 # ---------------------------------------------------------------------------
 # linear combinations
@@ -804,7 +827,7 @@ def _box(c) -> Coeff:
     return c if c.__class__ is Coeff else _make({0: _norm(c)})
 
 
-def _extend_linearly(a, basis_fn, cls):
+def _extend_linearly(a, basis_fn, cls, scale: int = 1):
     """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``.
 
     This is the one exit of Δ and S to callers: the engine's plain
@@ -814,13 +837,37 @@ def _extend_linearly(a, basis_fn, cls):
     is keyed by (numerator, denominator), which an ``int`` and a
     ``Fraction`` both have and which hashes far faster than a
     ``Fraction``.
+
+    A ``scale`` D > 1 says that ``basis_fn`` is Δ or S computed at the
+    integer point D·q for a caller at q (see the ``hopf`` docstring): the
+    value c of the term k in ``basis_fn(f)`` is then divided by D^e, where
+    e = P(f) − P(k) is the drop in the ``paths`` count from f to k, the
+    sum over both legs for a pair.  Where e > 0 the engine's c is an
+    ``int``, and each distinct (c, e) is divided and boxed once per call.
+    That table is kept apart from the boxes by (numerator, denominator):
+    the pair (1, 2) is a key of both.
     """
+    boxes: dict = {}
+    divided: dict = {}
+    pairs = issubclass(cls, TensorElement)
     out: dict = {}
     for key, coeff in a.data.items():
         one = coeff == ONE
-        for k, c in basis_fn(key).data.items():
+        terms = basis_fn(key).data.items()
+        if scale == 1:
+            for k, c in terms:
+                _acc(out, k, c if one else c * coeff)
+            continue
+        top = key.paths
+        for k, c in terms:
+            e = top - (k[0].paths + k[1].paths if pairs else k.paths)
+            if e:
+                b = divided.get((c, e))
+                if b is None:
+                    v = Fraction(c, scale**e)
+                    b = divided[c, e] = boxes.setdefault((v.numerator, v.denominator), _box(v))
+                c = b
             _acc(out, k, c if one else c * coeff)
-    boxes: dict = {}
     for k, c in out.items():
         if c.__class__ is not Coeff:
             value = (c.numerator, c.denominator)

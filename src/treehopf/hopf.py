@@ -22,9 +22,11 @@ Everything here is a pure function of immutable values.  A value is
 memoised only where a later call reads it again, and always by
 ``functools.cache`` on the function that computes it: Δ is memoised per
 tree, keyed by (basis, tree, parameters); S per tree inside the maps
-that ``_production_maps`` keeps per (basis, parameters); and the
-q-powers that weight the root-constructor square per (parameter,
-exponent) in ``algebra._power``, which σ and the dual product read too.
+that ``_production_maps`` keeps per (basis, parameters), where the
+parameters of a point with denominators are its integer point (below);
+and the q-powers that weight the root-constructor square per
+(parameter, exponent) in ``algebra._power``, which σ and the dual
+product read too.
 Δ is an algebra map, so ``_product`` forms the Δ of any forest or word,
 a slot forest or a caller's, from the stored Δ of its trees where it is
 read, and it is not stored.  The trees λ(legs) of one root-constructor
@@ -40,6 +42,26 @@ seed a plain −1, and the memos of Δ and S hold such values beside
 Δ and S reach a caller, and it boxes every plain value into a canonical
 ``Coeff``, each distinct value once per result, so every public
 container holds ``Coeff`` values only.
+
+A constant point q whose entries have the least common denominator
+D > 1 is not computed on itself: ``_coproduct`` and ``_antipode`` run
+the engine at the integer point D·q (``QSpec.integral``, kept on the
+``QSpec``), so its loops add and multiply ``int`` values only, and
+``_extend_linearly`` divides each value of the result by the power of D
+that its keys fix.  The grading behind this: let P(x) be the number of
+(ancestor, descendant) vertex pairs of a tree, forest or word, the sum
+of its vertex depths, additive over products (the ``paths`` field of
+``trees``).  A term of Δ(f) splits the vertices of f into those of l
+and those of r; its q-monomial has one factor per pair that the split
+separates, and each leg keeps the pairs on its own side as its own.  So
+the coefficient of l ⊗ r is homogeneous of degree P(f) − P(l) − P(r) in
+the 2n parameters, and scaling them all by D multiplies it by
+D^(P(f) − P(l) − P(r)).  Equivalently, f ↦ D^(−P(f))·f is a bialgebra
+isomorphism from the algebra at q onto the one at D·q; it intertwines
+their antipodes, so the coefficient of g in S(f) at D·q is
+D^(P(f) − P(g)) times its value at q.  A caller's ``coproduct_fn`` is a
+Δ at q, so ``antipode_recursive`` with one, and ``_verify``, run at q.
+Integer, symbolic and mixed points have D = 1 and run as they are.
 """
 
 from __future__ import annotations
@@ -70,6 +92,7 @@ from .trees import (
     ColouredTree,
     EMPTY_FOREST,
     Forest,
+    _bottom_up,
     _decompose,
     _enumerate_up_to,
     _lam,
@@ -177,9 +200,18 @@ def _delta(basis, tree, ctx: HopfContext):
     return _root_square(basis, slots, ctx)
 
 
+def _integral(ctx: HopfContext) -> "tuple[int, HopfContext]":
+    """``(D, the context at D·q)`` as ``QSpec.integral`` gives them, or
+    ``(1, ctx)`` where D = 1: the engine runs at the second and
+    ``_extend_linearly`` divides by powers of D."""
+    scale, point = ctx.qspec.integral()
+    return (1, ctx) if scale == 1 else (scale, HopfContext(point))
+
+
 def _coproduct(basis, a, ctx: HopfContext):
     _check_entry(basis, a, ctx.n)
-    return _extend_linearly(a, lambda m: _product(basis, m, ctx), basis.tensor)
+    scale, at = _integral(ctx)
+    return _extend_linearly(a, lambda m: _product(basis, m, at), basis.tensor, scale)
 
 
 def coproduct(a: Element, ctx: HopfContext) -> TensorElement:
@@ -265,9 +297,11 @@ def _maps_over(basis, ctx: HopfContext, delta):
 
 
 def _antipode(basis, a, ctx: HopfContext, coproduct_fn=None):
-    """S by the tree recursion of ``_maps_over``, extended linearly."""
+    """S by the tree recursion of ``_maps_over``, extended linearly; a
+    caller's ``coproduct_fn`` is a Δ at ``ctx`` itself, so S runs there."""
     _check_entry(basis, a, ctx.n)
-    return _extend_linearly(a, _monomial_maps(basis, ctx, coproduct_fn)[1], basis.element)
+    scale, at = (1, ctx) if coproduct_fn is not None else _integral(ctx)
+    return _extend_linearly(a, _monomial_maps(basis, at, coproduct_fn)[1], basis.element, scale)
 
 
 def antipode_recursive(
@@ -308,12 +342,18 @@ def simplicial_d(i: int, a: Element) -> Element:
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range 0..{n}")
 
+    def join(tree: ColouredTree, done: dict) -> Forest:
+        # the image of a tree from the images of its children
+        slots = [
+            reduce(mul, (done[t] for t in f.trees), EMPTY_FOREST) for f in decompose(tree, n)
+        ]
+        severed = slots.pop(0 if i == 0 else n - 1)
+        return severed * Forest.single(add_root(slots, n - 1))
+
     def d_tree(tree: ColouredTree) -> Forest:
         if 0 < i < n:
             return Forest.single(tree.recolour(lambda c: c if c <= i else c - 1))
-        slots = [d_forest(f) for f in decompose(tree, n)]
-        severed = slots.pop(0 if i == 0 else n - 1)
-        return severed * Forest.single(add_root(slots, n - 1))
+        return _bottom_up(tree, join)
 
     def d_forest(forest: Forest) -> Forest:
         return reduce(mul, map(d_tree, forest.trees), EMPTY_FOREST)

@@ -29,6 +29,14 @@ field is not a memo table: it lives and dies with its interned value, and
 like ``_intern`` it is exempt from the caps and clears of ROADMAP items 1
 and 2.  Building a value never builds its text.
 
+Trees and monomials also store ``paths``, the number of (ancestor,
+descendant) vertex pairs, which is the sum of the vertex depths.  It is
+filled when the value is built, read off the children's stored
+``paths`` and ``size``, so depth costs no recursion.  Like ``size`` it is
+a field of the value, not a memo.  ``hopf`` grades by it: Δ and S at a
+point with denominators run at an integer point and are divided by
+powers of its common denominator, one per ``paths`` lost.
+
 Text grammar (bit-exact, whitespace-tolerant on input)::
 
     tree    := "[" edges "]"
@@ -137,7 +145,9 @@ class _Keyed:
 
 class _Tree(_Keyed):
     """Value code shared by coloured and planar trees: a root whose
-    ``children`` are a tuple of ``(colour, subtree)`` pairs.
+    ``children`` are a tuple of ``(colour, subtree)`` pairs, with its
+    vertex count ``size`` and its (ancestor, descendant) pair count
+    ``paths``.
 
     A subclass names only its ordering rule: ``_order`` is the key of the
     stable sort that puts the given pairs into stored order, and
@@ -146,7 +156,7 @@ class _Tree(_Keyed):
     everywhere.  Children must be instances of the subclass itself.
     """
 
-    __slots__ = ("children", "key", "size", "max_colour")
+    __slots__ = ("children", "key", "size", "max_colour", "paths")
 
     _order: Callable
     _encode: Callable
@@ -167,10 +177,12 @@ class _Tree(_Keyed):
         instance of this class."""
         pairs = []
         size = 1
+        paths = 0
         top = 0
         for colour, child in kids:
             pairs.append((colour, child.key))
             size += child.size
+            paths += child.paths + child.size
             if colour > top:
                 top = colour
             if child.max_colour > top:
@@ -179,6 +191,7 @@ class _Tree(_Keyed):
         self.key = self._encode(pairs)
         self.size = size
         self.max_colour = top
+        self.paths = paths
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not a bare instance
@@ -201,18 +214,27 @@ class _Tree(_Keyed):
         return _rebuild(self, type(self), mapping)
 
 
-def _rebuild(tree: _Tree, cls, mapping):
-    """``tree`` rebuilt in class ``cls``, each edge colour passed through
-    ``mapping``.  The subtrees are listed each before its children and
-    rebuilt in reverse, so depth costs no recursion."""
+def _bottom_up(tree: _Tree, join):
+    """The value ``join(t, done)`` of ``tree``, where ``done`` maps each
+    child of ``t`` to its own value.  The subtrees are listed each before
+    its children and joined in reverse, once per distinct subtree, so
+    depth costs no recursion."""
     todo = [tree]
     for t in todo:
         todo += [child for _, child in t.children]
-    built: dict = {}
+    done: dict = {}
     for t in reversed(todo):
-        if t not in built:
-            built[t] = cls([(mapping(c), built[child]) for c, child in t.children])
-    return built[tree]
+        if t not in done:
+            done[t] = join(t, done)
+    return done[tree]
+
+
+def _rebuild(tree: _Tree, cls, mapping):
+    """``tree`` rebuilt in class ``cls``, each edge colour passed through
+    ``mapping``, children first."""
+    return _bottom_up(
+        tree, lambda t, done: cls([(mapping(c), done[child]) for c, child in t.children])
+    )
 
 
 class ColouredTree(_Tree):
@@ -244,7 +266,7 @@ class _Monomial(_Keyed):
     unit.
     """
 
-    __slots__ = ("trees", "key", "size", "max_colour")
+    __slots__ = ("trees", "key", "size", "max_colour", "paths")
 
     _member: type
     _noun: str
@@ -261,10 +283,17 @@ class _Monomial(_Keyed):
 
     def _fill(self, trees: tuple):
         """The fields of a new value: ``trees`` are members in stored order."""
+        size = paths = top = 0
+        for t in trees:
+            size += t.size
+            paths += t.paths
+            if t.max_colour > top:
+                top = t.max_colour
         self.trees = trees
         self.key = tuple(map(_KEY, trees))
-        self.size = sum(t.size for t in trees)
-        self.max_colour = max((t.max_colour for t in trees), default=0)
+        self.size = size
+        self.max_colour = top
+        self.paths = paths
 
     def __reduce__(self):
         return type(self), (self.trees,)
@@ -419,12 +448,17 @@ def canonicalize(
 
 def aut_order(tree: ColouredTree) -> int:
     """Order of the automorphism group: product over (colour, child-class)
-    groups of multiplicity! times each child's own count, multiplicity-fold."""
-    total = 1
-    for (_, child), run in groupby(tree.children):  # the children are sorted
-        mult = len(list(run))
-        total *= math.factorial(mult) * aut_order(child) ** mult
-    return total
+    groups of multiplicity! times each child's own count, multiplicity-fold,
+    computed children first."""
+
+    def join(t, done):
+        total = 1
+        for (_, child), run in groupby(t.children):  # the children are sorted
+            mult = len(list(run))
+            total *= math.factorial(mult) * done[child] ** mult
+        return total
+
+    return _bottom_up(tree, join)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +571,10 @@ def enumerate_forests_up_to(n: int, max_total: int) -> tuple[Forest, ...]:
 
 
 # Deepest tree nesting the parsers accept.  Parsing and printing take no
-# frame per level, but Δ, S, ``simplicial_d`` at 0 and n and ``aut_order``
-# still recurse: under the default recursion limit of 1000 the Δ of a
-# 400-level chain raises RecursionError.  The bound leaves room below that
-# for the caller's frames until a work budget (ROADMAP item 1) replaces it.
+# frame per level, but Δ and S still recurse: under the default recursion
+# limit of 1000 the Δ of a 400-level chain raises RecursionError.  The
+# bound leaves room below that for the caller's frames until a work
+# budget (ROADMAP item 1) replaces it.
 MAX_NESTING_DEPTH = 100
 
 

@@ -250,7 +250,8 @@ def test_coproduct_is_graded_by_depth(planar, n, sizes):
     # a vertex's depth in t counts its ancestors: those on its side of the
     # split make its depth in its leg, the others its share of the degree
     # of q(s, t); so the coefficient of l ⊗ r is homogeneous of degree
-    # D(t) − D(l) − D(r), checked on random trees past the 2^|V| oracles
+    # D(t) − D(l) − D(r), checked on random trees past the 2^|V| oracles;
+    # D is what each monomial stores as ``paths``
     rng = random.Random(n + 2 * planar)
     parse, route, element = (
         (parse_planar_tree, planar_coproduct, PlanarElement)
@@ -261,9 +262,11 @@ def test_coproduct_is_graded_by_depth(planar, n, sizes):
     for m in [size for size in range(sizes[0], sizes[1] + 1) for _ in range(3)]:
         tree = parse(_random_tree_text(rng, m, n), n)
         mono = element._key_type.single(tree)
+        assert mono.paths == tree.paths == depth(mono)
         for (l, r), c in route(element.basis(mono, n), HopfContext.symbolic(n)).data.items():
             degree = depth(mono) - depth(l) - depth(r)
             assert {sum(e for _, e in pairs) for pairs, _ in c.terms} == {degree}, str(tree)
+            assert (l.paths, r.paths) == (depth(l), depth(r))
 
 
 def test_cocommutative_when_rows_tie():
@@ -559,7 +562,8 @@ def test_the_delta_memo_keeps_trees_only(planar, text, top, q2):
     # entry per distinct tree in it, all the way down, and none for itself,
     # so asking again stores nothing; a tree whose slot holds two or more
     # trees stores none for its slot forests either.  No other test uses
-    # the point, so the memo starts cold at it.
+    # the point or its integer point 91·q, where Δ runs and is stored, so
+    # the memo starts cold at it.
     ctx = HopfContext.rational(1, (Fraction(5, 7), q2))
     basis, parse, delta_of = (
         (_WORDS, parse_planar_word, planar_coproduct)

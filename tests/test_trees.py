@@ -246,6 +246,20 @@ def test_a_chain_deeper_than_the_recursion_limit_is_recoloured():
     assert forget_tree(planar) is chain1
 
 
+def test_a_chain_deeper_than_the_recursion_limit_has_faces_and_automorphisms():
+    # aut_order and the severing faces d_0 and d_n build children first
+    # from one worklist; paths is read off the children's stored fields
+    m = 2000
+    chain1, chain2 = _chain(m, 1), _chain(m, 2)
+    assert aut_order(chain1) == 1
+    assert aut_order(ColouredTree([(1, chain1), (1, chain1)])) == 2
+    assert chain1.paths == m * (m - 1) // 2 and Forest([chain1, chain2]).paths == m * (m - 1)
+    basis = lambda trees, n: Element.basis(Forest(trees), n)
+    assert simplicial_d(0, basis([chain2], 2)) == basis([chain1], 1)
+    assert simplicial_d(2, basis([chain1], 2)) == basis([chain1], 1)
+    assert simplicial_d(2, basis([chain2], 2)) == basis([LEAF] * m, 1)
+
+
 def test_aut_order_matches_bruteforce():
     for n, m in [(1, 5), (2, 4)]:
         seen = set()
