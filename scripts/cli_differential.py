@@ -14,7 +14,10 @@ every run gets the same input in the same order:
   subcommands, both variants and both formats, n = 0..3, at symbolic,
   Connes–Kreimer, integer, fractional, negative, zero and mixed ``--q``
   points, with ``--max-cases``, refused ``--q`` texts, malformed
-  expressions and malformed flags among them, and expressions holding a
+  expressions and malformed flags among them, spellings that only
+  argparse reads (an abbreviated flag, ``--`` before a signed expression,
+  an option before the subcommand, a bad choice, a value on ``--count``,
+  a subcommand's ``-h``), and expressions holding a
   tab, newline, no-break, line-separator or ideographic space, which the
   grammar skips and JSON output echoes in its ``input`` field;
 * ``CORPUS_PER_REQUEST`` token strings per request (60,000 at the
@@ -223,8 +226,40 @@ def requests(count: int) -> list[list[str]]:
             argv[-1] = _corrupt(rng, argv[-1]) if roll < 0.08 else f"[{n + 1}:[]]"
         elif roll < 0.12:  # a malformed command line
             argv = rng.choice([[], ["-h"], ["nosuch"], [command], argv + ["--bogus"], argv[:-1]])
+        elif roll < 0.16:
+            argv = _argparse_only(rng, argv)
         out.append(argv)
     return out
+
+
+def _argparse_only(rng: random.Random, argv: list[str]) -> list[str]:
+    """``argv`` respelt in a form that only argparse reads: an abbreviated
+    flag, ``--`` before a signed expression, an option before the
+    subcommand, a bad choice, a value on a ``store_true`` flag, or the
+    subcommand's ``-h``."""
+    command = argv[0]
+    kinds = ["abbreviated", "option first", "bad choice", "help"]
+    if command in EXPRESSIONS:
+        kinds.append("dashes")
+    if command == "enumerate":
+        kinds.append("flag value")
+    kind = rng.choice(kinds)
+    if kind == "abbreviated":
+        if command == "enumerate":
+            return [a if a != "--vertices" else "--vert" for a in argv]
+        if command in ("bullet", "bracket"):
+            return argv[:1] + ["--bud", str(rng.randint(0, 6))] + argv[1:]
+        return argv[:1] + ["--form", rng.choice(["text", "json"])] + argv[1:]
+    if kind == "dashes":
+        expr = argv[-1]
+        return argv[:-1] + ["--", expr if expr.startswith("-") else "-" + expr]
+    if kind == "option first":  # "--n N" ahead of the subcommand
+        return argv[1:3] + argv[:1] + argv[3:]
+    if kind == "bad choice":
+        return argv + ["--format=xml"]
+    if kind == "flag value":
+        return argv + ["--count=1"]
+    return [command, "-h"]
 
 
 def corpus(count: int) -> list[tuple[str, int]]:

@@ -28,19 +28,16 @@ and help.  A well-formed request to a subcommand (exact flags, each with
 its value spaced or after ``=``, and exactly the positionals it takes) is
 read by ``_read``, into the namespace argparse would make of it, from
 ``_READINGS``, which is derived from that table once, at import.
-Everything else goes to argparse: help, and any request the reader does
-not take exactly, such as an abbreviated flag, ``--``, a bad value or a
-missing argument, which argparse accepts or refuses with its own message.
-The argparse parser is built from the same table, at most once per
-process and only when a request needs it; each parse makes a fresh
-namespace and leaves the parser unchanged.  A request that names a
-subcommand first is parsed by that subcommand's parser alone, as the top
-parser would hand it on; only a request that does not (``-h``, an unknown
-word, nothing at all) is parsed by the top parser, and leftover arguments
-are reported by the top parser either way.  An argument that starts with
-``-`` and then ``[``, ``q`` or a digit is a value, not an option, so an
-expression may begin with its sign (``-[1:[]]``) and ``--q`` may begin
-with a negative entry (``--q -1,0``).
+Every other request goes to argparse's ``parse_args`` on the top parser:
+help, and any request the reader does not take exactly, such as an
+abbreviated flag, ``--``, a bad value or a missing argument, which
+argparse accepts or refuses with its own message.  So a request takes one
+of two routes, the reader or ``parse_args``.  The argparse parser is built
+from the same table, at most once per process and only when a request
+needs it; each parse makes a fresh namespace and leaves the parser
+unchanged.  An argument that starts with ``-`` and then ``[``, ``q`` or a
+digit is a value, not an option, so an expression may begin with its sign
+(``-[1:[]]``) and ``--q`` may begin with a negative entry (``--q -1,0``).
 
 Each (``--n``, ``--q`` text) pair is read once per process: its context
 and the printed q-entries are memoised, and a refused ``--q`` raises
@@ -188,8 +185,7 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads ``-[1:[]]`` or ``-q11[]`` as a
     signed expression, not as an unknown option (see ``_option_like``).
-    The subcommand parsers are of this class too; the top parser's
-    ``commands`` maps each subcommand's name to its parser."""
+    The subcommand parsers are of this class too."""
 
     def _parse_optional(self, arg_string):
         if not _option_like(arg_string):
@@ -204,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="coloured rooted trees, their coproduct family, and friends",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    top.commands = sub.choices
     for command, (help_, arguments) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_)
         for name, keywords in arguments.items():
@@ -278,21 +273,10 @@ def _read(command: str, argv: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``_build_parser().parse_args(argv)``: a well-formed request to a
-    subcommand is read from the grammar table, and argparse is built only
-    for the rest.  A request that names a subcommand first is then parsed
-    by that subcommand's parser alone, as the top parser would hand it on."""
-    if argv and argv[0] in _COMMANDS:
-        args = _read(argv[0], argv[1:])
-        if args is not None:
-            return args
-    top = _build_parser()
-    sub = top.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return top.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        top.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    subcommand is read from the grammar table by ``_read``, and argparse
+    is built and run only for the rest (help and refusals)."""
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 @cache

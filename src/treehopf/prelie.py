@@ -20,7 +20,11 @@ functionals D_t, one per tree.  Two products act on these:
 and ``phi`` embeds the dual primitives into the free pre-Lie algebra on
 n generators, modelled on vertex-labelled trees.  A labelled tree is
 stored as its root label over the coloured tree ↓ gives, so ↑ and ↓ only
-build or read that pair.
+build or read that pair.  The free grafting product ``free_bullet`` is
+``free_graft`` at each address that ``vertex_paths`` lists, a walk on the
+labelled view kept apart from the coloured walk of ``bullet_prime``, so
+that ↑ relates two independent routes.  Every grafting walk is a loop:
+depth costs no recursion.
 """
 
 from __future__ import annotations
@@ -120,18 +124,14 @@ def _tree_terms(basis, n: int, a, b) -> tuple:
             options = []
             for piece, slot, q in zip(split, slots, qs):
                 legs = (piece, slot) if side == 1 else (slot, piece)
-                found = _monomial_terms(basis, n, *legs)
-                if not found:
-                    break
-                options.append(found)
+                options.append(_monomial_terms(basis, n, *legs))
                 if piece.size:
                     weight = weight * _power(q, piece.size)
-            else:
-                for combo in _iproduct(*options):
-                    coeff = weight
-                    for _, c in combo:
-                        coeff = coeff * c
-                    _acc(out, _lam(cls, [x for x, _ in combo], n), coeff)
+            for combo in _iproduct(*options):
+                coeff = weight
+                for _, c in combo:
+                    coeff = coeff * c
+                _acc(out, _lam(cls, [x for x, _ in combo], n), coeff)
     return tuple(out.items())
 
 
@@ -248,13 +248,23 @@ def lie_bracket(
 def _graft_everywhere(t: ColouredTree, s: ColouredTree, colour: int):
     """Attach s below each vertex of t by a colour-``colour`` edge.
 
-    Yields one tree per vertex of t (canonically equal results repeat,
-    preserving multiplicities in the grafting sum).
+    Yields one tree per vertex of t, in depth-first preorder (canonically
+    equal results repeat, preserving multiplicities in the grafting sum).
+    Each vertex comes off a stack with its way up, a linked list of
+    (parent, child position) pairs along which the grafted tree is
+    rebuilt, so depth costs no recursion.
     """
-    yield ColouredTree(t.children + ((colour, s),))
-    for pos, (c, child) in enumerate(t.children):
-        for g in _graft_everywhere(child, s, colour):
-            yield ColouredTree(t.children[:pos] + ((c, g),) + t.children[pos + 1 :])
+    stack = [(t, None)]
+    while stack:
+        v, up = stack.pop()
+        kids = v.children
+        stack += [(kids[pos][1], (v, pos, up)) for pos in range(len(kids) - 1, -1, -1)]
+        g = ColouredTree(kids + ((colour, s),))
+        while up is not None:
+            parent, pos, up = up
+            kids = parent.children
+            g = ColouredTree(kids[:pos] + ((kids[pos][0], g),) + kids[pos + 1 :])
+        yield g
 
 
 def bullet_prime(
@@ -341,10 +351,14 @@ class LabelledTree(_Keyed):
         return f"({self.label})[" + ",".join([t._text for t in self.children]) + "]"
 
     def vertex_paths(self) -> tuple[tuple[int, ...], ...]:
-        """Depth-first preorder addresses; each step is a child position."""
-        out = [()]
-        for pos, child in enumerate(self.children):
-            out.extend((pos,) + p for p in child.vertex_paths())
+        """Depth-first preorder addresses; each step is a child position.
+        Read with a stack, so depth costs no recursion."""
+        out, stack = [], [((), self)]
+        while stack:
+            path, t = stack.pop()
+            out.append(path)
+            kids = t.children
+            stack += [(path + (pos,), kids[pos]) for pos in range(len(kids) - 1, -1, -1)]
         return tuple(out)
 
 
@@ -376,36 +390,34 @@ class PreLieElement(Combination):
 
 def free_graft(t: LabelledTree, v: tuple[int, ...], s: LabelledTree) -> LabelledTree:
     """Attach the root of s below the vertex of t addressed by ``v``
-    (a child-position path, as produced by ``vertex_paths``)."""
-    if not v:
-        return LabelledTree(t.label, t.children + (s,))
-    pos = v[0]
-    if not 0 <= pos < len(t.children):
-        raise ValueError(f"vertex path {v} does not address a vertex")
-    kids = list(t.children)
-    kids[pos] = free_graft(kids[pos], v[1:], s)
-    return LabelledTree(t.label, kids)
+    (a child-position path, as produced by ``vertex_paths``).
 
-
-def _free_graft_everywhere(t: LabelledTree, s: LabelledTree):
-    yield LabelledTree(t.label, t.children + (s,))
-    for pos, child in enumerate(t.children):
-        for g in _free_graft_everywhere(child, s):
-            kids = list(t.children)
-            kids[pos] = g
-            yield LabelledTree(t.label, kids)
+    Walks down the path, keeping each vertex it leaves, then rebuilds the
+    grafted tree back up to the root, so depth costs no recursion."""
+    passed = []
+    for pos in v:
+        kids = t.children
+        if not 0 <= pos < len(kids):
+            raise ValueError(f"vertex path {v} does not address a vertex")
+        passed.append((t.label, kids, pos))
+        t = kids[pos]
+    g = LabelledTree(t.label, t.children + (s,))
+    for label, kids, pos in reversed(passed):
+        g = LabelledTree(label, kids[:pos] + (g,) + kids[pos + 1 :])
+    return g
 
 
 def free_bullet(a: PreLieElement, b: PreLieElement) -> PreLieElement:
-    """Grafting sum t•s = Σ_{v∈t} (s attached below v), extended bilinearly."""
+    """Grafting sum t•s = Σ_{v∈t} (s attached below v), extended
+    bilinearly: ``free_graft`` at each of ``vertex_paths``."""
     if a.n != b.n:
         raise ValueError("operands must share n")
     out: dict[LabelledTree, Coeff] = {}
     for t, ct in a.data.items():
         for s, cs in b.data.items():
             scale = ct * cs
-            for w in _free_graft_everywhere(t, s):
-                _acc(out, w, scale)
+            for v in t.vertex_paths():
+                _acc(out, free_graft(t, v, s), scale)
     return PreLieElement(a.n, out)
 
 

@@ -454,3 +454,62 @@ def test_sigma_weights_by_slot_sizes():
     assert sigma(1, QSpec.symbolic(1), [Element.unit(1)]) == Element.unit(1)
     with pytest.raises(ValueError):
         sigma(3, qs, [f, g])
+
+
+# one refusal of bad input per row: the call, the exception type and a
+# fragment of its message
+REFUSALS = {
+    "coerce a string": (lambda: Coeff._coerce("x"), TypeError, "cannot treat 'x'"),
+    "negative power": (lambda: Q11**-1, ValueError, "nonnegative integer"),
+    "symbol without a row": (lambda: parse_coeff("q3"), ParseError, "bad coefficient symbol q3"),
+    "no factor": (lambda: parse_coeff("x"), ParseError, "expected a coefficient factor"),
+    "no term": (lambda: parse_element("*", 1), ParseError, "expected a term"),
+    "no forest": (lambda: parse_element("2 3", 1), ParseError, "expected a forest after"),
+    "entry count": (lambda: QSpec(1, (ONE,)), ValueError, "need exactly 2 entries"),
+    "symbol off the spec": (lambda: QSpec.symbolic(1).q(3, 1), ValueError, "q31 is outside"),
+    "sym past the colour limit": (
+        lambda: QSpec.from_strings(
+            MAX_SYMBOL_COLOUR + 1,
+            ["1"] * MAX_SYMBOL_COLOUR + ["sym"] + ["1"] * (MAX_SYMBOL_COLOUR + 1),
+        ),
+        ValueError,
+        f"over the {MAX_SYMBOL_COLOUR}-colour limit",
+    ),
+    "element keyed by a tree": (
+        lambda: Element(1, {parse_tree("[]"): 1}),
+        TypeError,
+        "Element keys must be forests",
+    ),
+    "sum over different n": (
+        lambda: Element.unit(1) + Element.unit(2),
+        ValueError,
+        "cannot combine Element over n=1 with Element over n=2",
+    ),
+    "tensor key not a pair": (
+        lambda: TensorElement(1, {EMPTY_FOREST: 1}),
+        TypeError,
+        "keys must be forest pairs",
+    ),
+    "tensor colour over n": (
+        lambda: TensorElement(1, {(parse_forest("[2:[]]"), EMPTY_FOREST): 1}),
+        ColourMismatchError,
+        "uses a colour > n = 1",
+    ),
+    "sigma slot count": (
+        lambda: sigma(1, QSpec.symbolic(2), [Element.unit(2)]),
+        ValueError,
+        "sigma needs 2 slot arguments, got 1",
+    ),
+    "sigma slot over another n": (
+        lambda: sigma(1, QSpec.symbolic(1), [Element.unit(2)]),
+        ValueError,
+        "slot elements must live over the same n",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)

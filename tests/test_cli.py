@@ -388,6 +388,22 @@ def test_an_unknown_option_still_exits_2(capsys, command, where):
     assert "unrecognized arguments: -x" in capsys.readouterr().err
 
 
+# refusals of input that reaches a handler, each with a fragment of its message
+REFUSALS = [
+    (["enumerate", "--vertices", "0"], "--vertices must be >= 1"),
+    (["simplicial", "--n", "0", "--map", "d", "--index", "0", "1"], "need at least one colour"),
+    (["coproduct", "--n", "1", "2*[]"], "expected a coefficient symbol after '*'"),
+    (["coproduct", "--n", "1", "--q", "1/2e5,0", "[]"], "--q entry q11 = '1/2e5'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=lambda case: " ".join(case))
+def test_a_refused_request_exits_2_and_says_why(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     # no honest parameter choice breaks the axioms, so force a failing
     # report to pin the exit-code contract

@@ -1,7 +1,9 @@
 """Δ and S at a constant point with denominators: the engine runs at the
 integer point D·q and the exit divides by powers of D (see the ``hopf``
 docstring).  Pinned against the exhaustive oracles, which compute at q
-itself, and against the grading identity through the public API."""
+itself, against the symbolic Δ and S with the point substituted, which
+reach past the oracles' sizes, and against the grading identity through
+the public API."""
 
 import random
 from fractions import Fraction
@@ -20,6 +22,8 @@ from treehopf.hopf import (
 from treehopf.planar import (
     PlanarElement,
     _WORDS,
+    forget_element,
+    forget_tensor,
     parse_planar_word,
     planar_antipode,
     planar_coproduct,
@@ -125,6 +129,52 @@ def test_antipode_equals_the_partition_sum(n, values):
         assert antipode_recursive(a, ctx) == antipode_partitions(a, ctx), str(tree)
     a = _mixed(n)
     assert antipode_recursive(a, ctx) == antipode_partitions(a, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the symbolic Δ and S, specialised at the point
+# ---------------------------------------------------------------------------
+
+
+def _at(values, n, combination):
+    """``combination`` with each coefficient's symbols replaced by the
+    point: q_{i,j} by entry (i − 1)·n + j − 1 of ``values``."""
+    point = {(i, j): values[(i - 1) * n + j - 1] for i in (1, 2) for j in range(1, n + 1)}
+    return type(combination)(n, ((k, c.substitute(point)) for k, c in combination.data.items()))
+
+
+@pytest.mark.parametrize("n,values", CASES, ids=IDS)
+def test_coproduct_at_the_point_is_the_symbolic_coproduct_specialised(n, values):
+    ctx, sym = HopfContext.rational(n, values), HopfContext.symbolic(n)
+    rng = random.Random(n * 43 + len(values))
+    trees = [_random_tree(rng, m, n) for m in range(8, 13)] + [_chain(16, n)]
+    if n == 2:
+        trees.append(_star(rng, 16))
+    for tree in trees:
+        a = Element.basis(Forest.single(tree), n)
+        assert coproduct(a, ctx) == _at(values, n, coproduct(a, sym)), str(tree)
+
+
+@pytest.mark.parametrize("n,values", CASES, ids=IDS)
+def test_antipode_at_the_point_is_the_symbolic_antipode_specialised(n, values):
+    ctx, sym = HopfContext.rational(n, values), HopfContext.symbolic(n)
+    rng = random.Random(n * 47 + len(values))
+    # the symbolic S of a 10-vertex tree over two colours takes a second
+    for m in (7, 8, 9, 10) if n == 1 else (7, 8, 9):
+        a = Element.basis(Forest.single(_random_tree(rng, m, n)), n)
+        assert antipode_recursive(a, ctx) == _at(values, n, antipode_recursive(a, sym)), m
+
+
+@pytest.mark.parametrize("n,values", CASES, ids=IDS)
+def test_planar_delta_and_s_forget_to_the_symmetric_ones_at_the_point(n, values):
+    ctx = HopfContext.rational(n, values)
+    rng = random.Random(n * 53 + len(values))
+    for m in (8, 9, 10):
+        trees = _random_tree(rng, m - 3, n), _random_tree(rng, 3, n)
+        w = PlanarElement.basis(parse_planar_word("*".join(map(str, trees)), n), n)
+        f = forget_element(w)
+        assert forget_tensor(planar_coproduct(w, ctx)) == coproduct(f, ctx), str(f)
+        assert forget_element(planar_antipode(w, ctx)) == antipode_recursive(f, ctx), str(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Dual functionals on trees: the dual product, grafting products,
 rescaling, and the embedding into labelled trees."""
 
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -14,7 +15,6 @@ from treehopf.prelie import (
     DualElement,
     LabelledTree,
     PreLieElement,
-    _free_graft_everywhere,
     _graft_everywhere,
     _monomial_terms,
     _tree_terms,
@@ -486,6 +486,47 @@ def test_a_labelled_chain_deeper_than_the_recursion_limit():
     assert phi(DualElement.basis(chain, 2)).support() == [x, up_map(2, chain)]
 
 
+def _chain(m, colour, graft_at=None):
+    """The m-vertex chain with every edge of the given colour, and with a
+    leaf below vertex ``graft_at`` (0 is the root) if one is given."""
+    parents = [None] + list(range(m - 1)) + ([] if graft_at is None else [graft_at])
+    return canonicalize(parents, [None] + [colour] * (len(parents) - 1))
+
+
+def test_free_graft_at_the_foot_of_a_chain_deeper_than_the_recursion_limit():
+    m = 2000
+    x, leaf = up_map(1, _chain(m, 2)), parse_labelled_tree("(2)[]")
+    paths = x.vertex_paths()
+    assert paths == tuple((0,) * k for k in range(m))
+    assert free_graft(x, paths[-1], leaf) is up_map(1, _chain(m, 2, graft_at=m - 1))
+    with pytest.raises(ValueError, match="does not address a vertex"):
+        free_graft(x, paths[-1] + (0,), leaf)
+
+
+def _frames():
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_grafting_products_take_no_frame_per_level():
+    # the output is quadratic in the depth, so the chain is 200 deep and
+    # the recursion limit is lowered to 60 frames above this test instead
+    m = 200
+    x, y = DualElement.basis(_chain(m, 1), 1), DualElement.basis(LEAF, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 60)
+    try:
+        grafted = bullet_prime(x, y, [1])
+        free = free_bullet(phi(x), phi(y))
+    finally:
+        sys.setrecursionlimit(limit)
+    expected = {_chain(m, 1, graft_at=k): 1 for k in range(m)}
+    assert grafted == DualElement(1, expected)
+    assert free == phi(grafted)
+
+
 def test_up_map_example():
     assert up_map(2, parse_tree("[1:[]]", 2)) == parse_labelled_tree("(2)[(1)[]]")
 
@@ -496,6 +537,11 @@ def test_labelled_enumeration_counts():
         labs = enumerate_labelled_trees(n, m)
         assert len(labs) == n * len(enumerate_trees(n, m))
         assert len(set(labs)) == len(labs)
+
+
+def _free_grafts(t, s):
+    """s grafted below each vertex of the labelled tree t, one tree per vertex."""
+    return [free_graft(t, v, s) for v in t.vertex_paths()]
 
 
 def test_up_map_exchanges_graft_indices():
@@ -509,13 +555,8 @@ def test_up_map_exchanges_graft_indices():
                     lhs = PreLieElement(
                         n, ((up_map(j, w), 1) for w in _graft_everywhere(t, s, i))
                     )
-                    rhs = PreLieElement(
-                        n,
-                        (
-                            (w, 1)
-                            for w in _free_graft_everywhere(up_map(j, t), up_map(i, s))
-                        ),
-                    )
+                    grafts = _free_grafts(up_map(j, t), up_map(i, s))
+                    rhs = PreLieElement(n, ((w, 1) for w in grafts))
                     assert lhs == rhs, (t, s, i, j)
 
 
@@ -525,9 +566,7 @@ def test_up_map_verbatim_index_order_fails():
     t = s = LEAF.recolour(lambda c: c)  # leaf over n=2
     i, j = 1, 2
     lhs = PreLieElement(2, ((up_map(j, w), 1) for w in _graft_everywhere(t, s, i)))
-    wrong = PreLieElement(
-        2, ((w, 1) for w in _free_graft_everywhere(up_map(i, t), up_map(j, s)))
-    )
+    wrong = PreLieElement(2, ((w, 1) for w in _free_grafts(up_map(i, t), up_map(j, s))))
     assert lhs != wrong
     assert lhs == PreLieElement(2, {parse_labelled_tree("(2)[(1)[]]"): 1})
     assert wrong == PreLieElement(2, {parse_labelled_tree("(1)[(2)[]]"): 1})
@@ -573,3 +612,43 @@ def test_phi_is_a_homomorphism():
                         lhs = phi(bullet_prime(x, y, range(1, n + 1)))
                         rhs = free_bullet(phi(x), phi(y))
                         assert lhs == rhs, (n, a, b)
+
+
+# one refusal of bad input per row: the call, the exception type and a
+# fragment of its message
+REFUSALS = {
+    "grafting over different n": (
+        lambda: bullet_prime(DualElement.basis(LEAF, 1), DualElement.basis(LEAF, 2), [1]),
+        ValueError,
+        "operands must share n",
+    ),
+    "free grafting over different n": (
+        lambda: free_bullet(
+            PreLieElement.basis(up_map(1, LEAF), 1), PreLieElement.basis(up_map(1, LEAF), 2)
+        ),
+        ValueError,
+        "operands must share n",
+    ),
+    "coloured child": (
+        lambda: LabelledTree(1, [LEAF]),
+        TypeError,
+        "children must be LabelledTree instances",
+    ),
+    "coloured key": (
+        lambda: PreLieElement(1, {LEAF: 1}),
+        TypeError,
+        "keys must be labelled trees",
+    ),
+    "label over n": (
+        lambda: PreLieElement(1, {up_map(2, LEAF): 1}),
+        ValueError,
+        "uses label 2 > n = 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)

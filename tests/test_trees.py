@@ -634,3 +634,55 @@ def test_aut_order_divides_factorial_of_children(tree):
     import math
 
     assert math.factorial(max(tree.size - 1, 0)) % order == 0
+
+
+# one refusal of bad input per row: the call, the exception type and a
+# fragment of its message
+REFUSALS = {
+    "planar child": (
+        lambda: ColouredTree([(1, PLANAR_LEAF)]),
+        TypeError,
+        "children must be ColouredTree instances",
+    ),
+    "planar forest member": (
+        lambda: Forest.single(PLANAR_LEAF),
+        TypeError,
+        "forest members must be ColouredTree instances",
+    ),
+    "slot count": (lambda: add_root([EMPTY_FOREST], 2), ColourMismatchError, "expected 2 slots"),
+    "slot colour over the slot count": (
+        lambda: add_root([parse_forest("[2:[]]")]),
+        ColourMismatchError,
+        "slot 1 contains colour 2 > n = 1",
+    ),
+    "decompose over too small an n": (
+        lambda: decompose(parse_tree("[2:[]]"), 1),
+        ColourMismatchError,
+        "tree uses colour 2 > n = 1",
+    ),
+    "lengths": (lambda: canonicalize([None], [None, 1]), ValueError, "equal length"),
+    "empty": (lambda: canonicalize([], []), ValueError, "at least one vertex"),
+    "parent index": (lambda: canonicalize([None, 5], [None, 1]), ValueError, "parent index 5"),
+    "bool parent index": (
+        lambda: canonicalize([None, 0, True], [None, 1, 1]),
+        ValueError,
+        "parent index True",
+    ),
+    "colour below 1": (
+        lambda: canonicalize([None, 0], [None, 0]),
+        ColourMismatchError,
+        "must be >= 1, got 0",
+    ),
+    "cycle": (lambda: canonicalize([None, 2, 1], [None, 1, 1]), ValueError, "cyclic"),
+    "disconnected": (lambda: canonicalize([None, 1], [None, 1]), ValueError, "disconnected"),
+    "no vertex": (lambda: enumerate_trees(1, 0), ValueError, "at least one vertex"),
+    "negative n": (lambda: enumerate_trees(-1, 1), ValueError, "n must be >= 0"),
+    "negative total": (lambda: enumerate_forests(1, -1), ValueError, "total must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)
