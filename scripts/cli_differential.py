@@ -4,6 +4,8 @@ expressions, byte for byte.
 
     python3 scripts/cli_differential.py --src ../parent/src --src src
     python3 scripts/cli_differential.py --src ../parent/src --src src --requests 3000
+    python3 scripts/cli_differential.py --src src --requests 300 --record tests/cli_digests.json
+    python3 scripts/cli_differential.py --src src --against tests/cli_digests.json
 
 For each ``--src`` and each ``PYTHONHASHSEED`` in ``HASH_SEEDS``, a fresh
 interpreter imports ``treehopf`` from that directory and runs one list of
@@ -35,11 +37,21 @@ and message), and, per parse, the ``repr`` of the result or the type and
 message of the exception.  Every run is compared with the first one; the
 first difference is printed and the script exits 1.  With no difference
 it prints one summary line and exits 0.
+
+``--record FILE`` then writes digests of the first run to ``FILE``: one
+per request (its stdout, stderr and exit code) and one per parser-corpus
+block (the expression strings and the trees generated for one request).
+``--against FILE`` runs each ``--src`` at the first of ``HASH_SEEDS`` on
+the request count of ``FILE`` and compares its digests with the recorded
+ones instead of with another run: the first request or block that
+differs is named, as for two runs.  A change that alters output on
+purpose records the file again.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -352,28 +364,92 @@ def first_difference(runs: list, reqs: list, texts: list, trees: list = ()) -> s
     return None
 
 
+def digests(outcomes: dict) -> dict:
+    """The digests of one run: one per request, and one per block of the
+    ``CORPUS_PER_REQUEST`` expression strings and the ``TREES_PER_REQUEST``
+    trees generated for each request."""
+
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value, ensure_ascii=False).encode()).hexdigest()[:16]
+
+    sizes = {"cli": 1, "parses": CORPUS_PER_REQUEST, "trees": TREES_PER_REQUEST}
+    return {
+        kind: [digest(outcomes[kind][at:at + size]) for at in range(0, len(outcomes[kind]), size)]
+        for kind, size in sizes.items()
+    }
+
+
+def recorded_difference(
+    record: dict, name: str, outcomes: dict, reqs: list, texts: list, trees: list
+) -> str | None:
+    """The first request or parser-corpus block where the digests of a
+    run differ from ``record``, described; ``None`` when all agree."""
+    ran = digests(outcomes)
+    for kind in ("cli", "parses", "trees"):
+        for k, (want, got) in enumerate(zip(record[kind], ran[kind])):
+            if want != got:
+                if kind == "cli":
+                    where = f"request {reqs[k]!r}"
+                elif kind == "parses":
+                    block = texts[k * CORPUS_PER_REQUEST:(k + 1) * CORPUS_PER_REQUEST]
+                    where = f"the parser strings from {block[0][0]!r} (n={block[0][1]}) on"
+                else:
+                    block = trees[k * TREES_PER_REQUEST:(k + 1) * TREES_PER_REQUEST]
+                    where = f"the trees from {block[0][0]!r} (n={block[0][1]}) on"
+                return f"{where} differs from the record\n  recorded: {want}\n  {name}: {got}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", required=True, help="a directory holding treehopf")
-    parser.add_argument("--requests", type=int, default=1000, help="CLI requests per run")
+    parser.add_argument("--requests", type=int, help="CLI requests per run (default 1,000)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--record", metavar="FILE", help="write the digests of the first run")
+    mode.add_argument("--against", metavar="FILE", help="compare each run with these digests")
     args = parser.parse_args(argv)
+    record = None
+    if args.against:
+        if args.requests is not None:
+            parser.error("--against runs the request count of its file")
+        with open(args.against, encoding="utf-8") as f:
+            record = json.load(f)
+        args.requests = record["requests"]
+    elif args.requests is None:
+        args.requests = 1000
     if args.requests < 0:
         parser.error("--requests must be >= 0")
     reqs, texts = requests(args.requests), corpus(CORPUS_PER_REQUEST * args.requests)
     trees = tree_texts(TREES_PER_REQUEST * args.requests)
     job = json.dumps({"requests": reqs, "corpus": texts, "trees": trees})
+    job_digest = hashlib.sha256(job.encode()).hexdigest()[:16]
+    if record is not None and record["job"] != job_digest:
+        print(f"the generated requests differ from those {args.against} was recorded on; record it again")
+        return 1
     runs = [
         (f"{src} (PYTHONHASHSEED={seed})", run(os.path.abspath(src), seed, job))
         for src in args.src
-        for seed in HASH_SEEDS
+        for seed in (HASH_SEEDS[:1] if record is not None else HASH_SEEDS)
     ]
-    difference = first_difference(runs, reqs, texts, trees)
-    if difference:
-        print(difference)
-        return 1
+    if record is not None:
+        for name, outcomes in runs:
+            difference = recorded_difference(record, name, outcomes, reqs, texts, trees)
+            if difference:
+                print(difference)
+                return 1
+    else:
+        difference = first_difference(runs, reqs, texts, trees)
+        if difference:
+            print(difference)
+            return 1
+    if args.record:
+        with open(args.record, "w", encoding="utf-8") as f:
+            json.dump({"requests": args.requests, "job": job_digest, **digests(runs[0][1])}, f, indent=0)
+            f.write("\n")
     print(
         f"no difference: {len(reqs)} requests and {len(texts)} parser strings "
-        f"(x3 parsers) and {len(trees)} trees (x3 tree parsers) in {len(runs)} runs"
+        f"(x3 parsers) and {len(trees)} trees (x3 tree parsers) in {len(runs)} "
+        + ("run" if len(runs) == 1 else "runs")
     )
     return 0
 

@@ -358,6 +358,38 @@ def test_the_cli_differential_finds_this_checkout_equal_to_itself():
     assert done.stdout.startswith("no difference: 16 requests and 960 parser strings")
 
 
+def test_the_cli_answers_as_recorded_in_the_digests():
+    # tests/cli_digests.json holds the digests of 300 seeded requests and
+    # their parser-corpus blocks; a change that alters output on purpose
+    # records it again with --record
+    root = pathlib.Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_differential.py"),
+         "--src", str(root / "src"), "--against", str(root / "tests" / "cli_digests.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("no difference: 300 requests")
+
+
+def test_the_digest_check_names_the_first_request_that_differs():
+    script = _script("cli_differential")
+    reqs, texts, trees = script.requests(2), script.corpus(120), script.tree_texts(40)
+    outcomes = {"cli": [["a", "", 0], ["b", "", 0]], "parses": [["x"] * 3] * 120,
+                "trees": [["y"] * 3] * 40}
+    record = script.digests(outcomes)
+    assert [len(record[kind]) for kind in ("cli", "parses", "trees")] == [2, 2, 2]
+    assert script.recorded_difference(record, "run", outcomes, reqs, texts, trees) is None
+    outcomes["cli"][1] = ["b", "", 1]
+    report = script.recorded_difference(record, "run", outcomes, reqs, texts, trees)
+    assert report.startswith(f"request {reqs[1]!r} differs from the record")
+    outcomes["cli"][1] = ["b", "", 0]
+    outcomes["trees"] = outcomes["trees"][:30] + [["z"] * 3] * 10
+    report = script.recorded_difference(record, "run", outcomes, reqs, texts, trees)
+    assert report.startswith(f"the trees from {trees[20][0]!r}")
+
+
 def test_the_cli_differential_reports_the_first_difference():
     script = _script("cli_differential")
     reqs = script.requests(16)
