@@ -30,15 +30,18 @@ probe's term count.  The probes:
 * ``antipode_recursive`` of the 10- and 12-vertex bushy trees (the tree
   at index ⌊N/3⌋ of ``enumerate_trees(1, m)``), at the rational point
   q = (2, 3), at the fractional point q = (1/3, 3/2), which the engine
-  runs at its integer point 6·q, and symbolically, of the 14-vertex one
-  at q = (2, 3), and of the 12-vertex chain symbolically;
+  runs at its integer point 6·q, and symbolically, of the 12-vertex one
+  at the mixed point q = (q11, 1/3), which the engine runs at
+  (3·q11, 1), of the 14-vertex one at q = (2, 3), and of the 12-vertex
+  chain symbolically;
 * ``verify_bialgebra`` symbolic n=2 up to degree 5 (its "terms" are the
   cases checked);
 * cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices, and
   with 6 and 5 vertices;
 * cold symbolic ``planar_bullet`` of the n=2 pair ``[2:[1:[]]]``, ``[2:[]]``;
 * single in-process ``cli.main`` calls, timed without interpreter
-  start-up: ``verify --n 1`` to degrees 6 and 7, and the ``bullet``
+  start-up: ``verify --n 1`` to degrees 6 and 7, symbolic, and to degree
+  7 at the fractional point ``--q 1/3,3/2``, and the ``bullet``
   requests of ROADMAP item 10 (an n=1 7+6-vertex pair, and an n=16
   6-vertex tree with ``[]``) at the symbolic, a rational and the
   Connes–Kreimer point; their "terms" are the bytes printed;
@@ -159,7 +162,7 @@ PROBE = r"""
 import json, resource, sys
 from fractions import Fraction
 from time import perf_counter
-from treehopf.algebra import Element
+from treehopf.algebra import Element, QSpec
 from treehopf.hopf import HopfContext, antipode_recursive, coproduct, verify_bialgebra
 from treehopf.planar import PlanarDualElement, parse_planar_tree, planar_bullet
 from treehopf.prelie import DualElement, bullet
@@ -171,6 +174,7 @@ ctx = {
     "ck": HopfContext.connes_kreimer(),
     "rational": HopfContext.rational(1, (2, 3)),
     "fraction": HopfContext.rational(1, (Fraction(1, 3), Fraction(3, 2))),
+    "mixed": HopfContext(QSpec.from_strings(1, ["sym", "1/3"])),
     "symbolic": HopfContext.symbolic(n),
 }[point]
 chain = lambda m: "[1:" * (m - 1) + "[]" + "]" * (m - 1)
@@ -232,6 +236,7 @@ PROBES = [
         for m in (10, 12)
         for point in ("rational", "fraction", "symbolic")
     ),
+    ("antipode_bushy12_mixed", PROBE, ("bushy", 12, "mixed")),
     ("antipode_bushy14_rational", PROBE, ("bushy", 14, "rational")),
     ("antipode_chain12_symbolic", PROBE, ("chain", 12, "symbolic")),
     ("verify_bialgebra_n2_d5_symbolic", PROBE, ("verify", 5, "symbolic")),
@@ -242,6 +247,7 @@ PROBES = [
         (f"verify_n1_d{degree}", CLI_PROBE, (1, f"verify --n 1 --max-degree {degree}"))
         for degree in (6, 7)
     ),
+    ("verify_n1_d7_fraction", CLI_PROBE, (1, "verify --n 1 --max-degree 7 --q 1/3,3/2")),
     *(
         (f"bullet_{name}_{point}", CLI_PROBE, (1, request + q))
         for name, request, n in ITEM10

@@ -4,13 +4,16 @@ Coefficients live in the polynomial ring over Q generated by the
 symbols ``q{i}{j}`` (``i`` in {1,2}, ``j`` a colour).  A coefficient
 specification (:class:`QSpec`) pins each of the 2n symbols to either a
 rational constant or a polynomial (usually the symbol itself).  The
-engine in ``hopf`` computes on plain numbers wherever a value is a
-constant: ``_power`` of a constant is an ``int`` or ``Fraction``, the
-term dicts of Δ and S hold such plain values beside ``Coeff`` ones, and
-Python's operators mix the two.  ``_extend_linearly``, the one exit of
-Δ and S, boxes each distinct plain value of a result once into a
-canonical ``Coeff``, so every public combination holds ``Coeff`` values
-only.
+engine in ``hopf`` runs at a point without denominators
+(``QSpec.integral``) and computes on plain ``int`` values wherever a
+value is a constant: ``_power`` of a constant entry is an ``int``, the
+term dicts of Δ and S hold such values beside ``Coeff`` ones with
+``int`` coefficients, and Python's operators mix the two.
+``_extend_linearly``, the one exit of Δ and S, divides by the powers of
+the point's denominator where there is one, so a ``Fraction`` first
+appears there, and boxes each distinct plain value of a result once
+into a canonical ``Coeff``, so every public combination holds ``Coeff``
+values only.
 
 A monomial is one ``int`` packing the exponents of the 2n symbols in
 fixed-width fields, so multiplying monomials is an integer addition;
@@ -538,9 +541,10 @@ class QSpec:
         return all(e.is_rational() for e in self.entries)
 
     def integral(self) -> "tuple[int, QSpec]":
-        """``(D, D·q)``: at a constant point whose entries have the least
-        common denominator D > 1, D and the point with every entry
-        multiplied by D; at any other point ``(1, self)``.
+        """``(D, D·q)``: D is the least common multiple of the denominators
+        of every coefficient of every entry, constant or not, and D·q the
+        point with every entry multiplied by D; a point without
+        denominators gives ``(1, self)``.
 
         Computed on the first call and kept on this value, as ``_hash``
         is: a field of an immutable value, not a memo.
@@ -549,13 +553,8 @@ class QSpec:
             return self._integral
         except AttributeError:
             pass
-        point, scale = self, 1
-        if self.is_rational():
-            values = [e._t.get(0, 0) for e in self.entries]
-            scale = lcm(*(v.denominator for v in values))
-            if scale > 1:
-                scaled = (Coeff.rational(v.numerator * (scale // v.denominator)) for v in values)
-                point = QSpec(self.n, tuple(scaled))
+        scale = lcm(*(v.denominator for e in self.entries for v in e._t.values()))
+        point = QSpec(self.n, tuple(e * scale for e in self.entries)) if scale > 1 else self
         object.__setattr__(self, "_integral", (scale, point))
         return self._integral
 
@@ -569,8 +568,8 @@ def _acc(store: dict, key, coeff):
     """Add ``coeff`` to the term ``key`` of a term dict, dropping it at zero.
 
     The value is a ``Coeff`` or, in the engine of ``hopf``, a plain
-    ``int`` or ``Fraction``; the two add through Python's operators and
-    either is zero exactly when it is false.
+    ``int``; the two add through Python's operators and either is zero
+    exactly when it is false.
     """
     prev = store.get(key)
     total = coeff if prev is None else prev + coeff
@@ -811,9 +810,12 @@ def _power(q: Coeff, k: int):
     """``q ** k``, memoised: the q-weights of σ, of the root-constructor
     square and of the dual product all read this one memo.
 
-    A constant ``q`` gives a plain number, an ``int`` when integral, else
-    a ``Fraction``: this is where constants enter the engine, which
-    computes on them as plain numbers (0^0 = 1, as for ``Coeff``).
+    A constant ``q`` gives a plain number (0^0 = 1, as for ``Coeff``):
+    this is where constants enter the engine, which computes on them as
+    plain numbers.  The engine's points have no denominators, so there it
+    is an ``int``; a ``Fraction`` comes out only for a caller at a point
+    with denominators (``sigma``, ``Coeff.substitute``, or the route of a
+    caller's Δ in ``hopf``).
     """
     if q.is_rational():
         v = q._t.get(0, 0) ** k
@@ -822,8 +824,8 @@ def _power(q: Coeff, k: int):
 
 
 def _box(c) -> Coeff:
-    """``c`` as a ``Coeff``: a plain ``int`` or ``Fraction`` of the engine
-    becomes the canonical constant, a ``Coeff`` is returned as it is."""
+    """``c`` as a ``Coeff``: a plain number becomes the canonical
+    constant, a ``Coeff`` is returned as it is."""
     return c if c.__class__ is Coeff else _make({0: _norm(c)})
 
 
@@ -831,21 +833,22 @@ def _extend_linearly(a, basis_fn, cls, scale: int = 1):
     """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``.
 
     This is the one exit of Δ and S to callers: the engine's plain
-    values are boxed here by ``algebra._box`` into canonical ``Coeff``
-    values, and each distinct value once per result, so equal constant
-    terms share one box.  The table of boxes lives for this one call; it
-    is keyed by (numerator, denominator), which an ``int`` and a
-    ``Fraction`` both have and which hashes far faster than a
-    ``Fraction``.
+    ``int`` values, and the ``Fraction`` values of the division below,
+    are boxed here by ``algebra._box`` into canonical ``Coeff`` values,
+    each distinct value once per result, so equal constant terms share
+    one box.  The table of boxes lives for this one call; it is keyed by
+    (numerator, denominator), which an ``int`` and a ``Fraction`` both
+    have and which hashes far faster than a ``Fraction``.
 
     A ``scale`` D > 1 says that ``basis_fn`` is Δ or S computed at the
-    integer point D·q for a caller at q (see the ``hopf`` docstring): the
-    value c of the term k in ``basis_fn(f)`` is then divided by D^e, where
+    point D·q for a caller at q (see the ``hopf`` docstring): the value c
+    of the term k in ``basis_fn(f)`` is then divided by D^e, where
     e = P(f) − P(k) is the drop in the ``paths`` count from f to k, the
-    sum over both legs for a pair.  Where e > 0 the engine's c is an
-    ``int``, and each distinct (c, e) is divided and boxed once per call.
-    That table is kept apart from the boxes by (numerator, denominator):
-    the pair (1, 2) is a key of both.
+    sum over both legs for a pair.  The engine's c is an ``int`` or a
+    ``Coeff`` with ``int`` coefficients, and each distinct (c, e) is
+    divided once per call: an ``int`` to a shared box, a ``Coeff`` by
+    multiplying it with 1/D^e.  That table is kept apart from the boxes
+    by (numerator, denominator): the pair (1, 2) is a key of both.
     """
     boxes: dict = {}
     divided: dict = {}
@@ -864,8 +867,12 @@ def _extend_linearly(a, basis_fn, cls, scale: int = 1):
             if e:
                 b = divided.get((c, e))
                 if b is None:
-                    v = Fraction(c, scale**e)
-                    b = divided[c, e] = boxes.setdefault((v.numerator, v.denominator), _box(v))
+                    if c.__class__ is Coeff:
+                        b = c * Fraction(1, scale**e)
+                    else:
+                        v = Fraction(c, scale**e)
+                        b = boxes.setdefault((v.numerator, v.denominator), _box(v))
+                    divided[c, e] = b
                 c = b
             _acc(out, k, c if one else c * coeff)
     for k, c in out.items():

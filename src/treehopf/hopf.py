@@ -23,7 +23,7 @@ memoised only where a later call reads it again, and always by
 ``functools.cache`` on the function that computes it: Δ is memoised per
 tree, keyed by (basis, tree, parameters); S per tree inside the maps
 that ``_production_maps`` keeps per (basis, parameters), where the
-parameters of a point with denominators are its integer point (below);
+parameters of a point with denominators are its point D·q (below);
 and the q-powers that weight the root-constructor square per
 (parameter, exponent) in ``algebra._power``, which σ and the dual
 product read too.
@@ -35,20 +35,19 @@ that live for that one call.  The intern table ``trees._intern``, one
 object per tree and monomial, is the one ``functools.cache`` that is
 not a memo.
 
-At a constant point the engine computes on plain numbers: ``_power``
-hands it ``int`` and ``Fraction`` weights, Δ(∅) is a plain 1 and S's
-seed a plain −1, and the memos of Δ and S hold such values beside
-``Coeff`` ones.  ``algebra._extend_linearly`` is the one route by which
-Δ and S reach a caller, and it boxes every plain value into a canonical
-``Coeff``, each distinct value once per result, so every public
-container holds ``Coeff`` values only.
-
-A constant point q whose entries have the least common denominator
-D > 1 is not computed on itself: ``_coproduct`` and ``_antipode`` run
-the engine at the integer point D·q (``QSpec.integral``, kept on the
-``QSpec``), so its loops add and multiply ``int`` values only, and
-``_extend_linearly`` divides each value of the result by the power of D
-that its keys fix.  The grading behind this: let P(x) be the number of
+A point q whose coefficients have the least common denominator D > 1
+is not computed on itself: ``_coproduct``, ``_antipode`` and ``_verify``
+run the engine at the point D·q (``QSpec.integral``, kept on the
+``QSpec``), whether q is constant or mixed, so its values are ``int``
+values or ``Coeff`` values with ``int`` coefficients.  ``_power`` hands
+it ``int`` weights for constant entries, Δ(∅) is a plain 1 and S's
+seed a plain −1, and the memos of Δ and S hold such plain values beside
+``Coeff`` ones.  ``algebra._extend_linearly`` is the one route by which Δ and S
+reach a caller: it divides each value of the result by the power of D
+that its keys fix, so a ``Fraction`` first appears there, and boxes
+every plain value into a canonical ``Coeff``, each distinct value once
+per result, so every public container holds ``Coeff`` values only.
+The grading behind this: let P(x) be the number of
 (ancestor, descendant) vertex pairs of a tree, forest or word, the sum
 of its vertex depths, additive over products (the ``paths`` field of
 ``trees``).  A term of Δ(f) splits the vertices of f into those of l
@@ -59,9 +58,19 @@ the 2n parameters, and scaling them all by D multiplies it by
 D^(P(f) − P(l) − P(r)).  Equivalently, f ↦ D^(−P(f))·f is a bialgebra
 isomorphism from the algebra at q onto the one at D·q; it intertwines
 their antipodes, so the coefficient of g in S(f) at D·q is
-D^(P(f) − P(g)) times its value at q.  A caller's ``coproduct_fn`` is a
-Δ at q, so ``antipode_recursive`` with one, and ``_verify``, run at q.
-Integer, symbolic and mixed points have D = 1 and run as they are.
+D^(P(f) − P(g)) times its value at q.  The identity is one of
+polynomials in q, so it holds at symbolic and mixed points too.
+
+``_verify`` at D·q gives the report it would give at q, case by case.
+Written in the basis D^(−P(f))·f, Δ at D·q has the structure constants
+of Δ at q, and so S has those of S at q; σ_i of slots of total size m
+gains D^m, on both sides of its check alike, from the weights
+(D·q_ij)^|leg|.  So each check compares two containers that are those
+at q with every key rescaled by one nonzero power of D, the same on
+both sides: a case fails at D·q exactly where it fails at q, and no
+failure message prints a coefficient.  A caller's ``coproduct_fn`` is a
+Δ at q, so with one ``antipode_recursive`` and ``_verify`` run S and
+the checks at q itself; ``_integral`` makes this choice for both.
 """
 
 from __future__ import annotations
@@ -200,12 +209,15 @@ def _delta(basis, tree, ctx: HopfContext):
     return _root_square(basis, slots, ctx)
 
 
-def _integral(ctx: HopfContext) -> "tuple[int, HopfContext]":
+def _integral(ctx: HopfContext, coproduct_fn=None) -> "tuple[int, HopfContext]":
     """``(D, the context at D·q)`` as ``QSpec.integral`` gives them, or
-    ``(1, ctx)`` where D = 1: the engine runs at the second and
-    ``_extend_linearly`` divides by powers of D."""
+    ``(1, ctx)`` where D = 1 or a caller's ``coproduct_fn``, a Δ at q,
+    is given: the engine runs at the second and ``_extend_linearly``
+    divides by powers of D."""
     scale, point = ctx.qspec.integral()
-    return (1, ctx) if scale == 1 else (scale, HopfContext(point))
+    if scale == 1 or coproduct_fn is not None:
+        return 1, ctx
+    return scale, HopfContext(point)
 
 
 def _coproduct(basis, a, ctx: HopfContext):
@@ -297,10 +309,9 @@ def _maps_over(basis, ctx: HopfContext, delta):
 
 
 def _antipode(basis, a, ctx: HopfContext, coproduct_fn=None):
-    """S by the tree recursion of ``_maps_over``, extended linearly; a
-    caller's ``coproduct_fn`` is a Δ at ``ctx`` itself, so S runs there."""
+    """S by the tree recursion of ``_maps_over``, extended linearly."""
     _check_entry(basis, a, ctx.n)
-    scale, at = (1, ctx) if coproduct_fn is not None else _integral(ctx)
+    scale, at = _integral(ctx, coproduct_fn)
     return _extend_linearly(a, _monomial_maps(basis, at, coproduct_fn)[1], basis.element, scale)
 
 
@@ -445,15 +456,18 @@ def _verify(basis, ctx, max_degree, coproduct_fn, max_cases, seed):
     ``max_cases`` caps each case list by seeded sampling; below 1 it
     raises ``ValueError``, as does a ``max_degree`` below 0.
 
-    The checks compare the engine's own containers (``delta``, the
-    root-constructor square, the graded products), whose values may be
-    plain numbers beside ``Coeff`` ones; ``Coeff.__eq__`` and ``_acc``
-    take both, and nothing here is handed to a caller.
+    The checks run at the point ``_integral`` gives, D·q unless a
+    ``coproduct_fn`` is given (see the module docstring for why the
+    report is that at q).  They compare the engine's own containers
+    (``delta``, the root-constructor square, the graded products), whose
+    values may be plain numbers beside ``Coeff`` ones; ``Coeff.__eq__``
+    and ``_acc`` take both, and nothing here is handed to a caller.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     if max_cases is not None and max_cases < 1:
         raise ValueError(f"max_cases must be at least 1, got {max_cases}")
+    ctx = _integral(ctx, coproduct_fn)[1]
     n, qspec = ctx.n, ctx.qspec
     monomial, element, tensor = basis.monomial, basis.element, basis.tensor
     delta, antipode = _monomial_maps(basis, ctx, coproduct_fn)

@@ -621,18 +621,28 @@ def test_equal_constants_of_one_result_share_one_box(ctx):
             assert mono == () and type(value) is (int if value.denominator == 1 else Fraction)
 
 
-@pytest.mark.parametrize("q", ["sym,sym", "sym,1/2"])
+@pytest.mark.parametrize("q", ["sym,sym", "sym,3", "sym,1/2"])
 def test_symbolic_values_are_handed_out_as_the_memo_holds_them(q):
-    # _extend_linearly boxes plain values only: a Coeff of the memo of Δ
-    # reaches the caller as the same object
-    ctx = HopfContext(QSpec.from_strings(1, q.split(",")))
+    # the memo of Δ holds the values at D·q.  Where D = 1, _extend_linearly
+    # boxes plain values only, so a Coeff of the memo reaches the caller as
+    # the same object; sym,1/2 runs at (2·q11, 1), and each value is
+    # handed out divided by 2^(P(f) − P(l) − P(r))
+    qspec = QSpec.from_strings(1, q.split(","))
+    scale, point = qspec.integral()
+    if q == "sym,1/2":
+        assert scale == 2 and point.entries == (Coeff.variable(1, 1) * 2, Coeff.rational(1))
+    else:
+        assert scale == 1 and point is qspec
     mono = parse_forest("[1:[],1:[1:[]]]", 1)
-    stored = hopf._delta(_FORESTS, mono.trees[0], ctx).data
-    result = coproduct(Element.basis(mono, 1), ctx).data
+    stored = hopf._delta(_FORESTS, mono.trees[0], HopfContext(point)).data
+    result = coproduct(Element.basis(mono, 1), HopfContext(qspec)).data
     assert result.keys() == stored.keys()
     symbolic = [k for k, c in stored.items() if isinstance(c, Coeff)]
-    assert symbolic and all(result[k] is stored[k] for k in symbolic)
-    assert all(isinstance(c, Coeff) for c in result.values())
+    assert symbolic and all(isinstance(c, Coeff) for c in result.values())
+    for (l, r), c in stored.items():
+        divided = Coeff._coerce(c) * Fraction(1, scale ** (mono.paths - l.paths - r.paths))
+        assert result[l, r] == divided
+    assert (scale == 1) == all(result[k] is stored[k] for k in symbolic)
 
 
 # ---------------------------------------------------------------------------

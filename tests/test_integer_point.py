@@ -1,9 +1,10 @@
-"""Δ and S at a constant point with denominators: the engine runs at the
-integer point D·q and the exit divides by powers of D (see the ``hopf``
-docstring).  Pinned against the exhaustive oracles, which compute at q
-itself, against the symbolic Δ and S with the point substituted, which
-reach past the oracles' sizes, and against the grading identity through
-the public API."""
+"""Δ, S and the verifier at a point with denominators, constant or mixed:
+the engine runs at the point D·q and the exit divides by powers of D
+(see the ``hopf`` docstring).  Pinned against the exhaustive oracles,
+which compute at q itself, against the symbolic Δ and S with the
+point's rational entries substituted, which reach past the oracles'
+sizes, against the grading identity through the public API, and against
+the verifier's report on a Δ at q itself."""
 
 import random
 from fractions import Fraction
@@ -11,13 +12,15 @@ from math import lcm
 
 import pytest
 
-from treehopf.algebra import _FORESTS, Coeff, Element, QSpec, parse_element
+from treehopf import hopf
+from treehopf.algebra import _FORESTS, Coeff, Element, QSpec, parse_coeff, parse_element
 from treehopf.hopf import (
     HopfContext,
     antipode_partitions,
     antipode_recursive,
     coproduct,
     coproduct_closed,
+    verify_bialgebra,
 )
 from treehopf.planar import (
     PlanarElement,
@@ -28,9 +31,11 @@ from treehopf.planar import (
     planar_antipode,
     planar_coproduct,
     planar_coproduct_closed,
+    verify_planar,
 )
 from treehopf.trees import (
     Forest,
+    _decompose,
     _enumerate_up_to,
     basis_counts,
     canonicalize,
@@ -233,10 +238,150 @@ def test_the_integer_point_is_kept_on_the_qspec(monkeypatch):
         QSpec.rational(1, (2, -3)),
         QSpec.connes_kreimer(),
         QSpec.symbolic(2),
-        QSpec.from_strings(1, ["sym", "1/2"]),
+        QSpec.from_strings(1, ["sym", "3"]),
         QSpec.rational(0, ()),
     ],
     ids=["integer", "ck", "symbolic", "mixed", "n0"],
 )
 def test_points_without_a_common_denominator_run_as_they_are(spec):
     assert spec.integral() == (1, spec) and spec.integral()[1] is spec
+
+
+def test_a_point_is_scaled_by_the_denominators_of_every_coefficient():
+    # symbolic entries are scaled as constant ones, and an entry's own
+    # coefficients count: D = lcm(2, 3) for 1/2*q11 + 1/3
+    q11, q21, q12, q22 = (Coeff.variable(i, j) for j in (1, 2) for i in (1, 2))
+    assert QSpec.from_strings(1, ["sym", "1/2"]).integral() == (2, QSpec(1, (2 * q11, Coeff.rational(1))))
+    assert QSpec.from_strings(1, ["1/3", "sym"]).integral() == (3, QSpec(1, (Coeff.rational(1), 3 * q21)))
+    scale, point = QSpec.from_strings(2, ["sym", "2/3", "sym", "5/7"]).integral()
+    assert scale == 21 and point.entries == (21 * q11, Coeff.rational(14), 21 * q21, Coeff.rational(15))
+    spec = QSpec(1, (parse_coeff("1/2*q11 + 1/3"), parse_coeff("q21^2")))
+    assert spec.integral() == (6, QSpec(1, (parse_coeff("3*q11 + 2"), parse_coeff("6*q21^2"))))
+    assert all(type(v) is int for e in spec.integral()[1].entries for v in e._t.values())
+
+
+# ---------------------------------------------------------------------------
+# mixed points: the symbolic Δ and S with the rational entries substituted
+# ---------------------------------------------------------------------------
+
+# one entry symbolic per row or per colour, with denominators 3, 4 and 35;
+# sym,3 has none, so it runs as it is (D = 1)
+MIXED = [(1, "sym,1/3"), (1, "-3/4,sym"), (1, "sym,3"), (2, "1/2,sym,-3/4,sym"), (2, "sym,2/3,sym,5/7")]
+
+
+def _rational_entries(qspec, combination):
+    """``combination`` with the rational entries of ``qspec`` substituted
+    for their symbols; the symbolic entries stay symbols."""
+    point = {
+        (i, j): qspec.q(i, j)
+        for i in (1, 2)
+        for j in range(1, qspec.n + 1)
+        if qspec.q(i, j).is_rational()
+    }
+    return type(combination)(combination.n, ((k, c.substitute(point)) for k, c in combination.data.items()))
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["forests", "words"])
+@pytest.mark.parametrize("n,words", MIXED, ids=[w for _, w in MIXED])
+def test_delta_and_s_at_a_mixed_point_are_the_symbolic_ones_specialised(n, words, planar):
+    qspec = QSpec.from_strings(n, words.split(","))
+    ctx, sym = HopfContext(qspec), HopfContext.symbolic(n)
+    assert (qspec.integral()[0] > 1) == (words != "sym,3")
+    rng = random.Random(f"{words} {planar}")
+
+    def element(m):
+        if planar:
+            trees = _random_tree(rng, m - 3, n), _random_tree(rng, 3, n)
+            return PlanarElement.basis(parse_planar_word("*".join(map(str, trees)), n), n)
+        return Element.basis(Forest.single(_random_tree(rng, m, n)), n)
+
+    delta, antipode = (planar_coproduct, planar_antipode) if planar else (coproduct, antipode_recursive)
+    for m in (8, 10, 12):
+        a = element(m)
+        assert delta(a, ctx) == _rational_entries(qspec, delta(a, sym)), str(a)
+    for m in (7, 8, 9) if n == 1 else (7, 8):
+        a = element(m)
+        assert antipode(a, ctx) == _rational_entries(qspec, antipode(a, sym)), str(a)
+
+
+@pytest.mark.parametrize(
+    "words", ["1/3,3/2", "sym,1/3", "1/2,sym,-3/4,sym"], ids=["fraction", "mixed-1", "mixed-2"]
+)
+def test_the_memos_of_delta_and_s_hold_integers_only(words):
+    # Δ and S at q store their values at D·q: plain ints, or Coeff values
+    # with int coefficients.  The walk reads the Δ of each tree the
+    # recursions stored (the input's trees, their slots, and the trees of
+    # the left legs that S recursed on) and S where S stored it; it reads
+    # no Δ that the calls did not store
+    qspec = QSpec.from_strings(len(words.split(",")) // 2, words.split(","))
+    n, ctx = qspec.n, HopfContext(qspec)
+    at = HopfContext(qspec.integral()[1])
+    rng = random.Random(words)
+    a = Element.basis(Forest.single(_random_tree(rng, 8, n)), n)
+    a = a + Element.basis(Forest.single(_random_tree(rng, 7, n)), n)
+    coproduct(a, ctx)
+    antipode_recursive(a, ctx)
+    _, s_mono = hopf._production_maps(_FORESTS, at)
+    before = hopf._delta.cache_info()
+    todo = [(t, True) for f in a.data for t in f.trees]
+    seen = set()
+    values = []
+    while todo:
+        tree, with_s = todo.pop()
+        if (tree, with_s) in seen:
+            continue
+        seen.add((tree, with_s))
+        stored = hopf._delta(_FORESTS, tree, at).data
+        values += stored.values()
+        todo += [(t, False) for slot in _decompose(Forest, tree, n) for t in slot.trees]
+        if with_s:
+            values += s_mono(Forest.single(tree)).data.values()
+            todo += [(t, True) for l, r in stored if not r.is_empty() for t in l.trees]
+    after = hopf._delta.cache_info()
+    assert after.misses == before.misses and after.currsize == before.currsize
+    assert len(seen) > 10 and any(isinstance(c, Coeff) for c in values) == ("sym" in words)
+    for c in values:
+        assert type(c) is int or all(type(v) is int for v in c._t.values()), c
+
+
+# ---------------------------------------------------------------------------
+# the verifier at D·q reports what it would at q
+# ---------------------------------------------------------------------------
+
+
+def _double_on_size_two(ctx, delta):
+    """A Δ at ``ctx`` that doubles the terms whose left leg has two vertices;
+    the corruption commutes with the rescaling from q to D·q."""
+
+    def corrupt(a):
+        out = delta(a, ctx)
+        return type(out)(a.n, ((k, c * 2 if k[0].size == 2 else c) for k, c in out.data.items()))
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "basis, delta", [(_FORESTS, coproduct), (_WORDS, planar_coproduct)], ids=["forests", "words"]
+)
+@pytest.mark.parametrize(
+    "words", ["1/3,3/2", "sym,1/3", "1/3,3/2,2,2/3", "sym,2/3,-3/4,sym"],
+    ids=["fraction", "mixed", "fraction-2", "mixed-2"],
+)
+def test_a_verifier_report_at_q_is_the_one_at_d_q(basis, delta, words):
+    # the production report runs at D·q; a Δ of the caller's makes the
+    # checks run at q itself, so the production Δ at q passed as one gives
+    # the report at q.  A corrupted Δ fails at q and at D·q on one case
+    qspec = QSpec.from_strings(len(words.split(",")) // 2, words.split(","))
+    ctx, at = HopfContext(qspec), HopfContext(qspec.integral()[1])
+    degree = 4 if qspec.n == 1 else 3
+    verify = verify_bialgebra if basis is _FORESTS else verify_planar
+    for max_cases in (None, 7):
+        report = verify(ctx, degree, max_cases=max_cases).summary()
+        assert report == verify(at, degree, max_cases=max_cases).summary()
+        at_q = hopf._verify(basis, ctx, degree, lambda a: delta(a, ctx), max_cases, 0)
+        assert at_q.summary() == report and at_q.passed
+        wrong = [
+            hopf._verify(basis, c, degree, _double_on_size_two(c, delta), max_cases, 0)
+            for c in (ctx, at)
+        ]
+        assert not wrong[0].passed and wrong[0].summary() == wrong[1].summary()
