@@ -424,27 +424,25 @@ def main(argv=None) -> int:
     job = json.dumps({"requests": reqs, "corpus": texts, "trees": trees})
     job_digest = hashlib.sha256(job.encode()).hexdigest()[:16]
     if record is not None and record["job"] != job_digest:
-        print(f"the generated requests differ from those {args.against} was recorded on; record it again")
+        print(f"the requests generated here are not those of {args.against}; record it again")
         return 1
     runs = [
         (f"{src} (PYTHONHASHSEED={seed})", run(os.path.abspath(src), seed, job))
         for src in args.src
         for seed in (HASH_SEEDS[:1] if record is not None else HASH_SEEDS)
     ]
-    if record is not None:
-        for name, outcomes in runs:
-            difference = recorded_difference(record, name, outcomes, reqs, texts, trees)
-            if difference:
-                print(difference)
-                return 1
-    else:
+    if record is None:
         difference = first_difference(runs, reqs, texts, trees)
-        if difference:
-            print(difference)
-            return 1
+    else:
+        found = (recorded_difference(record, name, out, reqs, texts, trees) for name, out in runs)
+        difference = next(filter(None, found), None)
+    if difference:
+        print(difference)
+        return 1
     if args.record:
         with open(args.record, "w", encoding="utf-8") as f:
-            json.dump({"requests": args.requests, "job": job_digest, **digests(runs[0][1])}, f, indent=0)
+            written = {"requests": args.requests, "job": job_digest, **digests(runs[0][1])}
+            json.dump(written, f, indent=0)
             f.write("\n")
     print(
         f"no difference: {len(reqs)} requests and {len(texts)} parser strings "

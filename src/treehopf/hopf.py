@@ -42,12 +42,12 @@ run the engine at the point D·q (``QSpec.integral``, kept on the
 values or ``Coeff`` values with ``int`` coefficients.  ``_power`` hands
 it ``int`` weights for constant entries, Δ(∅) is a plain 1 and S's
 seed a plain −1, and the memos of Δ and S hold such plain values beside
-``Coeff`` ones.  ``algebra._extend_linearly`` is the one route by which Δ and S
-reach a caller: it divides each value of the result by the power of D
-that its keys fix, so a ``Fraction`` first appears there, and boxes
-every plain value into a canonical ``Coeff``, each distinct value once
-per result, so every public container holds ``Coeff`` values only.
-The grading behind this: let P(x) be the number of
+``Coeff`` ones.  ``algebra._extend_linearly`` is the one route by which
+Δ and S reach a caller: it divides each value of the result by the
+power of D that its keys fix, so a ``Fraction`` first appears there,
+and boxes every plain value into a canonical ``Coeff``, each distinct
+value once per result, so every public container holds ``Coeff``
+values only.  The grading behind this: let P(x) be the number of
 (ancestor, descendant) vertex pairs of a tree, forest or word, the sum
 of its vertex depths, additive over products (the ``paths`` field of
 ``trees``).  A term of Δ(f) splits the vertices of f into those of l

@@ -250,11 +250,12 @@ def test_points_without_a_common_denominator_run_as_they_are(spec):
 def test_a_point_is_scaled_by_the_denominators_of_every_coefficient():
     # symbolic entries are scaled as constant ones, and an entry's own
     # coefficients count: D = lcm(2, 3) for 1/2*q11 + 1/3
-    q11, q21, q12, q22 = (Coeff.variable(i, j) for j in (1, 2) for i in (1, 2))
-    assert QSpec.from_strings(1, ["sym", "1/2"]).integral() == (2, QSpec(1, (2 * q11, Coeff.rational(1))))
-    assert QSpec.from_strings(1, ["1/3", "sym"]).integral() == (3, QSpec(1, (Coeff.rational(1), 3 * q21)))
+    q11, q21, one = Coeff.variable(1, 1), Coeff.variable(2, 1), Coeff.rational(1)
+    assert QSpec.from_strings(1, ["sym", "1/2"]).integral() == (2, QSpec(1, (2 * q11, one)))
+    assert QSpec.from_strings(1, ["1/3", "sym"]).integral() == (3, QSpec(1, (one, 3 * q21)))
     scale, point = QSpec.from_strings(2, ["sym", "2/3", "sym", "5/7"]).integral()
-    assert scale == 21 and point.entries == (21 * q11, Coeff.rational(14), 21 * q21, Coeff.rational(15))
+    assert scale == 21
+    assert point.entries == (21 * q11, Coeff.rational(14), 21 * q21, Coeff.rational(15))
     spec = QSpec(1, (parse_coeff("1/2*q11 + 1/3"), parse_coeff("q21^2")))
     assert spec.integral() == (6, QSpec(1, (parse_coeff("3*q11 + 2"), parse_coeff("6*q21^2"))))
     assert all(type(v) is int for e in spec.integral()[1].entries for v in e._t.values())
@@ -266,7 +267,9 @@ def test_a_point_is_scaled_by_the_denominators_of_every_coefficient():
 
 # one entry symbolic per row or per colour, with denominators 3, 4 and 35;
 # sym,3 has none, so it runs as it is (D = 1)
-MIXED = [(1, "sym,1/3"), (1, "-3/4,sym"), (1, "sym,3"), (2, "1/2,sym,-3/4,sym"), (2, "sym,2/3,sym,5/7")]
+MIXED = [
+    (1, "sym,1/3"), (1, "-3/4,sym"), (1, "sym,3"), (2, "1/2,sym,-3/4,sym"), (2, "sym,2/3,sym,5/7")
+]
 
 
 def _rational_entries(qspec, combination):
@@ -278,7 +281,8 @@ def _rational_entries(qspec, combination):
         for j in range(1, qspec.n + 1)
         if qspec.q(i, j).is_rational()
     }
-    return type(combination)(combination.n, ((k, c.substitute(point)) for k, c in combination.data.items()))
+    terms = ((k, c.substitute(point)) for k, c in combination.data.items())
+    return type(combination)(combination.n, terms)
 
 
 @pytest.mark.parametrize("planar", [False, True], ids=["forests", "words"])
@@ -295,7 +299,9 @@ def test_delta_and_s_at_a_mixed_point_are_the_symbolic_ones_specialised(n, words
             return PlanarElement.basis(parse_planar_word("*".join(map(str, trees)), n), n)
         return Element.basis(Forest.single(_random_tree(rng, m, n)), n)
 
-    delta, antipode = (planar_coproduct, planar_antipode) if planar else (coproduct, antipode_recursive)
+    delta, antipode = planar_coproduct, planar_antipode
+    if not planar:
+        delta, antipode = coproduct, antipode_recursive
     for m in (8, 10, 12):
         a = element(m)
         assert delta(a, ctx) == _rational_entries(qspec, delta(a, sym)), str(a)
