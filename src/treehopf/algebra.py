@@ -568,8 +568,9 @@ def _acc(store: dict, key, coeff):
     """Add ``coeff`` to the term ``key`` of a term dict, dropping it at zero.
 
     The value is a ``Coeff`` or, in the engine of ``hopf``, a plain
-    ``int``; the two add through Python's operators and either is zero
-    exactly when it is false.
+    ``int`` (a ``Fraction`` only on the route of a caller's Δ); the two
+    add through Python's operators and either is zero exactly when it is
+    false.
     """
     prev = store.get(key)
     total = coeff if prev is None else prev + coeff
