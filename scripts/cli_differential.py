@@ -15,7 +15,8 @@ every run gets the same input in the same order:
 * ``--requests`` in-process ``cli.main`` calls (default 1,000): all eight
   subcommands, both variants and both formats, n = 0..3, at symbolic,
   Connes–Kreimer, integer, fractional, negative, zero and mixed ``--q``
-  points, with ``--max-cases``, refused ``--q`` texts, malformed
+  points (a mixed point at n ≥ 1 holds a ``sym`` entry beside a rational
+  one), with ``--max-cases``, refused ``--q`` texts, malformed
   expressions and malformed flags among them, spellings that only
   argparse reads (an abbreviated flag, ``--`` before a signed expression,
   an option before the subcommand, a bad choice, a value on ``--count``,
@@ -189,7 +190,11 @@ def _q(rng: random.Random, n: int) -> list[str]:
         return ["--q", ",".join(["1"] * n + ["0"] * n)]
     if kind == "sym" and rng.random() < 0.5:
         return ["--q", "sym"]
-    return ["--q", ",".join(rng.choice(pools[kind]) for _ in range(2 * n))]
+    entries = [rng.choice(pools[kind]) for _ in range(2 * n)]
+    if kind == "mixed" and n:
+        entries[-2:] = ["sym", rng.choice(pools["mixed"][1:])]
+        rng.shuffle(entries)
+    return ["--q", ",".join(entries)]
 
 
 def requests(count: int) -> list[list[str]]:
