@@ -34,6 +34,10 @@ probe's term count.  The probes:
   at the mixed point q = (q11, 1/3), which the engine runs at
   (3·q11, 1), of the 14-vertex one at q = (2, 3), and of the 12-vertex
   chain symbolically;
+* ``antipode_bushy10_*_warm``: the same antipode of the 10-vertex bushy
+  tree at the fractional and at the mixed point, asked once and then
+  timed a second time, so the memos of Δ and S are warm and only the
+  exit's work is left;
 * ``verify_bialgebra`` symbolic n=2 up to degree 5 (its "terms" are the
   cases checked);
 * cold symbolic ``bullet`` of the n=1 chains with 5 and 4 vertices, and
@@ -168,7 +172,7 @@ from treehopf.planar import PlanarDualElement, parse_planar_tree, planar_bullet
 from treehopf.prelie import DualElement, bullet
 from treehopf.trees import enumerate_trees, parse_forest, parse_tree
 
-kind, size, point = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+kind, size, point, warm = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:] == ["warm"]
 n = 2 if kind in ("planar", "verify") else 1
 ctx = {
     "ck": HopfContext.connes_kreimer(),
@@ -198,6 +202,8 @@ else:  # planar: one fixed pair, over n = 2
         PlanarDualElement.basis(parse_planar_tree(t, 2), 2) for t in ("[2:[1:[]]]", "[2:[]]")
     )
     run = lambda: planar_bullet(left, right, ctx)
+if warm:
+    run()
 t0 = perf_counter()
 result = run()
 elapsed = perf_counter() - t0
@@ -237,6 +243,10 @@ PROBES = [
         for point in ("rational", "fraction", "symbolic")
     ),
     ("antipode_bushy12_mixed", PROBE, ("bushy", 12, "mixed")),
+    *(
+        (f"antipode_bushy10_{point}_warm", PROBE, ("bushy", 10, point, "warm"))
+        for point in ("fraction", "mixed")
+    ),
     ("antipode_bushy14_rational", PROBE, ("bushy", 14, "rational")),
     ("antipode_chain12_symbolic", PROBE, ("chain", 12, "symbolic")),
     ("verify_bialgebra_n2_d5_symbolic", PROBE, ("verify", 5, "symbolic")),
