@@ -9,11 +9,11 @@ engine in ``hopf`` runs at a point without denominators
 value is a constant: ``_power`` of a constant entry is an ``int``, the
 term dicts of Δ and S hold such values beside ``Coeff`` ones with
 ``int`` coefficients, and Python's operators mix the two.
-``_extend_linearly``, the one exit of Δ and S, divides by the powers of
-the point's denominator where there is one, so a ``Fraction`` first
-appears there, and boxes each distinct plain value of a result once
-into a canonical ``Coeff``, so every public combination holds ``Coeff``
-values only.
+``_extend_linearly``, the one exit of Δ and S, hands each value to the
+memoised ``_box``, which divides it by the power of the point's
+denominator that its term lost, so a ``Fraction`` first appears there,
+and boxes it into a canonical ``Coeff``, one object per value and
+process, so every public combination holds ``Coeff`` values only.
 
 A monomial is one ``int`` packing the exponents of the 2n symbols in
 fixed-width fields, so multiplying monomials is an integer addition;
@@ -824,35 +824,43 @@ def _power(q: Coeff, k: int):
     return q ** k
 
 
-def _box(c) -> Coeff:
-    """``c`` as a ``Coeff``: a plain number becomes the canonical
-    constant, a ``Coeff`` is returned as it is."""
-    return c if c.__class__ is Coeff else _make({0: _norm(c)})
+@cache
+def _box(c, d: int) -> Coeff:
+    """The canonical ``Coeff`` of the engine value ``c`` divided by ``d``.
+
+    ``d`` = 1 boxes a plain number; ``d`` = D^e divides an ``int``, or a
+    ``Coeff`` with ``int`` coefficients, by the power of D that its term
+    lost (see ``_extend_linearly``).  This is the exit's one boxing rule
+    and its one division by a power of D.
+
+    Memoised, so equal values leave Δ and S as one object per process and
+    a repeated Δ or S reads its divided values back.  A number is reduced
+    before it is boxed, so (2, 4) and (1, 2) give one box.  A constant
+    ``Coeff`` hashes and compares as its number, so it shares that
+    number's memo key and is boxed as the number.  Callers pass both
+    arguments: the memo keys ``_box(c)`` and ``_box(c, 1)`` apart.
+    """
+    if c.__class__ is Coeff:
+        if not c.is_rational():
+            return c * Fraction(1, d) if d > 1 else c
+        c = c._t.get(0, 0)
+    v = Fraction(c, d)
+    if v.numerator != c or v.denominator != d:
+        return _box(v.numerator, v.denominator)
+    return _make({0: _norm(v)} if v else {})
 
 
 def _extend_linearly(a, basis_fn, cls, scale: int = 1):
     """The ``cls`` combination Σ c·basis_fn(k) over the terms c·k of ``a``.
 
-    This is the one exit of Δ and S to callers: the engine's plain
-    ``int`` values, and the ``Fraction`` values of the division below,
-    are boxed here by ``algebra._box`` into canonical ``Coeff`` values,
-    each distinct value once per result, so equal constant terms share
-    one box.  The table of boxes lives for this one call; it is keyed by
-    (numerator, denominator), which an ``int`` and a ``Fraction`` both
-    have and which hashes far faster than a ``Fraction``.
-
-    A ``scale`` D > 1 says that ``basis_fn`` is Δ or S computed at the
-    point D·q for a caller at q (see the ``hopf`` docstring): the value c
-    of the term k in ``basis_fn(f)`` is then divided by D^e, where
-    e = P(f) − P(k) is the drop in the ``paths`` count from f to k, the
-    sum over both legs for a pair.  The engine's c is an ``int`` or a
-    ``Coeff`` with ``int`` coefficients, and each distinct (c, e) is
-    divided once per call: an ``int`` to a shared box, a ``Coeff`` by
-    multiplying it with 1/D^e.  That table is kept apart from the boxes
-    by (numerator, denominator): the pair (1, 2) is a key of both.
+    This is the one exit of Δ and S to callers: every plain value of the
+    engine leaves boxed by ``_box``, so every public combination holds
+    ``Coeff`` values only.  A ``scale`` D > 1 says that ``basis_fn`` is Δ
+    or S computed at the point D·q for a caller at q (see the ``hopf``
+    docstring): the value c of the term k in ``basis_fn(f)`` is then
+    ``_box(c, D^e)``, where e = P(f) − P(k) is the drop in the ``paths``
+    count from f to k, the sum over both legs for a pair.
     """
-    boxes: dict = {}
-    divided: dict = {}
     pairs = issubclass(cls, TensorElement)
     out: dict = {}
     for key, coeff in a.data.items():
@@ -863,26 +871,13 @@ def _extend_linearly(a, basis_fn, cls, scale: int = 1):
                 _acc(out, k, c if one else c * coeff)
             continue
         top = key.paths
+        powers = [scale**e for e in range(top + 1)]
         for k, c in terms:
-            e = top - (k[0].paths + k[1].paths if pairs else k.paths)
-            if e:
-                b = divided.get((c, e))
-                if b is None:
-                    if c.__class__ is Coeff:
-                        b = c * Fraction(1, scale**e)
-                    else:
-                        v = Fraction(c, scale**e)
-                        b = boxes.setdefault((v.numerator, v.denominator), _box(v))
-                    divided[c, e] = b
-                c = b
+            c = _box(c, powers[top - (k[0].paths + k[1].paths if pairs else k.paths)])
             _acc(out, k, c if one else c * coeff)
     for k, c in out.items():
         if c.__class__ is not Coeff:
-            value = (c.numerator, c.denominator)
-            box = boxes.get(value)
-            if box is None:
-                box = boxes[value] = _box(c)
-            out[k] = box
+            out[k] = _box(c, 1)
     return cls._adopt(a.n, out)
 
 

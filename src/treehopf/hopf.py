@@ -24,9 +24,10 @@ memoised only where a later call reads it again, and always by
 tree, keyed by (basis, tree, parameters); S per tree inside the maps
 that ``_production_maps`` keeps per (basis, parameters), where the
 parameters of a point with denominators are its point D·q (below);
-and the q-powers that weight the root-constructor square per
+the q-powers that weight the root-constructor square per
 (parameter, exponent) in ``algebra._power``, which σ and the dual
-product read too.
+product read too; and the values that leave Δ and S per (value,
+divisor) in ``algebra._box``, so a repeated Δ or S reads them back.
 Δ is an algebra map, so ``_product`` forms the Δ of any forest or word,
 a slot forest or a caller's, from the stored Δ of its trees where it is
 read, and it is not stored.  The trees λ(legs) of one root-constructor
@@ -43,11 +44,11 @@ values or ``Coeff`` values with ``int`` coefficients.  ``_power`` hands
 it ``int`` weights for constant entries, Δ(∅) is a plain 1 and S's
 seed a plain −1, and the memos of Δ and S hold such plain values beside
 ``Coeff`` ones.  ``algebra._extend_linearly`` is the one route by which
-Δ and S reach a caller: it divides each value of the result by the
-power of D that its keys fix, so a ``Fraction`` first appears there,
-and boxes every plain value into a canonical ``Coeff``, each distinct
-value once per result, so every public container holds ``Coeff``
-values only.  The grading behind this: let P(x) be the number of
+Δ and S reach a caller: ``algebra._box`` divides each value of the
+result by the power of D that its keys fix, so a ``Fraction`` first
+appears there, and boxes every plain value into a canonical ``Coeff``,
+one object per value and process, so every public container holds
+``Coeff`` values only.  The grading behind this: let P(x) be the number of
 (ancestor, descendant) vertex pairs of a tree, forest or word, the sum
 of its vertex depths, additive over products (the ``paths`` field of
 ``trees``).  A term of Δ(f) splits the vertices of f into those of l

@@ -108,6 +108,7 @@ MEMOS = {
     "trees._enumerate_trees",
     "trees._enumerate_monomials",
     "algebra._power",
+    "algebra._box",
     "hopf._delta",
     "hopf._production_maps",
     "prelie._tree_terms",
