@@ -837,8 +837,7 @@ def _box(c, d: int) -> Coeff:
     a repeated Δ or S reads its divided values back.  A number is reduced
     before it is boxed, so (2, 4) and (1, 2) give one box.  A constant
     ``Coeff`` hashes and compares as its number, so it shares that
-    number's memo key and is boxed as the number.  Callers pass both
-    arguments: the memo keys ``_box(c)`` and ``_box(c, 1)`` apart.
+    number's memo key and is boxed as the number.
     """
     if c.__class__ is Coeff:
         if not c.is_rational():

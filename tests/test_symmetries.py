@@ -80,7 +80,7 @@ def _mismatches(variant, words: str, rows=(1, 2)) -> tuple[int, int]:
         a = element.basis(f, 2)
         top = _colour_paths(f)
         at_q, at_scaled = delta(a, ctx).data, delta(a, scaled).data
-        for (l, r) in at_q.keys() | at_scaled.keys():
+        for l, r in at_q.keys() | at_scaled.keys():
             total += 1
             bad += at_q.get((l, r), 0) * _weight(top, l, r) != at_scaled.get((l, r), 0)
         at_q, at_scaled = antipode(a, ctx).data, antipode(a, scaled).data
